@@ -487,9 +487,7 @@ def cmd_bench(args, argv) -> int:
             for algo in algos:
                 started = time.perf_counter()
                 if algo == "det":
-                    # Clamped capacities make imitation closure redundant,
-                    # so benchmark the sparse network directly.
-                    cost = solve_deterministic(instance, close_relation=False).cost
+                    cost = solve_deterministic(instance).cost
                 else:
                     cost = solve_randomized(instance).cost
                 micros = int((time.perf_counter() - started) * 1e6)

@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Literal, Sequence, Union
 
 # Absolute slack used for truthfulness comparisons when a mechanism carries
@@ -206,8 +207,17 @@ class ReportingRelation:
     def identity(cls, type_count: int) -> "ReportingRelation":
         return cls(type_count, [(i, i) for i in range(type_count)])
 
+    @cached_property
+    def _reports_by_reporter(self) -> dict[int, list[int]]:
+        reports: dict[int, list[int]] = {}
+        for a, b in self.pairs:
+            reports.setdefault(a, []).append(b)
+        for claims in reports.values():
+            claims.sort()
+        return reports
+
     def allowed_reports(self, reporter: int) -> list[int]:
-        return sorted(b for a, b in self.pairs if a == reporter)
+        return list(self._reports_by_reporter.get(reporter, ()))
 
 
 @dataclass(frozen=True)

@@ -34,14 +34,15 @@ class FlowGraph:
         return eid
 
     def _levels(self, source: int, sink: int) -> list[int] | None:
+        head, to, cap = self.head, self.to, self.cap
         level = [-1] * self.node_count
         level[source] = 0
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and level[v] < 0:
+            for eid in head[u]:
+                v = to[eid]
+                if cap[eid] > 0 and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
         return level if level[sink] >= 0 else None
@@ -52,43 +53,48 @@ class FlowGraph:
         Dead-end nodes get their level cleared, so parent iterators skip
         them naturally on the next advance; no recursion, arbitrary depth.
         """
+        head, to, cap = self.head, self.to, self.cap
         total = 0
         iter_index = [0] * self.node_count
         path: list[int] = []  # edge ids along the current partial path
         u = source
         while True:
             if u == sink:
-                pushed = min(self.cap[eid] for eid in path)
+                pushed = min(cap[eid] for eid in path)
                 for eid in path:
-                    self.cap[eid] -= pushed
-                    self.cap[eid ^ 1] += pushed
+                    cap[eid] -= pushed
+                    cap[eid ^ 1] += pushed
                 total += pushed
                 # Retreat to just before the first saturated edge; its
                 # owner's iterator will skip it (capacity now zero).
                 for k, eid in enumerate(path):
-                    if self.cap[eid] == 0:
+                    if cap[eid] == 0:
                         del path[k:]
-                        u = source if k == 0 else self.to[path[-1]]
+                        u = source if k == 0 else to[path[-1]]
                         break
                 continue
             advanced = False
-            while iter_index[u] < len(self.head[u]):
-                eid = self.head[u][iter_index[u]]
-                v = self.to[eid]
-                if self.cap[eid] > 0 and level[v] == level[u] + 1:
+            edges = head[u]
+            i = iter_index[u]
+            next_level = level[u] + 1
+            while i < len(edges):
+                eid = edges[i]
+                v = to[eid]
+                if cap[eid] > 0 and level[v] == next_level:
                     path.append(eid)
-                    u = v
                     advanced = True
                     break
-                iter_index[u] += 1
+                i += 1
+            iter_index[u] = i
             if advanced:
+                u = v
                 continue
             if u == source:
                 return total
             # Dead end: seal this node for the phase and back up one edge.
             level[u] = -1
             path.pop()
-            u = source if not path else self.to[path[-1]]
+            u = source if not path else to[path[-1]]
 
     def max_flow(self, source: int, sink: int) -> int:
         total = 0
@@ -101,14 +107,15 @@ class FlowGraph:
     def residual_source_side(self, source: int) -> list[bool]:
         """Nodes reachable from the source in the residual graph: the
         canonical (inclusion-minimal) minimum-cut source side."""
+        head, to, cap = self.head, self.to, self.cap
         seen = [False] * self.node_count
         seen[source] = True
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and not seen[v]:
+            for eid in head[u]:
+                v = to[eid]
+                if cap[eid] > 0 and not seen[v]:
                     seen[v] = True
                     queue.append(v)
         return seen

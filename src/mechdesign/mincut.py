@@ -7,11 +7,20 @@ and ``j+1`` (or its sink arc, for the top level) reads as "type ``i`` gets
 outcome ``j``" and pays that cost entry.  Whenever ``a`` can claim to be
 ``b``, unbounded arcs from ``b``'s chain into ``a``'s chain at every level
 force ``a``'s assigned outcome at least as high as ``b``'s; finite-value
-downward-closed cuts are exactly the truthful deterministic mechanisms.
+downward-closed cuts are exactly the truthful deterministic mechanisms
+(Ishikawa's multi-label cut construction, 2003).
 
 Infinite capacities are clamped to ``B + 1`` where ``B`` bounds every
 finite-cost truthful mechanism; a minimum cut above ``B`` therefore proves
 that no finite-cost truthful mechanism exists.
+
+The relation is used as given, not transitively closed.  If ``a`` may claim
+``b``, ``b`` may claim ``c``, and the closure arc ``c -> a`` at level ``j``
+crosses a cut, then the raw arc ``c -> b`` or ``b -> a`` crosses it at the
+same level (induct for longer paths).  So a cut avoids every clamped arc with
+the closure exactly when it does without it: the below-budget minimum cuts,
+the inclusion-minimal one (the pointwise-lowest mechanism) and the infinite
+verdicts are the same, without the closure's quadratic cost.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .instances import (
     Cost,
@@ -28,7 +38,8 @@ from .instances import (
     cost_deterministic,
     hard_violations,
     is_truthful,
-    transitive_closure,
+    # Unused here; the benchmark tracer (mdbench/spans.py) rebinds this name.
+    transitive_closure,  # noqa: F401
 )
 from .maxflow import FlowGraph
 
@@ -44,8 +55,7 @@ def grid_node(type_index: int, level: int, outcome_count: int) -> int:
     return 2 + type_index * outcome_count + level
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     tail: int
     head: int
     capacity: Cost
@@ -89,40 +99,23 @@ class DeterministicSolution:
     clamped: ClampedNetwork | None = None
 
 
-def build_network(instance: Instance, close_relation: bool = True) -> FlowNetwork:
-    """Assemble the cut network for an instance.
-
-    ``close_relation=False`` skips the transitive-closure step.  With true
-    infinite capacities the closure changes nothing, and the same holds
-    after clamping: any cut through even one clamped arc already exceeds
-    the budget, so closure arcs can never alter a below-budget minimum cut.
-    Both settings must produce identical solutions; the flag exists so that
-    equivalence can be exercised.
-    """
+def build_network(instance: Instance) -> FlowNetwork:
+    """Assemble the cut network for an instance, over its relation as given
+    (see the module docstring for why the closure is not needed)."""
     problems = hard_violations(instance)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
 
     n, m = instance.type_count, instance.outcome_count
-    relation = (
-        transitive_closure(instance.relation) if close_relation else instance.relation
-    )
-
     arcs: list[Arc] = []
     inf = Cost.infinite()
-    for i in range(n):
-        arcs.append(Arc(SOURCE, grid_node(i, 0, m), inf, "entry"))
+    for i, row in enumerate(instance.costs.rows):
+        bottom = grid_node(i, 0, m)
+        arcs.append(Arc(SOURCE, bottom, inf, "entry"))
         for j in range(m - 1):
-            arcs.append(
-                Arc(
-                    grid_node(i, j, m),
-                    grid_node(i, j + 1, m),
-                    instance.costs.entry(i, j),
-                    "level",
-                )
-            )
-        arcs.append(Arc(grid_node(i, m - 1, m), SINK, instance.costs.entry(i, m - 1), "exit"))
-    for a, b in sorted(relation.pairs):
+            arcs.append(Arc(bottom + j, bottom + j + 1, row[j], "level"))
+        arcs.append(Arc(bottom + m - 1, SINK, row[m - 1], "exit"))
+    for a, b in sorted(instance.relation.pairs):
         if a == b:
             continue
         # "a can claim b": a's chain must reach at least as high as b's,
@@ -141,9 +134,7 @@ def clamp_capacities(network: FlowNetwork) -> ClampedNetwork:
     optimum, and a cut within ``B`` can never contain a clamped arc.
     """
     finite_entries = [
-        arc.capacity.value
-        for arc in network.arcs
-        if arc.kind in ("level", "exit") and arc.capacity.is_finite
+        arc.capacity.value for arc in network.arcs if arc.capacity.value is not None
     ]
     budget = Fraction(0)
     if finite_entries:
@@ -153,11 +144,12 @@ def clamp_capacities(network: FlowNetwork) -> ClampedNetwork:
     capacities = []
     clamped = []
     for idx, arc in enumerate(network.arcs):
-        if arc.capacity.is_finite:
-            capacities.append(arc.capacity.value)
-        else:
+        value = arc.capacity.value
+        if value is None:
             capacities.append(clamp_value)
             clamped.append(idx)
+        else:
+            capacities.append(value)
     return ClampedNetwork(
         network, budget, clamp_value, tuple(capacities), frozenset(clamped)
     )
@@ -165,24 +157,56 @@ def clamp_capacities(network: FlowNetwork) -> ClampedNetwork:
 
 def min_cut(clamped: ClampedNetwork) -> CutResult:
     """Exact minimum cut: scale capacities to integers, run Dinic, and take
-    the residual-reachable source side (the inclusion-minimal one)."""
-    scale = math.lcm(*(c.denominator for c in clamped.capacities)) if clamped.capacities else 1
+    the residual-reachable source side (the inclusion-minimal one).  The
+    feasible flow and the cut, summed in integers, certify each other."""
+    arcs = clamped.network.arcs
+    scale = math.lcm(*{c.denominator for c in clamped.capacities})
+    scaled = [c.numerator * (scale // c.denominator) for c in clamped.capacities]
     graph = FlowGraph(clamped.network.node_count)
-    for arc, cap in zip(clamped.network.arcs, clamped.capacities):
-        graph.add_edge(arc.tail, arc.head, int(cap * scale))
+    for arc, cap in zip(arcs, scaled):
+        graph.add_edge(arc.tail, arc.head, cap)
     flow = graph.max_flow(SOURCE, SINK)
+    _check_flow(graph, arcs, scaled, flow)
     reachable = graph.residual_source_side(SOURCE)
-    source_side = frozenset(i for i, r in enumerate(reachable) if r)
+    if reachable[SINK]:
+        raise SelfCheckError("sink is reachable in the residual graph")
 
-    value = Fraction(0)
-    for arc, cap in zip(clamped.network.arcs, clamped.capacities):
-        if arc.tail in source_side and arc.head not in source_side:
-            value += cap
-    if value != Fraction(flow, scale):
+    cut_total = sum(
+        cap
+        for arc, cap in zip(arcs, scaled)
+        if reachable[arc.tail] and not reachable[arc.head]
+    )
+    if cut_total != flow:
+        raise SelfCheckError(f"cut value {cut_total} disagrees with max flow {flow}")
+    source_side = frozenset(i for i, r in enumerate(reachable) if r)
+    return CutResult(source_side, Fraction(cut_total, scale), scale)
+
+
+def _check_flow(
+    graph: FlowGraph, arcs: tuple[Arc, ...], scaled: list[int], flow: int
+) -> None:
+    """Check that the residual state holds a feasible flow of value ``flow``.
+
+    Arc ``k`` is edge ``2k``; its flow is the residual capacity of the
+    reverse edge.  The flow must respect ``0 <= flow <= capacity`` with the
+    forward residual holding the rest, be conserved at every node but the
+    source and sink, and leave the source at net rate ``flow``."""
+    cap = graph.cap
+    excess = [0] * graph.node_count
+    for k, (arc, capacity) in enumerate(zip(arcs, scaled)):
+        eid = 2 * k
+        carried = cap[eid ^ 1]
+        if not 0 <= carried <= capacity or cap[eid] != capacity - carried:
+            raise SelfCheckError(f"arc {k} carries infeasible flow {carried}")
+        excess[arc.tail] -= carried
+        excess[arc.head] += carried
+    if -excess[SOURCE] != flow:
         raise SelfCheckError(
-            f"cut value {value} disagrees with max flow {Fraction(flow, scale)}"
+            f"source sends {-excess[SOURCE]} but max flow reported {flow}"
         )
-    return CutResult(source_side, value, scale)
+    for node, surplus in enumerate(excess):
+        if surplus and node not in (SOURCE, SINK):
+            raise SelfCheckError(f"flow is not conserved at node {node}")
 
 
 def extract_mechanism(cut: CutResult, clamped: ClampedNetwork) -> DeterministicMechanism:
@@ -223,16 +247,14 @@ def _check_cut_shape(cut: CutResult, clamped: ClampedNetwork) -> None:
                 raise SelfCheckError("an imitation arc crosses the returned cut")
 
 
-def solve_deterministic(
-    instance: Instance, close_relation: bool = True
-) -> DeterministicSolution:
+def solve_deterministic(instance: Instance) -> DeterministicSolution:
     """Cost-optimal truthful deterministic mechanism, or an infinite verdict.
 
     The returned mechanism, when one exists, assigns every type the lowest
     outcome among all optimal truthful mechanisms (a consequence of taking
     the inclusion-minimal minimum cut).
     """
-    network = build_network(instance, close_relation=close_relation)
+    network = build_network(instance)
     clamped = clamp_capacities(network)
     cut = min_cut(clamped)
     if cut.value > clamped.budget:

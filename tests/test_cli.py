@@ -129,6 +129,18 @@ class TestSolve:
         data = json.loads(mech_path.read_text())
         assert data["kind"] == "deterministic"
 
+    def test_infeasible_flow_exits_6(self, capsys, instance_file, monkeypatch):
+        from mechdesign.maxflow import FlowGraph
+
+        original = FlowGraph.max_flow
+        monkeypatch.setattr(
+            FlowGraph, "max_flow", lambda graph, s, t: original(graph, s, t) + 1
+        )
+        for algo in ("det", "rand"):
+            code, _, err = run(capsys, "solve", str(instance_file), "--algo", algo)
+            assert code == EXIT_SELF_CHECK
+            assert "max flow reported" in err
+
     def test_gap_infinite_exit(self, tmp_path, capsys):
         path = tmp_path / "gap.json"
         run(capsys, "generate", "gap", "--out", str(path))

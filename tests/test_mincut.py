@@ -1,5 +1,6 @@
 """Cut-based deterministic solver: network build, clamping, exactness."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from mechdesign import (
     Instance,
     OutcomeSpace,
     ReportingRelation,
+    SelfCheckError,
     brute_force_deterministic_opt,
     build_network,
     clamp_capacities,
@@ -21,9 +23,12 @@ from mechdesign import (
     is_truthful,
     min_cut,
     network_to_dot,
+    random_convex_instance,
     random_instance,
     solve_deterministic,
+    transitive_closure,
 )
+from mechdesign.maxflow import FlowGraph
 from mechdesign.mincut import grid_node
 
 
@@ -66,6 +71,28 @@ class TestNetworkBuild:
         assert caps[(grid_node(0, 0, 3), grid_node(0, 1, 3))] == Cost(4)
         assert caps[(grid_node(0, 1, 3), grid_node(0, 2, 3))] == Cost(2)
         assert caps[(grid_node(0, 2, 3), 1)] == Cost(7)
+
+    def test_one_imitation_arc_per_level_per_raw_pair(self):
+        for seed in range(20):
+            inst = random_instance(
+                seed=500 + seed,
+                type_count=3 + seed % 4,
+                outcome_count=1 + seed % 4,
+                edge_density=0.4,
+            )
+            m = inst.outcome_count
+            imitation = sorted(
+                (arc.tail, arc.head)
+                for arc in build_network(inst).arcs
+                if arc.kind == "imitation"
+            )
+            expected = sorted(
+                (grid_node(b, j, m), grid_node(a, j, m))
+                for a, b in inst.relation.pairs
+                if a != b
+                for j in range(m)
+            )
+            assert imitation == expected, f"seed {seed}"
 
     def test_imitation_arcs_point_into_claimant_chain(self):
         net = build_network(chain_instance())
@@ -168,20 +195,26 @@ class TestSolveDeterministic:
             else:
                 assert sol.mechanism is None
 
-    def test_closure_skip_equivalence(self):
-        for seed in range(40):
-            inst = random_instance(
-                seed=1000 + seed,
-                type_count=3 + seed % 3,
-                outcome_count=2 + seed % 3,
-                edge_density=0.5,
-                infinity_rate=0.1 if seed % 2 else 0.0,
+    def test_transitive_closure_changes_no_solution(self):
+        closure_grew = finite = infinite = 0
+        for inst in closure_probe_instances():
+            closed_relation = transitive_closure(inst.relation)
+            closure_grew += closed_relation.pairs != inst.relation.pairs
+            raw = solve_deterministic(inst)
+            closed = solve_deterministic(
+                Instance(inst.outcomes, closed_relation, inst.costs)
             )
-            raw = solve_deterministic(inst, close_relation=False)
-            closed = solve_deterministic(inst, close_relation=True)
             assert raw.cost == closed.cost
+            assert raw.mechanism == closed.mechanism
             if raw.cost.is_finite:
-                assert raw.mechanism.assignment == closed.mechanism.assignment
+                finite += 1
+                assert raw.cut.value == closed.cut.value
+            else:
+                infinite += 1
+                assert raw.mechanism is None
+                assert raw.cut.value > raw.clamped.budget
+                assert closed.cut.value > closed.clamped.budget
+        assert closure_grew >= 20 and finite >= 20 and infinite >= 10
 
     def test_returns_pointwise_lowest_optimum(self):
         for seed in range(30):
@@ -205,6 +238,140 @@ class TestSolveDeterministic:
                 min(a[i] for a in optimal) for i in range(inst.type_count)
             )
             assert sol.mechanism.assignment == lows, f"seed {seed}"
+
+
+def _random_costs(rng, n, m, infinity_rate):
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(m):
+            if rng.random() < infinity_rate:
+                row.append(Cost.infinite())
+            else:
+                row.append(Fraction(rng.randint(0, 12), rng.randint(1, 4)))
+        rows.append(row)
+    return CostMatrix(rows)
+
+
+def closure_probe_instances():
+    """Random families, then cyclic dense relations, all-infinite rows,
+    one outcome and one type."""
+    out = []
+    for seed in range(40):
+        out.append(
+            random_instance(
+                seed=1000 + seed,
+                type_count=3 + seed % 3,
+                outcome_count=2 + seed % 3,
+                edge_density=0.5,
+                infinity_rate=0.1 if seed % 2 else 0.0,
+            )
+        )
+    for seed in range(20):
+        out.append(
+            random_convex_instance(
+                seed=3000 + seed,
+                type_count=3 + seed % 4,
+                outcome_count=2 + seed % 3,
+                edge_density=0.3,
+            )
+        )
+    rng = random.Random(7)
+    for n in range(2, 7):
+        # A directed cycle plus random chords: the closure is the full relation.
+        pairs = [(i, i) for i in range(n)] + [(i, (i + 1) % n) for i in range(n)]
+        pairs += [(a, b) for a in range(n) for b in range(n) if rng.random() < 0.3]
+        relation = ReportingRelation(n, pairs)
+        for m in (1, 2, 4):
+            for rate in (0.0, 0.2):
+                costs = _random_costs(rng, n, m, rate)
+                out.append(Instance(OutcomeSpace(range(m)), relation, costs))
+    for n in (2, 4):
+        # Chain relation "i may claim i + 1"; one row entirely infinite.
+        relation = ReportingRelation(
+            n, [(i, i) for i in range(n)] + [(i, i + 1) for i in range(n - 1)]
+        )
+        for dead in range(n):
+            costs = _random_costs(rng, n, 3, 0.1)
+            rows = list(costs.rows)
+            rows[dead] = (Cost.infinite(),) * 3
+            out.append(Instance(OutcomeSpace([1, 2, 3]), relation, CostMatrix(rows)))
+    for seed in range(10):
+        out.append(
+            random_instance(
+                seed=4000 + seed,
+                type_count=3 + seed % 4,
+                outcome_count=1,
+                edge_density=0.5,
+                infinity_rate=0.2,
+            )
+        )
+        out.append(
+            random_instance(
+                seed=4100 + seed,
+                type_count=1,
+                outcome_count=1 + seed % 4,
+                edge_density=0.5,
+                infinity_rate=0.2,
+            )
+        )
+    return out
+
+
+def _carrying_level_edge(graph):
+    # Edge 2k is arc k; level arcs join two chain nodes.
+    return next(
+        eid
+        for eid in range(0, len(graph.to), 2)
+        if graph.cap[eid ^ 1] > 0 and graph.to[eid] > 1 and graph.to[eid ^ 1] > 1
+    )
+
+
+def _overstate_value(graph, value):
+    return value + 1
+
+
+def _unbalance_a_node(graph, value):
+    eid = _carrying_level_edge(graph)
+    graph.cap[eid] += 1
+    graph.cap[eid ^ 1] -= 1
+    return value
+
+
+def _shrink_a_residual(graph, value):
+    graph.cap[_carrying_level_edge(graph)] += 1
+    return value
+
+
+def _overfill_an_arc(graph, value):
+    eid = _carrying_level_edge(graph)
+    graph.cap[eid ^ 1] += graph.cap[eid] + 1
+    graph.cap[eid] = 0
+    return value
+
+
+class TestFlowCertificate:
+    """``min_cut`` checks the flow Dinic leaves behind, not just its value."""
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (_overstate_value, "source sends"),
+            (_unbalance_a_node, "not conserved"),
+            (_shrink_a_residual, "infeasible"),
+            (_overfill_an_arc, "infeasible"),
+        ],
+    )
+    def test_tampered_residual_state_is_refused(self, monkeypatch, tamper, message):
+        original = FlowGraph.max_flow
+
+        def tampered_max_flow(graph, source, sink):
+            return tamper(graph, original(graph, source, sink))
+
+        monkeypatch.setattr(FlowGraph, "max_flow", tampered_max_flow)
+        clamped = clamp_capacities(build_network(chain_instance()))
+        with pytest.raises(SelfCheckError, match=message):
+            min_cut(clamped)
 
 
 class TestDotOutput:
