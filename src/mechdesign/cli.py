@@ -223,29 +223,17 @@ def cmd_solve(args, argv) -> int:
     if args.dot and args.algo != "det":
         raise CliError("--dot only applies to --algo det")
 
-    if args.algo == "det":
-        solution = solve_deterministic(instance)
-        report["solver"] = "mincut-exact"
-        if args.dot:
-            Path(args.dot).write_text(
-                network_to_dot(solution.clamped, solution.cut)
-            )
-        if solution.mechanism is None:
-            report["cost"] = "inf"
-            report["checks"] = {"truthful": None, "self_check": "ok"}
-            report["wall_ms"] = round((time.perf_counter() - started) * 1e3, 3)
-            _emit(report)
-            return EXIT_INFINITE
-        if not is_truthful(solution.mechanism, instance):
-            raise SelfCheckError("solver returned an untruthful mechanism")
-        report["cost"] = _cost_text(solution.cost)
-        report["checks"] = {"truthful": True, "self_check": "ok"}
-        if args.out:
-            _write_json(args.out, mechanism_to_json(solution.mechanism))
-
-    elif args.algo == "rand":
-        solution = solve_randomized(instance)
-        report["solver"] = "envelope-mincut-exact"
+    if args.algo in ("det", "rand"):
+        if args.algo == "det":
+            solution = solve_deterministic(instance)
+            report["solver"] = "mincut-exact"
+            if args.dot:
+                Path(args.dot).write_text(
+                    network_to_dot(solution.clamped, solution.cut)
+                )
+        else:
+            solution = solve_randomized(instance)
+            report["solver"] = "envelope-mincut-exact"
         if solution.mechanism is None:
             report["cost"] = "inf"
             report["checks"] = {"truthful": None, "self_check": "ok"}

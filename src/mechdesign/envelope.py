@@ -35,7 +35,7 @@ from .instances import (
     hard_violations,
     is_truthful,
 )
-from .mincut import DeterministicSolution, solve_deterministic
+from .mincut import DeterministicSolution, scale_to_integers, solve_deterministic
 
 
 @dataclass(frozen=True)
@@ -124,16 +124,21 @@ def convex_envelope(cost_row, outcomes: OutcomeSpace) -> EnvelopeRow:
     """Lower convex envelope of the finite points of one cost row.
 
     Hull vertices keep only strict slope increases, so collinear interior
-    points are excluded.  All arithmetic is exact.
+    points are excluded.  All arithmetic is exact: the hull runs on the
+    utilities and the finite costs each over their common denominator,
+    vertices keep the row's own entries, and every interpolated value is
+    built as one ``Fraction``.
     """
     row = [c if isinstance(c, Cost) else Cost(c) for c in cost_row]
-    utilities = outcomes.utilities
-    points = [(utilities[j], row[j].value, j) for j in range(len(row)) if row[j].is_finite]
-    if not points:
+    finite = [j for j, c in enumerate(row) if c.is_finite]
+    if not finite:
         raise ValueError("cost row has no finite entries")
+    xs, _ = scale_to_integers(outcomes.utilities)
+    ys, cost_scale = scale_to_integers([row[j].value for j in finite])
 
-    hull: list[tuple] = []
-    for x, y, j in points:
+    hull: list[tuple[int, int, int]] = []
+    for j, y in zip(finite, ys):
+        x = xs[j]
         while len(hull) >= 2:
             x1, y1, _ = hull[-2]
             x2, y2, _ = hull[-1]
@@ -146,18 +151,19 @@ def convex_envelope(cost_row, outcomes: OutcomeSpace) -> EnvelopeRow:
 
     values = []
     seg = 0
-    for j, u in enumerate(utilities):
+    for u in xs:
         if u < hull[0][0] or u > hull[-1][0]:
             values.append(Cost.infinite())
             continue
         while seg + 1 < len(hull) and hull[seg + 1][0] <= u:
             seg += 1
-        x1, y1, _ = hull[seg]
+        x1, y1, j1 = hull[seg]
         if u == x1:
-            values.append(Cost(y1))
+            values.append(row[j1])
             continue
         x2, y2, _ = hull[seg + 1]
-        values.append(Cost(y1 + (y2 - y1) * (u - x1) / (x2 - x1)))
+        dx = x2 - x1
+        values.append(Cost(Fraction(y1 * dx + (y2 - y1) * (u - x1), cost_scale * dx)))
     return EnvelopeRow(tuple(j for _, _, j in hull), tuple(values))
 
 

@@ -125,6 +125,13 @@ def build_network(instance: Instance) -> FlowNetwork:
     return FlowNetwork(n, m, tuple(arcs))
 
 
+def scale_to_integers(values) -> tuple[list[int], int]:
+    """Rationals over their least common denominator ``scale``: returns
+    ``([v * scale for v in values], scale)``, all ints."""
+    scale = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
 def clamp_capacities(network: FlowNetwork) -> ClampedNetwork:
     """Replace infinite capacities by ``B + 1``.
 
@@ -138,7 +145,8 @@ def clamp_capacities(network: FlowNetwork) -> ClampedNetwork:
     ]
     budget = Fraction(0)
     if finite_entries:
-        budget = sum(finite_entries) + network.type_count * max(finite_entries)
+        scaled, scale = scale_to_integers(finite_entries)
+        budget = Fraction(sum(scaled) + network.type_count * max(scaled), scale)
     clamp_value = budget + 1
 
     capacities = []
@@ -160,8 +168,7 @@ def min_cut(clamped: ClampedNetwork) -> CutResult:
     the residual-reachable source side (the inclusion-minimal one).  The
     feasible flow and the cut, summed in integers, certify each other."""
     arcs = clamped.network.arcs
-    scale = math.lcm(*{c.denominator for c in clamped.capacities})
-    scaled = [c.numerator * (scale // c.denominator) for c in clamped.capacities]
+    scaled, scale = scale_to_integers(clamped.capacities)
     graph = FlowGraph(clamped.network.node_count)
     for arc, cap in zip(arcs, scaled):
         graph.add_edge(arc.tail, arc.head, cap)

@@ -173,14 +173,7 @@ def is_submodular(
     Comparable pairs hold trivially and are skipped.
     """
     n, m = oracle.type_count, oracle.outcome_count
-    cache: dict[tuple, Cost] = {}
-
-    def value(point) -> Cost:
-        got = cache.get(point)
-        if got is None:
-            got = oracle(point)
-            cache[point] = got
-        return got
+    value = _memoized(oracle)
 
     def violates(a, b) -> bool:
         lo, hi = meet(a, b), join(a, b)

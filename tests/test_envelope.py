@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mechdesign import (
     Cost,
@@ -30,6 +32,72 @@ from mechdesign import (
 )
 
 OUTCOMES = OutcomeSpace([1, 2, 3])
+UNEVEN = OutcomeSpace([0, Fraction(1, 3), Fraction(1, 2), 2, Fraction(7, 2)])
+INF = Cost.infinite()
+BIG = 2**31 + 11  # a prime denominator above 2**31
+
+
+def fraction_envelope(cost_row, outcomes):
+    """Reference: the envelope with the hull run on ``Fraction`` points."""
+    row = [c if isinstance(c, Cost) else Cost(c) for c in cost_row]
+    utilities = outcomes.utilities
+    points = [(utilities[j], row[j].value, j) for j in range(len(row)) if row[j].is_finite]
+    if not points:
+        raise ValueError("cost row has no finite entries")
+    hull = []
+    for x, y, j in points:
+        while len(hull) >= 2:
+            x1, y1, _ = hull[-2]
+            x2, y2, _ = hull[-1]
+            if (y2 - y1) * (x - x2) >= (y - y2) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append((x, y, j))
+    values = []
+    seg = 0
+    for u in utilities:
+        if u < hull[0][0] or u > hull[-1][0]:
+            values.append(Cost.infinite())
+            continue
+        while seg + 1 < len(hull) and hull[seg + 1][0] <= u:
+            seg += 1
+        x1, y1, _ = hull[seg]
+        if u == x1:
+            values.append(Cost(y1))
+            continue
+        x2, y2, _ = hull[seg + 1]
+        values.append(Cost(y1 + (y2 - y1) * (u - x1) / (x2 - x1)))
+    return tuple(j for _, _, j in hull), tuple(values)
+
+
+def exact_fractions(max_value):
+    denominators = st.sampled_from([1, 2, 3, 7, 12, BIG, 2**61 - 1])
+    return denominators.flatmap(
+        lambda d: st.integers(0, max_value * d).map(lambda k: Fraction(k, d))
+    )
+
+
+@st.composite
+def envelope_cases(draw):
+    """An outcome space and a row mixing infinite entries, free values and
+    points on one line, so infinite prefixes and suffixes and collinear runs
+    are common."""
+    drawn = draw(st.sets(exact_fractions(10), min_size=1, max_size=7))
+    outcomes = draw(st.sampled_from([UNEVEN, OutcomeSpace(sorted(drawn))]))
+    base = draw(exact_fractions(40))
+    slope = draw(exact_fractions(12)) - 6
+    row = []
+    for u in outcomes.utilities:
+        kind = draw(st.sampled_from(["inf", "line", "line", "free"]))
+        on_line = base + slope * u
+        if kind == "inf":
+            row.append(INF)
+        elif kind == "line" and on_line >= 0:
+            row.append(Cost(on_line))
+        else:
+            row.append(Cost(draw(exact_fractions(40))))
+    return outcomes, row
 
 
 class TestPlExtension:
@@ -85,6 +153,23 @@ class TestConvexEnvelope:
         env = convex_envelope([4, Cost.infinite(), 0], OUTCOMES)
         assert env.vertices == (0, 2)
         assert env.values == (Cost(4), Cost(2), Cost(0))
+
+    @given(envelope_cases())
+    @settings(max_examples=300, deadline=None)
+    @example((UNEVEN, [INF, 1, Fraction(1, 2), 3, INF]))  # infinite prefix and suffix
+    @example((UNEVEN, [1, Fraction(5, 3), 2, 5, 8]))  # collinear: 1 + 2u
+    @example((UNEVEN, [INF, INF, Fraction(7, 3), INF, INF]))  # one finite entry
+    @example((UNEVEN, [Fraction(5, BIG), 1, Fraction(BIG, 7), INF, Fraction(1, BIG**2)]))
+    def test_matches_fraction_hull(self, case):
+        outcomes, row = case
+        if not any(Cost(c).is_finite for c in row):
+            with pytest.raises(ValueError):
+                convex_envelope(row, outcomes)
+            return
+        env = convex_envelope(row, outcomes)
+        vertices, values = fraction_envelope(row, outcomes)
+        assert env.vertices == vertices
+        assert [c.value for c in env.values] == [c.value for c in values]
 
 
 class TestRecoverMixture:
