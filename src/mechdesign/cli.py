@@ -41,7 +41,7 @@ from .instances import (
     cost_deterministic,
     cost_randomized,
     dump_instance,
-    expected_utility,
+    expected_utilities,
     hard_violations,
     is_truthful,
     load_instance,
@@ -306,22 +306,19 @@ def cmd_solve(args, argv) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _best_response_cost_randomized(mech: RandomizedMechanism, instance) -> Cost:
-    """Expected cost when every type files its favourite feasible report."""
+def _best_response_cost_randomized(
+    mech: RandomizedMechanism, instance, utilities: list
+) -> Cost:
+    """Expected cost when every type files its favourite feasible report;
+    ``utilities[r]`` is type ``r``'s expected utility under ``mech``."""
     total = Cost(0)
     for i in range(instance.type_count):
         reports = instance.relation.allowed_reports(i) or [i]
-        best_value = max(
-            expected_utility(mech, instance.outcomes, r) for r in reports
-        )
-        chosen = None
-        if i in reports and expected_utility(mech, instance.outcomes, i) == best_value:
+        best_value = max(utilities[r] for r in reports)
+        if i in reports and utilities[i] == best_value:
             chosen = i
         else:
-            for r in reports:
-                if expected_utility(mech, instance.outcomes, r) == best_value:
-                    chosen = r
-                    break
+            chosen = next(r for r in reports if utilities[r] == best_value)
         for j, p in enumerate(mech.rows[chosen]):
             if p:
                 total = total + instance.costs.entry(i, j).scaled(Fraction(p))
@@ -338,12 +335,13 @@ def cmd_verify(args, argv) -> int:
     if problems:
         raise CliError(f"mechanism does not fit the instance: " + "; ".join(problems))
 
-    violations = truthfulness_violations(mechanism, instance)
-    utilities = [
+    utilities = expected_utilities(mechanism, instance)
+    violations = truthfulness_violations(mechanism, instance, utilities)
+    report_utilities = [
         {
             "type": i,
             "reports": {
-                str(r): _value_text(expected_utility(mechanism, instance.outcomes, r))
+                str(r): _value_text(utilities[r])
                 for r in instance.relation.allowed_reports(i)
             },
         }
@@ -354,7 +352,7 @@ def cmd_verify(args, argv) -> int:
         br_cost = cost_deterministic(mechanism, instance, "best-response")
     else:
         truthful_cost = cost_randomized(mechanism, instance)
-        br_cost = _best_response_cost_randomized(mechanism, instance)
+        br_cost = _best_response_cost_randomized(mechanism, instance, utilities)
     report = {
         "command": " ".join(argv),
         "instance_digest": _digest(args.instance),
@@ -362,7 +360,7 @@ def cmd_verify(args, argv) -> int:
         "violating_pairs": [list(v) for v in violations[:10]],
         "cost_truthful": _cost_text(truthful_cost),
         "cost_best_response": _cost_text(br_cost),
-        "expected_utilities": utilities,
+        "expected_utilities": report_utilities,
     }
     _emit(report)
     return EXIT_OK if not violations else EXIT_UNTRUTHFUL

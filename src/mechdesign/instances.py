@@ -445,17 +445,26 @@ def _mechanism_is_exact(mech: Mechanism) -> bool:
     return all(isinstance(p, (int, Fraction)) for row in mech.rows for p in row)
 
 
-def truthfulness_violations(mech: Mechanism, instance: Instance) -> list[tuple[int, int]]:
+def expected_utilities(mech: Mechanism, instance: Instance) -> list:
+    """Each type's expected utility under the mechanism, indexed by type."""
+    return [
+        expected_utility(mech, instance.outcomes, i)
+        for i in range(instance.type_count)
+    ]
+
+
+def truthfulness_violations(
+    mech: Mechanism, instance: Instance, utilities: list | None = None
+) -> list[tuple[int, int]]:
     """Pairs (truth, claim) where claiming strictly beats honesty.
 
     Exact mechanisms are compared exactly; float-valued mechanisms get an
     absolute slack of ``FLOAT_UTILITY_TOL`` so solver round-off is not
-    reported as manipulation.
+    reported as manipulation.  ``utilities``, when given, must be
+    ``expected_utilities(mech, instance)``.
     """
-    utilities = [
-        expected_utility(mech, instance.outcomes, i)
-        for i in range(instance.type_count)
-    ]
+    if utilities is None:
+        utilities = expected_utilities(mech, instance)
     exact = _mechanism_is_exact(mech)
     bad = []
     for a, b in sorted(instance.relation.pairs):
@@ -541,8 +550,18 @@ def rational_from_json(value) -> Fraction:
         # Decimal-faithful: "0.1" in a JSON file means 1/10.
         return Fraction(repr(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"not a rational: {value!r}")
+
+
+def _check_indices(values) -> None:
+    """Type and outcome indices must be JSON integers, never floats or bools."""
+    for value in values:
+        if type(value) is not int:
+            raise ValueError(f"not an index: {value!r}")
 
 
 def cost_to_json(cost: Cost):
@@ -573,6 +592,7 @@ def instance_from_json(data: dict) -> tuple[Instance, dict]:
     costs = CostMatrix(
         [cost_from_json(v) for v in row] for row in data["costs"]
     )
+    _check_indices(index for pair in data["relation"] for index in pair)
     relation = ReportingRelation(len(costs.rows), data["relation"])
     return Instance(outcomes, relation, costs), data.get("meta", {})
 
@@ -595,6 +615,7 @@ def mechanism_to_json(mech: Mechanism) -> dict:
 def mechanism_from_json(data: dict) -> Mechanism:
     kind = data.get("kind")
     if kind == "deterministic":
+        _check_indices(data["assignment"])
         return DeterministicMechanism(data["assignment"])
     if kind == "randomized":
         rows = [

@@ -19,8 +19,6 @@ reset touch one component instead of every node.
 
 from __future__ import annotations
 
-from collections import deque
-
 
 class FlowGraph:
     """Adjacency-list flow network with paired forward/backward edges."""
@@ -34,16 +32,22 @@ class FlowGraph:
     def add_edge(self, u: int, v: int, capacity: int) -> int:
         """Add a directed edge and its zero-capacity reverse; returns the
         forward edge id (reverse id is ``id ^ 1``)."""
-        if capacity < 0:
+        return self.add_edges([u], [v], [capacity])
+
+    def add_edges(self, tails: list[int], heads: list[int], capacities: list[int]) -> int:
+        """``add_edge`` for each arc of the parallel arrays, in order, filling
+        ``to`` and ``cap`` by slice; returns the first forward edge id."""
+        if min(capacities, default=0) < 0:
             raise ValueError("capacity must be nonnegative")
-        eid = len(self.to)
-        self.head[u].append(eid)
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.head[v].append(eid + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return eid
+        first, to, cap, head = len(self.to), self.to, self.cap, self.head
+        to += [0] * (2 * len(tails))
+        to[first::2], to[first + 1 :: 2] = heads, tails
+        cap += [0] * (2 * len(tails))
+        cap[first::2] = capacities
+        for eid, u, v in zip(range(first, len(to), 2), tails, heads):
+            head[u].append(eid)
+            head[v].append(eid + 1)
+        return first
 
     def _source_groups(self, source: int, sink: int) -> list[list[int]]:
         """The source's edges grouped by the weakly connected component,
@@ -169,9 +173,8 @@ class FlowGraph:
         head, to, cap = self.head, self.to, self.cap
         seen = [False] * self.node_count
         seen[source] = True
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
+        queue = [source]
+        for u in queue:  # the loop also visits the nodes it appends
             for eid in head[u]:
                 v = to[eid]
                 if cap[eid] > 0 and not seen[v]:

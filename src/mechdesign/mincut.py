@@ -21,6 +21,16 @@ same level (induct for longer paths).  So a cut avoids every clamped arc with
 the closure exactly when it does without it: the below-budget minimum cuts,
 the inclusion-minimal one (the pointwise-lowest mechanism) and the infinite
 verdicts are the same, without the closure's quadratic cost.
+
+Layout.  Arcs live in parallel int arrays, ``tails`` and ``heads`` (and, once
+clamped, ``capacities`` over one common ``scale``); arc ``k`` is edge ``2k``
+of the ``FlowGraph``.  Node ``2 + i*m + j`` is level ``j`` of type ``i``'s
+chain.  Type ``i`` owns arcs ``i*(m+1)`` to ``i*(m+1) + m``: the entry arc,
+then the level arcs, then the exit arc, where arc ``i*(m+1) + p`` for
+``p >= 1`` carries cost entry ``p - 1`` of row ``i``.  Every arc after the
+first ``n*(m+1)`` is an imitation arc, ``m`` per sorted pair ``(a, b)`` with
+``a != b``.  Since every chain has exactly ``m + 1`` arcs and all chains come
+first, an arc's kind follows from its position alone and is not stored.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .instances import (
@@ -58,30 +69,48 @@ def grid_node(type_index: int, level: int, outcome_count: int) -> int:
 class Arc(NamedTuple):
     tail: int
     head: int
-    capacity: Cost
     kind: str  # "entry" | "level" | "exit" | "imitation"
 
 
 @dataclass(frozen=True)
 class FlowNetwork:
+    """The cut network as arrays over the instance's cost rows (layout in
+    the module docstring)."""
+
     type_count: int
     outcome_count: int
-    arcs: tuple[Arc, ...]
+    tails: list[int]
+    heads: list[int]
+    costs: tuple[tuple[Cost, ...], ...]
 
     @property
     def node_count(self) -> int:
         return 2 + self.type_count * self.outcome_count
 
+    @property
+    def chain_arc_count(self) -> int:
+        return self.type_count * (self.outcome_count + 1)
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        """One ``Arc`` per arc, built on first use; the solver reads only
+        the arrays."""
+        chain = ["entry"] + ["level"] * (self.outcome_count - 1) + ["exit"]
+        imitation = ["imitation"] * (len(self.tails) - self.chain_arc_count)
+        kinds = chain * self.type_count + imitation
+        return tuple(map(Arc, self.tails, self.heads, kinds))
+
 
 @dataclass(frozen=True)
 class ClampedNetwork:
-    """A flow network with every infinite capacity replaced by ``budget + 1``."""
+    """A flow network whose arc ``k`` has capacity ``capacities[k] / scale``,
+    every infinite capacity replaced by ``budget + 1``."""
 
     network: FlowNetwork
     budget: Fraction
     clamp_value: Fraction
-    capacities: tuple[Fraction, ...]
-    clamped_arcs: frozenset[int]
+    capacities: list[int]
+    scale: int
 
 
 @dataclass(frozen=True)
@@ -107,22 +136,18 @@ def build_network(instance: Instance) -> FlowNetwork:
         raise ValueError("invalid instance: " + "; ".join(problems))
 
     n, m = instance.type_count, instance.outcome_count
-    arcs: list[Arc] = []
-    inf = Cost.infinite()
-    for i, row in enumerate(instance.costs.rows):
-        bottom = grid_node(i, 0, m)
-        arcs.append(Arc(SOURCE, bottom, inf, "entry"))
-        for j in range(m - 1):
-            arcs.append(Arc(bottom + j, bottom + j + 1, row[j], "level"))
-        arcs.append(Arc(bottom + m - 1, SINK, row[m - 1], "exit"))
+    tails: list[int] = []
+    heads: list[int] = []
+    for bottom in range(grid_node(0, 0, m), grid_node(n, 0, m), m):
+        tails += [SOURCE, *range(bottom, bottom + m)]
+        heads += [*range(bottom, bottom + m), SINK]
     for a, b in sorted(instance.relation.pairs):
-        if a == b:
-            continue
-        # "a can claim b": a's chain must reach at least as high as b's,
-        # enforced by unbounded arcs from b's chain into a's at each level.
-        for j in range(m):
-            arcs.append(Arc(grid_node(b, j, m), grid_node(a, j, m), inf, "imitation"))
-    return FlowNetwork(n, m, tuple(arcs))
+        if a != b:
+            # "a can claim b": a's chain must reach at least as high as b's,
+            # enforced by unbounded arcs from b's chain into a's at each level.
+            tails.extend(range(grid_node(b, 0, m), grid_node(b, m, m)))
+            heads.extend(range(grid_node(a, 0, m), grid_node(a, m, m)))
+    return FlowNetwork(n, m, tails, heads, instance.costs.rows)
 
 
 def scale_to_integers(values) -> tuple[list[int], int]:
@@ -133,80 +158,70 @@ def scale_to_integers(values) -> tuple[list[int], int]:
 
 
 def clamp_capacities(network: FlowNetwork) -> ClampedNetwork:
-    """Replace infinite capacities by ``B + 1``.
+    """Scale the finite cost entries to integers and replace infinite
+    capacities by ``B + 1``.
 
     ``B`` is the sum of every finite cost entry plus ``n`` times the largest
     finite entry, which dominates the cost of any finite-cost truthful
     mechanism; so a minimum cut exceeding ``B`` certifies an infinite
     optimum, and a cut within ``B`` can never contain a clamped arc.
     """
-    finite_entries = [
-        arc.capacity.value for arc in network.arcs if arc.capacity.value is not None
-    ]
-    budget = Fraction(0)
-    if finite_entries:
-        scaled, scale = scale_to_integers(finite_entries)
-        budget = Fraction(sum(scaled) + network.type_count * max(scaled), scale)
-    clamp_value = budget + 1
-
+    finite = [c.value for row in network.costs for c in row if c.value is not None]
+    scaled, scale = scale_to_integers(finite)
+    budget = sum(scaled) + network.type_count * max(scaled, default=0)
+    clamp = budget + scale
+    entries = iter(scaled)
     capacities = []
-    clamped = []
-    for idx, arc in enumerate(network.arcs):
-        value = arc.capacity.value
-        if value is None:
-            capacities.append(clamp_value)
-            clamped.append(idx)
-        else:
-            capacities.append(value)
+    for row in network.costs:
+        capacities.append(clamp)  # the entry arc
+        capacities += [clamp if c.value is None else next(entries) for c in row]
+    capacities += [clamp] * (len(network.tails) - len(capacities))
     return ClampedNetwork(
-        network, budget, clamp_value, tuple(capacities), frozenset(clamped)
+        network, Fraction(budget, scale), Fraction(clamp, scale), capacities, scale
     )
 
 
 def min_cut(clamped: ClampedNetwork) -> CutResult:
-    """Exact minimum cut: scale capacities to integers, run Dinic, and take
-    the residual-reachable source side (the inclusion-minimal one).  The
+    """Exact minimum cut: run Dinic on the integer capacities and take the
+    residual-reachable source side (the inclusion-minimal one).  The
     feasible flow and the cut, summed in integers, certify each other."""
-    arcs = clamped.network.arcs
-    scaled, scale = scale_to_integers(clamped.capacities)
-    graph = FlowGraph(clamped.network.node_count)
-    for arc, cap in zip(arcs, scaled):
-        graph.add_edge(arc.tail, arc.head, cap)
+    network, capacities = clamped.network, clamped.capacities
+    tails, heads = network.tails, network.heads
+    graph = FlowGraph(network.node_count)
+    graph.add_edges(tails, heads, capacities)
     flow = graph.max_flow(SOURCE, SINK)
-    _check_flow(graph, arcs, scaled, flow)
+    _check_flow(graph, clamped, flow)
     reachable = graph.residual_source_side(SOURCE)
     if reachable[SINK]:
         raise SelfCheckError("sink is reachable in the residual graph")
 
     cut_total = sum(
         cap
-        for arc, cap in zip(arcs, scaled)
-        if reachable[arc.tail] and not reachable[arc.head]
+        for tail, head, cap in zip(tails, heads, capacities)
+        if reachable[tail] and not reachable[head]
     )
     if cut_total != flow:
         raise SelfCheckError(f"cut value {cut_total} disagrees with max flow {flow}")
     source_side = frozenset(i for i, r in enumerate(reachable) if r)
-    return CutResult(source_side, Fraction(cut_total, scale), scale)
+    return CutResult(source_side, Fraction(cut_total, clamped.scale), clamped.scale)
 
 
-def _check_flow(
-    graph: FlowGraph, arcs: tuple[Arc, ...], scaled: list[int], flow: int
-) -> None:
+def _check_flow(graph: FlowGraph, clamped: ClampedNetwork, flow: int) -> None:
     """Check that the residual state holds a feasible flow of value ``flow``.
 
     Arc ``k`` is edge ``2k``; its flow is the residual capacity of the
     reverse edge.  The flow must respect ``0 <= flow <= capacity`` with the
     forward residual holding the rest, be conserved at every node but the
     source and sink, and leave the source at net rate ``flow``."""
-    cap = graph.cap
+    network, cap = clamped.network, graph.cap
     excess = [0] * graph.node_count
-    for k, (arc, capacity) in enumerate(zip(arcs, scaled)):
-        eid = 2 * k
-        carried = cap[eid ^ 1]
-        if not 0 <= carried <= capacity or cap[eid] != capacity - carried:
+    arcs = zip(network.tails, network.heads, clamped.capacities, cap[0::2], cap[1::2])
+    for k, (tail, head, capacity, residual, carried) in enumerate(arcs):
+        if not 0 <= carried <= capacity or residual != capacity - carried:
             raise SelfCheckError(f"arc {k} carries infeasible flow {carried}")
-        excess[arc.tail] -= carried
-        excess[arc.head] += carried
+        if carried:
+            excess[tail] -= carried
+            excess[head] += carried
     if -excess[SOURCE] != flow:
         raise SelfCheckError(
             f"source sends {-excess[SOURCE]} but max flow reported {flow}"
@@ -223,35 +238,27 @@ def extract_mechanism(cut: CutResult, clamped: ClampedNetwork) -> DeterministicM
         raise InfiniteOptimumError(
             f"minimum cut {cut.value} exceeds budget {clamped.budget}"
         )
-    n, m = clamped.network.type_count, clamped.network.outcome_count
+    m = clamped.network.outcome_count
     assignment = []
-    for i in range(n):
-        top = -1
-        for j in range(m):
-            if grid_node(i, j, m) in cut.source_side:
-                top = j
-        if top < 0:
+    for i in range(clamped.network.type_count):
+        inside = [j for j in range(m) if grid_node(i, j, m) in cut.source_side]
+        if not inside:
             raise SelfCheckError(f"type {i} has no chain node on the source side")
-        assignment.append(top)
+        assignment.append(inside[-1])
     return DeterministicMechanism(assignment)
 
 
 def _check_cut_shape(cut: CutResult, clamped: ClampedNetwork) -> None:
-    n, m = clamped.network.type_count, clamped.network.outcome_count
-    for i in range(n):
-        seen_gap = False
-        for j in range(m):
-            inside = grid_node(i, j, m) in cut.source_side
-            if inside and seen_gap:
-                raise SelfCheckError(
-                    f"source side not downward closed on chain {i} at level {j}"
-                )
-            if not inside:
-                seen_gap = True
-    for arc in clamped.network.arcs:
-        if arc.kind == "imitation":
-            if arc.tail in cut.source_side and arc.head not in cut.source_side:
-                raise SelfCheckError("an imitation arc crosses the returned cut")
+    network, side = clamped.network, cut.source_side
+    m = network.outcome_count
+    for i in range(network.type_count):
+        inside = [grid_node(i, j, m) in side for j in range(m)]
+        if inside != sorted(inside, reverse=True):
+            raise SelfCheckError(f"source side not downward closed on chain {i}")
+    chain = network.chain_arc_count
+    for tail, head in zip(network.tails[chain:], network.heads[chain:]):
+        if tail in side and head not in side:
+            raise SelfCheckError("an imitation arc crosses the returned cut")
 
 
 def solve_deterministic(instance: Instance) -> DeterministicSolution:
@@ -282,36 +289,26 @@ def solve_deterministic(instance: Instance) -> DeterministicSolution:
 def network_to_dot(clamped: ClampedNetwork, cut: CutResult | None = None) -> str:
     """Graphviz rendering of the clamped network, optionally with the cut's
     source side filled in."""
-    net = clamped.network
-    n, m = net.type_count, net.outcome_count
+    net, side = clamped.network, cut.source_side if cut is not None else ()
+    m = net.outcome_count
+    clamp = clamped.clamp_value * clamped.scale  # above every finite capacity
     lines = ["digraph cutnet {", "  rankdir=LR;", '  s [shape=box];', '  t [shape=box];']
 
     def name(node: int) -> str:
-        if node == SOURCE:
-            return "s"
-        if node == SINK:
-            return "t"
-        i, j = divmod(node - 2, m)
-        return f"n{i}_{j}"
+        if node in (SOURCE, SINK):
+            return "s" if node == SOURCE else "t"
+        return "n{}_{}".format(*divmod(node - 2, m))
 
-    for i in range(n):
-        for j in range(m):
-            node = grid_node(i, j, m)
-            style = ""
-            if cut is not None and node in cut.source_side:
-                style = ', style=filled, fillcolor="lightblue"'
-            lines.append(f'  {name(node)} [label="type {i} / level {j}"{style}];')
-    for arc, cap in zip(net.arcs, clamped.capacities):
-        label = "inf" if not arc.capacity.is_finite else str(cap)
-        attrs = [f'label="{label}"']
-        if not arc.capacity.is_finite:
-            attrs.append("style=dashed")
-        if (
-            cut is not None
-            and arc.tail in cut.source_side
-            and arc.head not in cut.source_side
-        ):
+    for node in range(2, net.node_count):
+        i, j = divmod(node - 2, m)
+        style = ', style=filled, fillcolor="lightblue"' if node in side else ""
+        lines.append(f'  {name(node)} [label="type {i} / level {j}"{style}];')
+    for tail, head, cap in zip(net.tails, net.heads, clamped.capacities):
+        attrs = ['label="inf"', "style=dashed"]
+        if cap != clamp:
+            attrs = [f'label="{Fraction(cap, clamped.scale)}"']
+        if tail in side and head not in side:
             attrs.append("color=red")
-        lines.append(f"  {name(arc.tail)} -> {name(arc.head)} [{', '.join(attrs)}];")
+        lines.append(f"  {name(tail)} -> {name(head)} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines)

@@ -14,6 +14,8 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
+
 from mechdesign import (
     CnfFormula,
     Cost,
@@ -238,6 +240,7 @@ def test_05_convex_costs_collapse_the_gap():
     assert ok, detail
 
 
+@pytest.mark.slow
 def test_06_low_outcome_reduction_counts_satisfied_clauses():
     formulas = small_cnf_family()
     assert len(formulas) == 834
@@ -322,6 +325,7 @@ def test_08_marginal_interpretation_round_trip():
     assert ok, detail or f"elapsed={elapsed:.2f}s"
 
 
+@pytest.mark.slow
 def test_09_threshold_extension_minimizer_is_exact():
     rng = random.Random(99)
     ok = True

@@ -2,8 +2,19 @@
 
 import csv
 import json
+import random
+from fractions import Fraction
 
 import pytest
+
+from mechdesign import (
+    Cost,
+    RandomizedMechanism,
+    expected_utility,
+    instance_from_json,
+    random_instance,
+)
+from mechdesign.cli import _best_response_cost_randomized
 
 from mechdesign.cli import (
     EXIT_BUDGET,
@@ -269,6 +280,135 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(instance_file), str(mech_path))
         assert code == EXIT_USAGE
         assert "does not fit" in err
+
+
+BASE_INSTANCE = {
+    "outcomes": [1, 2, 3],
+    "relation": [[0, 0], [1, 1], [2, 2], [0, 1], [2, 1]],
+    "costs": [[4, 2, 7], [1, 5, 3], [2, "inf", 6]],
+}
+
+
+def write_json(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestHostileJson:
+    """Malformed numbers and indices are usage errors (exit 2), not crashes."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("costs", [[4, "1/0", 7], [1, 5, 3], [2, "inf", 6]]),
+            ("outcomes", [1, "2/0", 3]),
+            ("relation", [[0, 0], [1, 1], [2, 2], [0, 0.9]]),
+            ("relation", [[0, 0], [1, 1], [2, 2], [True, 1]]),
+        ],
+    )
+    def test_bad_instance_exits_2(self, tmp_path, capsys, field, value):
+        inst = write_json(tmp_path / "inst.json", {**BASE_INSTANCE, field: value})
+        mech = write_json(
+            tmp_path / "mech.json", {"kind": "deterministic", "assignment": [0, 0, 0]}
+        )
+        for argv in (["solve", inst, "--algo", "det"], ["verify", inst, mech]):
+            code, _, err = run(capsys, *argv)
+            assert code == EXIT_USAGE, argv
+            assert "cannot read instance" in err
+
+    @pytest.mark.parametrize(
+        "mechanism",
+        [
+            {"kind": "randomized", "rows": [[1, 0, 0], ["1/0", 0, 1], [0, 0, 1]]},
+            {"kind": "deterministic", "assignment": [1.7, 1, 1]},
+            {"kind": "deterministic", "assignment": [1, True, 1]},
+        ],
+    )
+    def test_bad_mechanism_exits_2(self, tmp_path, capsys, mechanism):
+        inst = write_json(tmp_path / "inst.json", BASE_INSTANCE)
+        mech = write_json(tmp_path / "mech.json", mechanism)
+        code, _, err = run(capsys, "verify", inst, mech)
+        assert code == EXIT_USAGE
+        assert "cannot read mechanism" in err
+
+    def test_integer_indices_still_read(self, tmp_path, capsys):
+        inst = write_json(tmp_path / "inst.json", BASE_INSTANCE)
+        mech = write_json(
+            tmp_path / "mech.json", {"kind": "deterministic", "assignment": [1, 1, 1]}
+        )
+        code, out, _ = run(capsys, "verify", inst, mech)
+        assert code == EXIT_OK
+        assert last_json(out)["cost_truthful"] == "inf"
+
+
+def _naive_best_response_cost(mech, instance):
+    """Recomputes every expected utility where it is needed."""
+    total = Cost(0)
+    for i in range(instance.type_count):
+        reports = instance.relation.allowed_reports(i) or [i]
+
+        def utility(r):
+            return expected_utility(mech, instance.outcomes, r)
+
+        best = max(utility(r) for r in reports)
+        if i in reports and utility(i) == best:
+            chosen = i
+        else:
+            chosen = min(r for r in reports if utility(r) == best)
+        for j, p in enumerate(mech.rows[chosen]):
+            if p:
+                total = total + instance.costs.entry(i, j).scaled(Fraction(p))
+    return total
+
+
+def _seeded_lotteries(rng, n, m):
+    """Lotteries from a small pool, so many types share a utility (ties)."""
+    pool = []
+    for _ in range(max(1, n // 3)):
+        weights = [rng.randint(0, 3) for _ in range(m)]
+        weights[rng.randrange(m)] += 1
+        pool.append([Fraction(w, sum(weights)) for w in weights])
+    return RandomizedMechanism([rng.choice(pool) for _ in range(n)])
+
+
+class TestVerifyUtilities:
+    """``verify`` computes each type's expected utility once and reuses it."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_naive_recomputation(self, tmp_path, capsys, seed):
+        rng = random.Random(seed)
+        n, m = 2 + seed % 6, 1 + seed % 4
+        instance = random_instance(
+            seed=seed, type_count=n, outcome_count=m, edge_density=0.5,
+            infinity_rate=0.1 if seed % 3 else 0.0,
+        )
+        mech = _seeded_lotteries(rng, n, m)
+        utilities = [expected_utility(mech, instance.outcomes, i) for i in range(n)]
+        naive = _naive_best_response_cost(mech, instance)
+        assert _best_response_cost_randomized(mech, instance, utilities) == naive
+
+        from mechdesign import dump_instance, mechanism_to_json
+
+        inst_path = tmp_path / "inst.json"
+        dump_instance(instance, inst_path)
+        mech_path = write_json(tmp_path / "mech.json", mechanism_to_json(mech))
+        code, out, _ = run(capsys, "verify", str(inst_path), mech_path)
+        report = last_json(out)
+        assert report["cost_best_response"] == str(naive)
+        loaded, _ = instance_from_json(json.loads(inst_path.read_text()))
+        for row in report["expected_utilities"]:
+            i = row["type"]
+            assert row["reports"] == {
+                str(r): str(expected_utility(mech, loaded.outcomes, r))
+                for r in loaded.relation.allowed_reports(i)
+            }
+        bad = sorted(
+            (a, b)
+            for a, b in loaded.relation.pairs
+            if a != b and utilities[a] < utilities[b]
+        )
+        assert report["violating_pairs"] == [list(p) for p in bad[:10]]
+        assert code == (EXIT_OK if not bad else EXIT_UNTRUTHFUL)
 
 
 class TestOracleCommand:

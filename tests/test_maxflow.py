@@ -103,3 +103,34 @@ def test_capacities_beyond_64_bits_stay_exact():
     arcs = [(SOURCE, 2, huge), (2, 3, huge - 1), (3, SINK, huge), (SOURCE, SINK, huge)]
     _, _, flow = solve(4, arcs)
     assert flow == 2 * huge - 1
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_array_fill_matches_add_edge(seed):
+    rng = random.Random(seed)
+    nodes, arcs = random_network(rng, rng.randint(1, 6), seed % 2 == 1)
+    one_by_one = FlowGraph(nodes)
+    for u, v, c in arcs:
+        one_by_one.add_edge(u, v, c)
+    tails, heads, caps = (list(column) for column in zip(*arcs))
+    filled = FlowGraph(nodes)
+    assert filled.add_edges(tails, heads, caps) == 0
+    assert filled.head == one_by_one.head
+    assert filled.to == one_by_one.to
+    assert filled.cap == one_by_one.cap
+    # Filling in two batches appends edge ids after the first batch.
+    split = len(arcs) // 2
+    batched = FlowGraph(nodes)
+    batched.add_edges(tails[:split], heads[:split], caps[:split])
+    assert batched.add_edges(tails[split:], heads[split:], caps[split:]) == 2 * split
+    assert (batched.head, batched.to, batched.cap) == (filled.head, filled.to, filled.cap)
+    assert filled.max_flow(SOURCE, SINK) == one_by_one.max_flow(SOURCE, SINK)
+    assert filled.cap == one_by_one.cap
+
+
+def test_negative_capacity_rejected():
+    graph = FlowGraph(3)
+    with pytest.raises(ValueError):
+        graph.add_edges([0, 2], [2, 1], [4, -1])
+    with pytest.raises(ValueError):
+        graph.add_edge(0, 1, -1)

@@ -1,8 +1,10 @@
 """Cut-based deterministic solver: network build, clamping, exactness."""
 
+import math
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from mechdesign import (
@@ -52,6 +54,11 @@ class TestNetworkBuild:
     def test_arc_census(self):
         net = build_network(chain_instance())
         assert net.node_count == 2 + 2 * 3
+        assert len(net.tails) == len(net.heads) == 2 * 4 + 3
+        # Chain arcs come first, m + 1 per type: entry, levels, exit.
+        assert net.chain_arc_count == 2 * 4
+        assert [k for k, t in enumerate(net.tails) if t == 0] == [0, 4]
+        assert [k for k, h in enumerate(net.heads) if h == 1] == [3, 7]
         kinds = {}
         for arc in net.arcs:
             kinds[arc.kind] = kinds.get(arc.kind, 0) + 1
@@ -59,18 +66,27 @@ class TestNetworkBuild:
         assert kinds["level"] == 2 * 2
         assert kinds["exit"] == 2
         assert kinds["imitation"] == 3
+        assert [arc.kind for arc in net.arcs[:4]] == ["entry", "level", "level", "exit"]
+        assert list(net.arcs) == list(zip(net.tails, net.heads, (a.kind for a in net.arcs)))
 
     def test_level_arcs_carry_cost_entries(self):
         inst = chain_instance()
-        net = build_network(inst)
+        clamped = clamp_capacities(build_network(inst))
+        net = clamped.network
         caps = {
-            (arc.tail, arc.head): arc.capacity
-            for arc in net.arcs
+            (tail, head): Fraction(cap, clamped.scale)
+            for tail, head, cap, arc in zip(
+                net.tails, net.heads, clamped.capacities, net.arcs
+            )
             if arc.kind in ("level", "exit")
         }
-        assert caps[(grid_node(0, 0, 3), grid_node(0, 1, 3))] == Cost(4)
-        assert caps[(grid_node(0, 1, 3), grid_node(0, 2, 3))] == Cost(2)
-        assert caps[(grid_node(0, 2, 3), 1)] == Cost(7)
+        assert caps[(grid_node(0, 0, 3), grid_node(0, 1, 3))] == 4
+        assert caps[(grid_node(0, 1, 3), grid_node(0, 2, 3))] == 2
+        assert caps[(grid_node(0, 2, 3), 1)] == 7
+        assert len(caps) == 2 * 3
+        for i, row in enumerate(inst.costs.rows):
+            for j, entry in enumerate(row):
+                assert net.costs[i][j] == entry
 
     def test_one_imitation_arc_per_level_per_raw_pair(self):
         for seed in range(20):
@@ -81,11 +97,9 @@ class TestNetworkBuild:
                 edge_density=0.4,
             )
             m = inst.outcome_count
-            imitation = sorted(
-                (arc.tail, arc.head)
-                for arc in build_network(inst).arcs
-                if arc.kind == "imitation"
-            )
+            net = build_network(inst)
+            chain = net.chain_arc_count
+            imitation = sorted(zip(net.tails[chain:], net.heads[chain:]))
             expected = sorted(
                 (grid_node(b, j, m), grid_node(a, j, m))
                 for a, b in inst.relation.pairs
@@ -93,15 +107,17 @@ class TestNetworkBuild:
                 for j in range(m)
             )
             assert imitation == expected, f"seed {seed}"
+            assert all(arc.kind == "imitation" for arc in net.arcs[chain:])
 
     def test_imitation_arcs_point_into_claimant_chain(self):
-        net = build_network(chain_instance())
-        for arc in net.arcs:
-            if arc.kind == "imitation":
-                assert not arc.capacity.is_finite
-                # type 0 claims type 1: flow from 1's chain into 0's
-                assert grid_node(1, 0, 3) <= arc.tail <= grid_node(1, 2, 3)
-                assert grid_node(0, 0, 3) <= arc.head <= grid_node(0, 2, 3)
+        clamped = clamp_capacities(build_network(chain_instance()))
+        net = clamped.network
+        chain = net.chain_arc_count
+        for k in range(chain, len(net.tails)):
+            assert Fraction(clamped.capacities[k], clamped.scale) == clamped.clamp_value
+            # type 0 claims type 1: flow from 1's chain into 0's
+            assert grid_node(1, 0, 3) <= net.tails[k] <= grid_node(1, 2, 3)
+            assert grid_node(0, 0, 3) <= net.heads[k] <= grid_node(0, 2, 3)
 
     def test_rejects_malformed_instances(self):
         bad = Instance(
@@ -119,13 +135,27 @@ class TestClamping:
         # finite entries 4,2,7,1,5,3 sum to 22; largest is 7; two types
         assert clamped.budget == Fraction(22 + 2 * 7)
         assert clamped.clamp_value == clamped.budget + 1
-        assert clamped.clamped_arcs
+        assert clamped.scale == 1
+        assert clamped.capacities.count(22 + 2 * 7 + 1) == 2 + 3
 
     def test_all_capacities_finite_after_clamp(self):
-        clamped = clamp_capacities(build_network(gap_instance()))
-        assert all(isinstance(c, Fraction) for c in clamped.capacities)
-        for idx in clamped.clamped_arcs:
-            assert clamped.capacities[idx] == clamped.clamp_value
+        inst = gap_instance()
+        clamped = clamp_capacities(build_network(inst))
+        net, m = clamped.network, inst.outcome_count
+        assert all(isinstance(c, int) for c in clamped.capacities)
+        assert len(clamped.capacities) == len(net.tails)
+        # Infinite arcs: entries, infinite cost entries and every imitation arc.
+        infinite = {i * (m + 1) for i in range(inst.type_count)}
+        for i, row in enumerate(inst.costs.rows):
+            infinite |= {i * (m + 1) + 1 + j for j, c in enumerate(row) if not c.is_finite}
+        infinite |= set(range(net.chain_arc_count, len(net.tails)))
+        assert len(infinite) > inst.type_count
+        for k, cap in enumerate(clamped.capacities):
+            value = Fraction(cap, clamped.scale)
+            if k in infinite:
+                assert value == clamped.clamp_value == clamped.budget + 1
+            else:
+                assert value <= clamped.budget
 
 
 class TestMinCut:
@@ -316,6 +346,74 @@ def closure_probe_instances():
             )
         )
     return out
+
+
+def _networkx_cut_value(clamped) -> Fraction:
+    """Minimum cut of the clamped network by networkx, with capacities taken
+    from the arc kinds and the instance's cost rows, not the int arrays."""
+    net = clamped.network
+    entries = iter(cost for row in net.costs for cost in row)
+    capacities = []
+    for arc in net.arcs:
+        cost = next(entries) if arc.kind in ("level", "exit") else Cost.infinite()
+        capacities.append(cost.value if cost.is_finite else clamped.clamp_value)
+    scale = math.lcm(*(c.denominator for c in capacities))
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(net.node_count))
+    for arc, cap in zip(net.arcs, capacities):
+        scaled = int(cap * scale)
+        if graph.has_edge(arc.tail, arc.head):
+            graph[arc.tail][arc.head]["capacity"] += scaled
+        else:
+            graph.add_edge(arc.tail, arc.head, capacity=scaled)
+    return Fraction(nx.minimum_cut_value(graph, 0, 1), scale)
+
+
+def networkx_probe_instances():
+    """The closure probes (cyclic dense relations, all-infinite rows, m=1,
+    n=1) plus cost denominators above 2**63 and a few larger instances."""
+    out = closure_probe_instances()
+    rng = random.Random(11)
+    for n, m in ((1, 3), (3, 1), (4, 3), (6, 4)):
+        rows = [
+            [
+                Cost.infinite()
+                if rng.random() < 0.15
+                else Fraction(rng.randint(0, 2**70), rng.randint(2**63, 2**64))
+                for _ in range(m)
+            ]
+            for _ in range(n)
+        ]
+        pairs = [(i, i) for i in range(n)]
+        pairs += [(a, b) for a in range(n) for b in range(n) if rng.random() < 0.4]
+        relation = ReportingRelation(n, pairs)
+        out.append(Instance(OutcomeSpace(range(1, m + 1)), relation, CostMatrix(rows)))
+    for seed in range(4):
+        out.append(
+            random_instance(
+                seed=5000 + seed,
+                type_count=25,
+                outcome_count=5,
+                edge_density=0.1,
+                infinity_rate=0.05,
+            )
+        )
+    return out
+
+
+class TestArrayNetworkAgainstNetworkx:
+    def test_min_cut_value_matches_networkx(self):
+        finite = infinite = 0
+        for k, inst in enumerate(networkx_probe_instances()):
+            clamped = clamp_capacities(build_network(inst))
+            cut = min_cut(clamped)
+            assert cut.value == _networkx_cut_value(clamped), f"instance {k}"
+            assert cut.scale == clamped.scale
+            if cut.value > clamped.budget:
+                infinite += 1
+            else:
+                finite += 1
+        assert finite >= 40 and infinite >= 10
 
 
 def _carrying_level_edge(graph):

@@ -398,6 +398,7 @@ class TestDeterministicSubmodular:
 
 
 class TestRandomizedSubmodular:
+    @pytest.mark.slow
     def test_additive_matches_envelope_solver(self):
         for seed in (800, 801, 802):
             inst = random_instance(
