@@ -47,6 +47,7 @@ from .instances import (
     ReportingRelation,
     SelfCheckError,
     best_response,
+    cost_best_response,
     cost_deterministic,
     cost_randomized,
     dump_instance,

@@ -34,10 +34,9 @@ from .generators import (
     ReductionParams,
 )
 from .instances import (
-    Cost,
     DeterministicMechanism,
-    RandomizedMechanism,
     SelfCheckError,
+    cost_best_response,
     cost_deterministic,
     cost_randomized,
     dump_instance,
@@ -84,19 +83,10 @@ def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
-def _cost_text(cost) -> str:
-    """Exact rational rendering, or 'inf'."""
-    if isinstance(cost, Cost):
-        return "inf" if not cost.is_finite else str(cost.value)
-    return str(Fraction(cost))
-
-
-def _value_text(x) -> str:
-    return _float_text(x) if isinstance(x, float) else str(x)
-
-
-def _float_text(x: float) -> str:
-    return f"{x:.12g}"
+def _number_text(x) -> str:
+    """A float to 12 significant digits; an exact rational or a ``Cost``
+    (possibly 'inf') as it prints."""
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
 def _emit(report: dict) -> None:
@@ -106,7 +96,7 @@ def _emit(report: dict) -> None:
 def _load_valid_instance(path):
     try:
         instance, meta = load_instance(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"cannot read instance {path}: {exc}")
     problems = hard_violations(instance)
     if problems:
@@ -122,7 +112,7 @@ def _oracle_for(instance, meta):
         raise CliError("combinatorial backends need finite cost entries")
     try:
         return oracle_from_json(payload, instance)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"bad oracle description: {exc}")
 
 
@@ -242,7 +232,7 @@ def cmd_solve(args, argv) -> int:
             return EXIT_INFINITE
         if not is_truthful(solution.mechanism, instance):
             raise SelfCheckError("solver returned an untruthful mechanism")
-        report["cost"] = _cost_text(solution.cost)
+        report["cost"] = _number_text(solution.cost)
         report["checks"] = {"truthful": True, "self_check": "ok"}
         if args.out:
             _write_json(args.out, mechanism_to_json(solution.mechanism))
@@ -261,7 +251,7 @@ def cmd_solve(args, argv) -> int:
         if not is_truthful(mechanism, instance):
             raise SelfCheckError("solver returned an untruthful mechanism")
         report["solver"] = f"lattice-{backend}"
-        report["cost"] = _cost_text(solution.cost)
+        report["cost"] = _number_text(solution.cost)
         report["checks"] = {
             "truthful": True,
             "self_check": "ok",
@@ -284,7 +274,7 @@ def cmd_solve(args, argv) -> int:
             seed=args.seed,
         )
         report["solver"] = f"profile-{backend}"
-        report["cost"] = _float_text(solution.value)
+        report["cost"] = _number_text(solution.value)
         report["checks"] = {
             "marginally_truthful": True,  # asserted inside the solver
             "converged": solution.converged,
@@ -306,30 +296,11 @@ def cmd_solve(args, argv) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _best_response_cost_randomized(
-    mech: RandomizedMechanism, instance, utilities: list
-) -> Cost:
-    """Expected cost when every type files its favourite feasible report;
-    ``utilities[r]`` is type ``r``'s expected utility under ``mech``."""
-    total = Cost(0)
-    for i in range(instance.type_count):
-        reports = instance.relation.allowed_reports(i) or [i]
-        best_value = max(utilities[r] for r in reports)
-        if i in reports and utilities[i] == best_value:
-            chosen = i
-        else:
-            chosen = next(r for r in reports if utilities[r] == best_value)
-        for j, p in enumerate(mech.rows[chosen]):
-            if p:
-                total = total + instance.costs.entry(i, j).scaled(Fraction(p))
-    return total
-
-
 def cmd_verify(args, argv) -> int:
     instance, _ = _load_valid_instance(args.instance)
     try:
         mechanism = mechanism_from_json(json.loads(Path(args.mechanism).read_text()))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"cannot read mechanism {args.mechanism}: {exc}")
     problems = mechanism_violations(mechanism, instance)
     if problems:
@@ -341,25 +312,24 @@ def cmd_verify(args, argv) -> int:
         {
             "type": i,
             "reports": {
-                str(r): _value_text(utilities[r])
+                str(r): _number_text(utilities[r])
                 for r in instance.relation.allowed_reports(i)
             },
         }
         for i in range(instance.type_count)
     ]
     if isinstance(mechanism, DeterministicMechanism):
-        truthful_cost = cost_deterministic(mechanism, instance, "truthful")
-        br_cost = cost_deterministic(mechanism, instance, "best-response")
+        truthful_cost = cost_deterministic(mechanism, instance)
     else:
         truthful_cost = cost_randomized(mechanism, instance)
-        br_cost = _best_response_cost_randomized(mechanism, instance, utilities)
+    br_cost = cost_best_response(mechanism, instance, utilities)
     report = {
         "command": " ".join(argv),
         "instance_digest": _digest(args.instance),
         "truthful": not violations,
         "violating_pairs": [list(v) for v in violations[:10]],
-        "cost_truthful": _cost_text(truthful_cost),
-        "cost_best_response": _cost_text(br_cost),
+        "cost_truthful": _number_text(truthful_cost),
+        "cost_best_response": _number_text(br_cost),
         "expected_utilities": report_utilities,
     }
     _emit(report)
@@ -410,14 +380,12 @@ def cmd_oracle(args, argv) -> int:
         exact = solve_randomized(instance).cost
         brute_cost = exact
         match = exact.is_finite and abs(solver_cost - float(exact)) <= args.eps
-        report["tolerance"] = _float_text(args.eps)
+        report["tolerance"] = _number_text(args.eps)
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown comparison {which!r}")
 
-    report["solver_cost"] = (
-        _float_text(solver_cost) if isinstance(solver_cost, float) else _cost_text(solver_cost)
-    )
-    report["oracle_cost"] = _cost_text(brute_cost)
+    report["solver_cost"] = _number_text(solver_cost)
+    report["oracle_cost"] = _number_text(brute_cost)
     report["match"] = bool(match)
     _emit(report)
     return EXIT_OK if match else EXIT_SELF_CHECK
@@ -484,7 +452,7 @@ def cmd_bench(args, argv) -> int:
                         "m": m,
                         "seed": seed,
                         "algo": algo,
-                        "cost": _cost_text(cost),
+                        "cost": _number_text(cost),
                         "micros": micros,
                     }
                 )

@@ -9,9 +9,10 @@ outcomes, either deterministically or through per-type lotteries.
 All quantities are exact ``Fraction``s.  Infinite cost entries are
 first-class: ``Cost`` saturates under addition, so an expected cost is
 infinite exactly when positive probability lands on an infinite entry.
-Truthfulness comparisons are exact on rational data; mechanisms holding
-floats (produced by the numeric solvers) are compared with an absolute
-tolerance of ``FLOAT_UTILITY_TOL``.
+Values are exact when ``is_exact`` says so; ``differs`` and ``exceeds``
+compare exact values exactly and floats (produced by the numeric solvers)
+within a tolerance the caller passes, such as ``FLOAT_UTILITY_TOL`` for
+truthfulness.
 """
 
 from __future__ import annotations
@@ -21,21 +22,42 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Literal, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-# Absolute slack used for truthfulness comparisons when a mechanism carries
-# floating-point probabilities; exact (rational) mechanisms use no slack.
+# Absolute slack used for truthfulness comparisons when a mechanism's expected
+# utilities are floats; exact (rational) utilities use no slack.
 FLOAT_UTILITY_TOL = 1e-12
 
 # Randomized rows must sum to one within this absolute tolerance (floats);
 # rational rows must sum to one exactly.
 ROW_SUM_TOL = 1e-12
 
-Numeric = Union[int, Fraction]
-
 
 class SelfCheckError(RuntimeError):
     """An internal consistency check failed; results must not be trusted."""
+
+
+def is_exact(values: Iterable) -> bool:
+    """Whether every value is an exact rational (an ``int`` or a ``Fraction``)."""
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def differs(x, y, exact: bool, tol: float) -> bool:
+    """Whether ``x`` and ``y`` differ: exactly when ``exact``, otherwise by
+    more than ``tol`` as floats.  A NaN always differs."""
+    if exact:
+        return x != y
+    x, y = float(x), float(y)
+    return not (x == y or abs(x - y) <= tol)
+
+
+def exceeds(x, y, exact: bool, tol: float) -> bool:
+    """Whether ``x`` lies above ``y``: exactly when ``exact``, otherwise by
+    more than ``tol`` as floats.  A NaN always exceeds."""
+    if exact:
+        return x > y
+    x, y = float(x), float(y)
+    return not (x == y or x - y <= tol)
 
 
 class Cost:
@@ -362,15 +384,11 @@ def mechanism_violations(mech: Mechanism, instance: Instance) -> list[str]:
         if len(row) != m:
             problems.append(f"row {i} has {len(row)} entries, expected {m}")
             continue
-        exact = all(isinstance(p, (int, Fraction)) for p in row)
         total = sum(row)
         if any(p < 0 for p in row):
             problems.append(f"row {i} has a negative probability")
-        if exact:
-            if total != 1:
-                problems.append(f"row {i} sums to {total}, expected exactly 1")
-        elif abs(float(total) - 1.0) > ROW_SUM_TOL:
-            problems.append(f"row {i} sums to {float(total)!r}, expected 1")
+        if differs(total, 1, is_exact(row), ROW_SUM_TOL):
+            problems.append(f"row {i} sums to {total}, expected 1")
     return problems
 
 
@@ -439,12 +457,6 @@ def expected_utility(mech: Mechanism, outcomes: OutcomeSpace, type_index: int):
     return total
 
 
-def _mechanism_is_exact(mech: Mechanism) -> bool:
-    if isinstance(mech, DeterministicMechanism):
-        return True
-    return all(isinstance(p, (int, Fraction)) for row in mech.rows for p in row)
-
-
 def expected_utilities(mech: Mechanism, instance: Instance) -> list:
     """Each type's expected utility under the mechanism, indexed by type."""
     return [
@@ -458,66 +470,50 @@ def truthfulness_violations(
 ) -> list[tuple[int, int]]:
     """Pairs (truth, claim) where claiming strictly beats honesty.
 
-    Exact mechanisms are compared exactly; float-valued mechanisms get an
-    absolute slack of ``FLOAT_UTILITY_TOL`` so solver round-off is not
-    reported as manipulation.  ``utilities``, when given, must be
+    Exact utilities are compared exactly; float utilities must exceed by
+    more than ``FLOAT_UTILITY_TOL`` so solver round-off is not reported as
+    manipulation.  ``utilities``, when given, must be
     ``expected_utilities(mech, instance)``.
     """
     if utilities is None:
         utilities = expected_utilities(mech, instance)
-    exact = _mechanism_is_exact(mech)
-    bad = []
-    for a, b in sorted(instance.relation.pairs):
-        if a == b:
-            continue
-        if exact:
-            if utilities[a] < utilities[b]:
-                bad.append((a, b))
-        elif float(utilities[a]) < float(utilities[b]) - FLOAT_UTILITY_TOL:
-            bad.append((a, b))
-    return bad
+    pairs = [(a, b) for a, b in sorted(instance.relation.pairs) if a != b]
+    if is_exact(utilities):
+        return [(a, b) for a, b in pairs if utilities[b] > utilities[a]]
+    return [
+        (a, b) for a, b in pairs
+        if exceeds(utilities[b], utilities[a], False, FLOAT_UTILITY_TOL)
+    ]
 
 
 def is_truthful(mech: Mechanism, instance: Instance) -> bool:
     return not truthfulness_violations(mech, instance)
 
 
-def best_response(mech: DeterministicMechanism, instance: Instance, type_index: int) -> int:
-    """The report the given type actually files under the mechanism.
-
-    Ties are broken toward honesty when the true type's own assignment
-    already attains the maximum utility, otherwise toward the smallest
-    claimable index.
-    """
-    reports = instance.relation.allowed_reports(type_index)
+def _best_report(type_index: int, reports: list[int], utilities) -> int:
+    """The tie rule of best-response play: honesty if it attains the highest
+    utility among ``reports``, otherwise the smallest claimable index that
+    does.  ``utilities[r]`` is the utility of filing report ``r``."""
     if not reports:
         return type_index
-    utilities = instance.outcomes.utilities
-    best_value = max(utilities[mech.assignment[r]] for r in reports)
-    if type_index in reports and utilities[mech.assignment[type_index]] == best_value:
+    best = max(utilities[r] for r in reports)
+    if type_index in reports and utilities[type_index] == best:
         return type_index
-    for r in reports:
-        if utilities[mech.assignment[r]] == best_value:
-            return r
-    raise AssertionError("unreachable")
+    return next(r for r in reports if utilities[r] == best)
 
 
-CostMode = Literal["truthful", "best-response"]
+def best_response(mech: Mechanism, instance: Instance, type_index: int) -> int:
+    """The report the given type actually files under the mechanism."""
+    reports = instance.relation.allowed_reports(type_index)
+    utilities = {r: expected_utility(mech, instance.outcomes, r) for r in reports}
+    return _best_report(type_index, reports, utilities)
 
 
-def cost_deterministic(
-    mech: DeterministicMechanism, instance: Instance, mode: CostMode = "truthful"
-) -> Cost:
-    """Total principal cost, assuming honesty or best-response play."""
+def cost_deterministic(mech: DeterministicMechanism, instance: Instance) -> Cost:
+    """Total principal cost under honest reports."""
     total: Cost = ZERO_COST
     for i in range(instance.type_count):
-        if mode == "truthful":
-            j = mech.assignment[i]
-        elif mode == "best-response":
-            j = mech.assignment[best_response(mech, instance, i)]
-        else:
-            raise ValueError(f"unknown cost mode {mode!r}")
-        total = total + instance.costs.entry(i, j)
+        total = total + instance.costs.entry(i, mech.assignment[i])
     return total
 
 
@@ -530,6 +526,25 @@ def cost_randomized(mech: RandomizedMechanism, instance: Instance) -> Cost:
             if p:
                 total = total + instance.costs.entry(i, j).scaled(p)
     return total
+
+
+def cost_best_response(
+    mech: Mechanism, instance: Instance, utilities: list | None = None
+) -> Cost:
+    """Total cost when every type files its best response: the honest cost
+    of the mechanism the types actually play.  ``utilities``, when given,
+    must be ``expected_utilities(mech, instance)``."""
+    if utilities is None:
+        utilities = expected_utilities(mech, instance)
+    played = [
+        _best_report(i, instance.relation.allowed_reports(i), utilities)
+        for i in range(instance.type_count)
+    ]
+    if isinstance(mech, DeterministicMechanism):
+        return cost_deterministic(
+            DeterministicMechanism(mech.assignment[r] for r in played), instance
+        )
+    return cost_randomized(RandomizedMechanism(mech.rows[r] for r in played), instance)
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +609,20 @@ def instance_from_json(data: dict) -> tuple[Instance, dict]:
     )
     _check_indices(index for pair in data["relation"] for index in pair)
     relation = ReportingRelation(len(costs.rows), data["relation"])
-    return Instance(outcomes, relation, costs), data.get("meta", {})
+    meta = data.get("meta", {})
+    if not isinstance(meta, dict) or not isinstance(meta.get("oracle", {}), dict):
+        raise ValueError("meta and its oracle must be JSON objects")
+    return Instance(outcomes, relation, costs), meta
 
 
 def _probability_to_json(p):
-    if isinstance(p, (int, Fraction)):
-        return rational_to_json(Fraction(p))
-    return float(p)
+    return rational_to_json(p) if is_exact((p,)) else float(p)
+
+
+def probability_from_json(value):
+    """A probability read from JSON: floats stay floats, integers and
+    ``"a/b"`` strings are exact."""
+    return value if isinstance(value, float) else rational_from_json(value)
 
 
 def mechanism_to_json(mech: Mechanism) -> dict:
@@ -618,11 +640,9 @@ def mechanism_from_json(data: dict) -> Mechanism:
         _check_indices(data["assignment"])
         return DeterministicMechanism(data["assignment"])
     if kind == "randomized":
-        rows = [
-            [rational_from_json(p) if isinstance(p, (int, str)) else float(p) for p in row]
-            for row in data["rows"]
-        ]
-        return RandomizedMechanism(rows)
+        return RandomizedMechanism(
+            [probability_from_json(p) for p in row] for row in data["rows"]
+        )
     raise ValueError(f"unknown mechanism kind {kind!r}")
 
 

@@ -278,7 +278,7 @@ def solve_deterministic(instance: Instance) -> DeterministicSolution:
     _check_cut_shape(cut, clamped)
     if not is_truthful(mechanism, instance):
         raise SelfCheckError("extracted mechanism is not truthful")
-    cost = cost_deterministic(mechanism, instance, "truthful")
+    cost = cost_deterministic(mechanism, instance)
     if cost != Cost(cut.value):
         raise SelfCheckError(
             f"mechanism cost {cost} disagrees with cut value {cut.value}"

@@ -38,6 +38,14 @@ from .instances import (
     OutcomeSpace,
     ReportingRelation,
     SelfCheckError,
+    _check_indices,
+    _probability_to_json,
+    cost_from_json,
+    differs,
+    exceeds,
+    is_exact,
+    probability_from_json,
+    rational_from_json,
 )
 from .oracle import BudgetExceededError, DEFAULT_ENUMERATION_BUDGET
 
@@ -53,6 +61,9 @@ TRUTHFUL_MARGINAL_TOL = 1e-9
 
 # Breakpoints closer than this are merged when thresholding float marginals.
 BREAKPOINT_CLUSTER_TOL = 1e-9
+
+# Float probability sums and float cost self-checks must agree to within this.
+FLOAT_CHECK_TOL = 1e-9
 
 DEFAULT_PAIR_BUDGET = 10**6
 DEFAULT_ITERATION_CAP = 100_000
@@ -248,15 +259,11 @@ class ChainDistribution:
         return rows
 
 
-def chain_violations(dist: ChainDistribution, tol: float = POSITIVITY_TOL) -> list[str]:
+def chain_violations(dist: ChainDistribution) -> list[str]:
     problems = []
-    exact = all(isinstance(p, (int, Fraction)) for p in dist.probs)
     total = sum(dist.probs)
-    if exact:
-        if total != 1:
-            problems.append(f"probabilities sum to {total}, expected exactly 1")
-    elif abs(float(total) - 1.0) > 1e-9:
-        problems.append(f"probabilities sum to {float(total)!r}")
+    if differs(total, 1, is_exact(dist.probs), FLOAT_CHECK_TOL):
+        problems.append(f"probabilities sum to {total}, expected 1")
     if any(p < 0 for p in dist.probs):
         problems.append("negative probability")
     for a, b in zip(dist.support, dist.support[1:]):
@@ -265,26 +272,19 @@ def chain_violations(dist: ChainDistribution, tol: float = POSITIVITY_TOL) -> li
     return problems
 
 
-def _is_exact_rows(rows) -> bool:
-    return all(isinstance(p, (int, Fraction)) for row in rows for p in row)
-
-
 def _validate_profile(rows) -> None:
     if not rows or not rows[0]:
         raise ValueError("empty marginal profile")
     width = len(rows[0])
-    exact = _is_exact_rows(rows)
+    exact = is_exact(p for row in rows for p in row)
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
-        if any(p < 0 if exact else p < -POSITIVITY_TOL for p in row):
-            raise ValueError(f"row {i} has a negative marginal")
+        if any(exceeds(0, p, exact, POSITIVITY_TOL) for p in row):
+            raise ValueError(f"row {i} has a negative or NaN marginal")
         total = sum(row)
-        if exact:
-            if total != 1:
-                raise ValueError(f"row {i} sums to {total}, expected exactly 1")
-        elif abs(float(total) - 1.0) > 1e-9:
-            raise ValueError(f"row {i} sums to {float(total)!r}, expected 1")
+        if differs(total, 1, exact, FLOAT_CHECK_TOL):
+            raise ValueError(f"row {i} sums to {total}, expected 1")
 
 
 def _peel(rows) -> list[tuple[tuple[int, ...], object]]:
@@ -294,7 +294,7 @@ def _peel(rows) -> list[tuple[tuple[int, ...], object]]:
     Exact profiles peel exactly; float profiles use the positivity threshold
     and renormalize the collected masses.
     """
-    exact = _is_exact_rows(rows)
+    exact = is_exact(p for row in rows for p in row)
     tol = 0 if exact else POSITIVITY_TOL
     n = len(rows)
     m = len(rows[0])
@@ -480,7 +480,7 @@ def uncross(dist, oracle: CostOracle | None = None, max_steps: int = 100_000) ->
             masses[point] = masses.get(point, 0) + p
     if not masses:
         raise ValueError("empty distribution")
-    exact = all(isinstance(p, (int, Fraction)) for p in masses.values())
+    exact = is_exact(masses.values())
     before_cost = chain_cost(list(masses.items()), oracle) if oracle else None
 
     def spread(point) -> int:
@@ -526,10 +526,7 @@ def uncross(dist, oracle: CostOracle | None = None, max_steps: int = 100_000) ->
         raise SelfCheckError("uncrossing produced a bad chain: " + "; ".join(problems))
     if oracle is not None:
         after_cost = chain_cost(result, oracle)
-        if exact:
-            if after_cost > before_cost:
-                raise SelfCheckError("uncrossing raised the expected cost")
-        elif float(after_cost) > float(before_cost) + 1e-9:
+        if exceeds(after_cost, before_cost, exact, FLOAT_CHECK_TOL):
             raise SelfCheckError("uncrossing raised the expected cost")
     return result
 
@@ -552,7 +549,7 @@ def determinize_binary(
         raise ValueError("binary determinization needs exactly two outcomes")
     items = _dist_items(dist)
     n = oracle.type_count
-    exact = all(isinstance(p, (int, Fraction)) for _, p in items)
+    exact = is_exact(p for _, p in items)
 
     marginals = [Fraction(0) if exact else 0.0 for _ in range(n)]
     for point, p in items:
@@ -563,8 +560,7 @@ def determinize_binary(
     for a, b in relation.pairs:
         if a == b:
             continue
-        gap = marginals[a] - marginals[b]
-        if (exact and gap < 0) or (not exact and gap < -TRUTHFUL_MARGINAL_TOL):
+        if exceeds(marginals[b], marginals[a], exact, TRUTHFUL_MARGINAL_TOL):
             raise ValueError(
                 f"distribution is not marginally truthful on pair ({a}, {b})"
             )
@@ -601,12 +597,7 @@ def determinize_binary(
     reference = chain_cost(
         interpret_marginals([[1 - u, u] for u in marginals]), oracle
     )
-    if exact:
-        if expected != reference:
-            raise SelfCheckError(
-                "threshold family cost does not reproduce the coupled cost"
-            )
-    elif abs(float(expected) - float(reference)) > 1e-9:
+    if differs(expected, reference, exact, FLOAT_CHECK_TOL):
         raise SelfCheckError(
             "threshold family cost does not reproduce the coupled cost"
         )
@@ -1153,8 +1144,6 @@ def oracle_from_json(payload: dict, instance: Instance) -> CostOracle:
     (adds ``c0`` whenever any type sits above the bottom outcome), ``table``
     (explicit value table in ``lattice_index`` order).
     """
-    from .instances import cost_from_json, rational_from_json
-
     kind = payload.get("kind", "additive")
     if kind == "additive":
         return additive_oracle(instance)
@@ -1169,8 +1158,6 @@ def oracle_from_json(payload: dict, instance: Instance) -> CostOracle:
 
 
 def chain_to_json(dist: ChainDistribution) -> dict:
-    from .instances import _probability_to_json
-
     return {
         "support": [
             {"vector": list(pt), "prob": _probability_to_json(p)}
@@ -1180,17 +1167,10 @@ def chain_to_json(dist: ChainDistribution) -> dict:
 
 
 def chain_from_json(obj: dict) -> ChainDistribution:
-    from .instances import rational_from_json
-
     entries = []
     for item in obj["support"]:
-        prob = item["prob"]
-        entries.append(
-            (
-                tuple(int(x) for x in item["vector"]),
-                prob if isinstance(prob, float) else rational_from_json(prob),
-            )
-        )
+        _check_indices(item["vector"])
+        entries.append((tuple(item["vector"]), probability_from_json(item["prob"])))
     dist = ChainDistribution(
         tuple(pt for pt, _ in entries), tuple(p for _, p in entries)
     )

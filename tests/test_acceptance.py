@@ -229,7 +229,7 @@ def test_05_convex_costs_collapse_the_gap():
         woven = Cost(0)
         cheapest = None
         for mech, weight in members:
-            cost = cost_deterministic(mech, inst, "truthful")
+            cost = cost_deterministic(mech, inst)
             woven = woven + cost.scaled(weight)
             if cheapest is None or cost < cheapest:
                 cheapest = cost

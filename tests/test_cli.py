@@ -10,11 +10,11 @@ import pytest
 from mechdesign import (
     Cost,
     RandomizedMechanism,
+    cost_best_response,
     expected_utility,
     instance_from_json,
     random_instance,
 )
-from mechdesign.cli import _best_response_cost_randomized
 
 from mechdesign.cli import (
     EXIT_BUDGET,
@@ -304,6 +304,8 @@ class TestHostileJson:
             ("outcomes", [1, "2/0", 3]),
             ("relation", [[0, 0], [1, 1], [2, 2], [0, 0.9]]),
             ("relation", [[0, 0], [1, 1], [2, 2], [True, 1]]),
+            ("relation", [[0, 0], 5]),
+            ("costs", 5),
         ],
     )
     def test_bad_instance_exits_2(self, tmp_path, capsys, field, value):
@@ -322,6 +324,10 @@ class TestHostileJson:
             {"kind": "randomized", "rows": [[1, 0, 0], ["1/0", 0, 1], [0, 0, 1]]},
             {"kind": "deterministic", "assignment": [1.7, 1, 1]},
             {"kind": "deterministic", "assignment": [1, True, 1]},
+            {"kind": "randomized", "rows": 5},
+            {"kind": "deterministic", "assignment": 3},
+            {"kind": "randomized", "rows": [[None, 1]]},
+            [1, 2, 3],
         ],
     )
     def test_bad_mechanism_exits_2(self, tmp_path, capsys, mechanism):
@@ -330,6 +336,32 @@ class TestHostileJson:
         code, _, err = run(capsys, "verify", inst, mech)
         assert code == EXIT_USAGE
         assert "cannot read mechanism" in err
+
+    def test_top_level_array_instance_exits_2(self, tmp_path, capsys):
+        inst = write_json(tmp_path / "inst.json", [BASE_INSTANCE])
+        code, _, err = run(capsys, "solve", inst, "--algo", "det")
+        assert code == EXIT_USAGE
+        assert "cannot read instance" in err
+
+    @pytest.mark.parametrize(
+        "meta", [7, {"oracle": 5}, {"oracle": {"kind": "table", "values": 5}}]
+    )
+    def test_bad_oracle_metadata_exits_2(self, tmp_path, capsys, meta):
+        inst = write_json(tmp_path / "inst.json", {**BASE_INSTANCE, "meta": meta})
+        code, _, err = run(capsys, "solve", inst, "--algo", "sub-det")
+        assert code == EXIT_USAGE
+        assert "cannot read instance" in err or "bad oracle description" in err
+
+    def test_nan_probability_does_not_fit(self, tmp_path, capsys):
+        inst = write_json(tmp_path / "inst.json", BASE_INSTANCE)
+        mech = tmp_path / "mech.json"
+        # json writes and reads the non-standard NaN token by default
+        mech.write_text(json.dumps(
+            {"kind": "randomized", "rows": [[float("nan"), 1.0, 0.0], [0, 1, 0], [0, 0, 1]]}
+        ))
+        code, _, err = run(capsys, "verify", inst, str(mech))
+        assert code == EXIT_USAGE
+        assert "mechanism does not fit the instance" in err
 
     def test_integer_indices_still_read(self, tmp_path, capsys):
         inst = write_json(tmp_path / "inst.json", BASE_INSTANCE)
@@ -385,7 +417,7 @@ class TestVerifyUtilities:
         mech = _seeded_lotteries(rng, n, m)
         utilities = [expected_utility(mech, instance.outcomes, i) for i in range(n)]
         naive = _naive_best_response_cost(mech, instance)
-        assert _best_response_cost_randomized(mech, instance, utilities) == naive
+        assert cost_best_response(mech, instance, utilities) == naive
 
         from mechdesign import dump_instance, mechanism_to_json
 

@@ -305,10 +305,10 @@ class TestThresholdRound:
         woven = Cost(0)
         for mech, w in members:
             assert is_truthful(mech, inst)
-            woven = woven + cost_deterministic(mech, inst, "truthful").scaled(w)
+            woven = woven + cost_deterministic(mech, inst).scaled(w)
         assert woven == cost_randomized(packed, inst)
         cheapest = min(
-            cost_deterministic(mech, inst, "truthful") for mech, _ in members
+            cost_deterministic(mech, inst) for mech, _ in members
         )
         assert cheapest <= cost_randomized(packed, inst)
 

@@ -1,6 +1,7 @@
 """Core data types: exact costs, relations, mechanisms, serialization."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from mechdesign import (
     RandomizedMechanism,
     ReportingRelation,
     best_response,
+    cost_best_response,
     cost_deterministic,
     cost_randomized,
     expected_utility,
@@ -27,10 +29,13 @@ from mechdesign import (
     mechanism_from_json,
     mechanism_to_json,
     mechanism_violations,
+    random_instance,
     transitive_closure,
     truthfulness_violations,
     validate,
 )
+from mechdesign.instances import differs, exceeds, is_exact
+from mechdesign.oracle import _best_response_outcome
 
 
 def small_instance():
@@ -188,14 +193,14 @@ class TestCosting:
     def test_deterministic_cost_modes(self):
         inst = small_instance()
         mech = DeterministicMechanism([1, 0])
-        assert cost_deterministic(mech, inst, "truthful") == Cost(3)
-        assert cost_deterministic(mech, inst, "best-response") == Cost(3)
+        assert cost_deterministic(mech, inst) == Cost(3)
+        assert cost_best_response(mech, inst) == Cost(3)
 
     def test_best_response_cost_diverges_for_untruthful(self):
         inst = small_instance()
         mech = DeterministicMechanism([0, 1])
-        assert cost_deterministic(mech, inst, "truthful") == Cost(9)
-        assert cost_deterministic(mech, inst, "best-response") == Cost(7)
+        assert cost_deterministic(mech, inst) == Cost(9)
+        assert cost_best_response(mech, inst) == Cost(7)
 
     def test_randomized_cost_exact(self):
         inst = small_instance()
@@ -203,6 +208,96 @@ class TestCosting:
             [[Fraction(1, 2), Fraction(1, 2), 0], [0, 0, 1]]
         )
         assert cost_randomized(mech, inst) == Cost(Fraction(6))
+
+
+class TestComparisonRule:
+    """One rule for every exact/float check: exact values compare exactly,
+    floats within the caller's tolerance, and a NaN is always a violation."""
+
+    def test_is_exact(self):
+        assert is_exact([0, 1, Fraction(1, 3)])
+        assert is_exact([])
+        assert not is_exact([Fraction(1, 2), 0.5])
+        assert not is_exact([float("nan")])
+
+    def test_exact_values_compare_exactly(self):
+        tiny = Fraction(1, 10**30)
+        assert differs(1 + tiny, 1, True, 1e-9)
+        assert not differs(Fraction(2, 2), 1, True, 1e-9)
+        assert exceeds(1 + tiny, 1, True, 1e-9)
+        assert not exceeds(1, 1 + tiny, True, 1e-9)
+        assert exceeds(Cost.infinite(), Cost(5), True, 1e-9)
+        assert not differs(Cost.infinite(), Cost.infinite(), True, 1e-9)
+
+    def test_floats_within_tolerance(self):
+        assert not differs(1.0 + 1e-10, 1, False, 1e-9)
+        assert not differs(1, 1.0 - 1e-10, False, 1e-9)
+        assert not exceeds(1.0 + 1e-10, 1.0, False, 1e-9)
+        assert not exceeds(0.5, 1.0, False, 1e-9)
+        assert not differs(Cost.infinite(), Cost.infinite(), False, 1e-9)
+        assert not exceeds(Cost.infinite(), Cost.infinite(), False, 1e-9)
+
+    def test_floats_beyond_tolerance(self):
+        assert differs(1.0 + 1e-8, 1, False, 1e-9)
+        assert differs(1, 1.0 + 1e-8, False, 1e-9)
+        assert exceeds(1.0 + 1e-8, 1.0, False, 1e-9)
+        assert exceeds(Cost.infinite(), Cost(5), False, 1e-9)
+
+    def test_nan_is_always_a_violation(self):
+        nan = float("nan")
+        for x, y in ((nan, 1.0), (1.0, nan), (nan, nan)):
+            assert differs(x, y, False, 1e-9)
+            assert exceeds(x, y, False, 1e-9)
+
+    def test_nan_row_violates_mechanism_shape(self):
+        inst = small_instance()
+        mech = RandomizedMechanism([[float("nan"), 1.0, 0.0], [0.0, 0.0, 1.0]])
+        problems = mechanism_violations(mech, inst)
+        assert any("row 0 sums to nan" in p for p in problems)
+
+
+class TestBestResponseCost:
+    """``cost_best_response`` against the naive per-type reference."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_oracle_best_response_outcomes(self, seed):
+        rng = random.Random(seed)
+        inst = random_instance(
+            seed=seed, type_count=3 + seed % 5, outcome_count=2 + seed % 2,
+            edge_density=0.5, max_cost=9,
+        )
+        n, m = inst.type_count, inst.outcome_count
+        moved = 0
+        for _ in range(10):
+            # Few outcomes over many types: claims often tie.
+            assignment = [rng.randrange(m) for _ in range(n)]
+            mech = DeterministicMechanism(assignment)
+            naive = sum(
+                (inst.costs.entry(t, _best_response_outcome(inst, assignment, t, None))
+                 for t in range(n)),
+                Cost(0),
+            )
+            assert cost_best_response(mech, inst) == naive
+            for t in range(n):
+                assert assignment[best_response(mech, inst, t)] == (
+                    _best_response_outcome(inst, assignment, t, None)
+                )
+            moved += naive != cost_deterministic(mech, inst)
+        if len(inst.relation.pairs) > n:  # some type can misreport
+            assert moved, "no mechanism was manipulated"
+
+    def test_randomized_ties_break_toward_honesty(self):
+        inst = Instance(
+            outcomes=OutcomeSpace([0, 1, 2]),
+            relation=ReportingRelation.full(2),
+            costs=CostMatrix([[1, 2, 4], [8, 16, 32]]),
+        )
+        half = Fraction(1, 2)
+        even = RandomizedMechanism([[0, 1, 0], [half, 0, half]])
+        assert cost_best_response(even, inst) == cost_randomized(even, inst)
+        skewed = RandomizedMechanism([[0, 1, 0], [1, 0, 0]])
+        # type 1 claims type 0 and gets its lottery, priced on its own row
+        assert cost_best_response(skewed, inst) == Cost(2 + 16)
 
 
 class TestSerialization:

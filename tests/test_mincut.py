@@ -221,7 +221,7 @@ class TestSolveDeterministic:
             assert sol.cost == expect_cost, f"seed {seed}"
             if expect_cost.is_finite:
                 assert is_truthful(sol.mechanism, inst)
-                assert cost_deterministic(sol.mechanism, inst, "truthful") == expect_cost
+                assert cost_deterministic(sol.mechanism, inst) == expect_cost
             else:
                 assert sol.mechanism is None
 
@@ -260,9 +260,7 @@ class TestSolveDeterministic:
                 for a in enumerate_truthful_deterministic(
                     inst.outcome_count, inst.relation
                 )
-                if cost_deterministic(
-                    type(sol.mechanism)(a), inst, "truthful"
-                ) == sol.cost
+                if cost_deterministic(type(sol.mechanism)(a), inst) == sol.cost
             ]
             lows = tuple(
                 min(a[i] for a in optimal) for i in range(inst.type_count)

@@ -17,7 +17,7 @@ from mechdesign import (
     brute_force_best_response_opt,
     brute_force_deterministic_opt,
     brute_force_envelope_opt,
-    cost_deterministic,
+    cost_best_response,
     enumerate_truthful_deterministic,
     gap_instance,
     minsat_brute,
@@ -160,7 +160,7 @@ class TestBestResponse:
             cost, assignment = brute_force_deterministic_opt(inst)
             mech = DeterministicMechanism(assignment)
             assert (
-                cost_deterministic(mech, inst, "best-response") == cost
+                cost_best_response(mech, inst) == cost
             )
 
 

@@ -169,6 +169,18 @@ class TestChainDistribution:
         assert back.support == dist.support
         assert back.probs == dist.probs
 
+    @pytest.mark.parametrize("vector", [[1.7, 0], [True, 0], ["1", 0]])
+    def test_json_rejects_non_integer_indices(self, vector):
+        bad = {"support": [{"vector": vector, "prob": 1}]}
+        with pytest.raises(ValueError, match="not an index"):
+            chain_from_json(bad)
+
+    def test_nan_probability_is_a_violation(self):
+        dist = ChainDistribution(((0, 0), (1, 1)), (float("nan"), 1.0))
+        assert any("sum" in p for p in chain_violations(dist))
+        with pytest.raises(ValueError, match="row 0"):
+            interpret_marginals([[float("nan"), 1.0], [0.0, 1.0]])
+
     def test_json_rejects_crossed_support(self):
         bad = {
             "support": [
