@@ -38,6 +38,7 @@ from .instances import (
     SelfCheckError,
     cost_best_response,
     cost_deterministic,
+    cost_from_json,
     cost_randomized,
     dump_instance,
     expected_utilities,
@@ -111,9 +112,14 @@ def _oracle_for(instance, meta):
     ):
         raise CliError("combinatorial backends need finite cost entries")
     try:
-        return oracle_from_json(payload, instance)
+        oracle = oracle_from_json(payload, instance)
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"bad oracle description: {exc}")
+    if payload.get("kind") == "table" and not any(
+        cost_from_json(v).is_finite for v in payload["values"]
+    ):
+        raise CliError("the oracle table has no finite value", EXIT_INFINITE)
+    return oracle
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +268,8 @@ def cmd_solve(args, argv) -> int:
 
     elif args.algo == "sub-rand":
         oracle = _oracle_for(instance, meta)
-        backend = args.backend or "subgradient"
-        if backend not in ("subgradient", "ellipsoid"):
+        backend = args.backend or "ellipsoid"
+        if backend != "ellipsoid":
             raise CliError(f"unknown sub-rand backend {backend!r}")
         solution = solve_randomized_submodular(
             oracle,
@@ -271,7 +277,6 @@ def cmd_solve(args, argv) -> int:
             instance.relation,
             eps=args.eps,
             backend=backend,
-            seed=args.seed,
         )
         report["solver"] = f"profile-{backend}"
         report["cost"] = _number_text(solution.value)
@@ -500,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--algo", required=True, choices=["det", "rand", "sub-det", "sub-rand"])
     slv.add_argument("--out", help="mechanism/chain JSON destination")
     slv.add_argument("--dot", help="write the cut network as Graphviz (det only)")
-    slv.add_argument("--backend", help="sub-det: lovasz|brute; sub-rand: subgradient|ellipsoid")
+    slv.add_argument("--backend", help="sub-det: lovasz|brute; sub-rand: ellipsoid")
     slv.add_argument("--eps", type=float, default=1e-3)
     slv.add_argument("--seed", type=int, default=0)
 

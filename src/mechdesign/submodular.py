@@ -10,8 +10,8 @@ the randomized problem tractable:
 * deterministic: minimize the cost's chain-greedy (threshold) extension over
   the order polytope of level indicators, then round along the final chain;
 * randomized: minimize the same extension expressed in per-type marginals
-  over the truthfulness polytope (expected-utility dominance), by projected
-  subgradient (default) or a central-cut ellipsoid backend.
+  over the truthfulness polytope (expected-utility dominance) with a
+  central-cut ellipsoid that certifies its optimality gap.
 
 The chain-greedy extension evaluates a marginal profile by peeling: read
 each type at its highest remaining outcome, pay the smallest remaining mass
@@ -46,6 +46,7 @@ from .instances import (
     is_exact,
     probability_from_json,
     rational_from_json,
+    transitive_closure,
 )
 from .oracle import BudgetExceededError, DEFAULT_ENUMERATION_BUDGET
 
@@ -382,10 +383,10 @@ def chain_cost(dist, oracle: CostOracle) -> Cost:
 def objective_subgradient(profile, oracle: CostOracle) -> list[list[float]]:
     """A subgradient of ``p -> chain_cost(interpret_marginals(p), oracle)``.
 
-    Replays the peel while tracking each consumed mass as a linear function
-    of the profile entries, then accumulates oracle values against those
-    coefficients.  Exact on the interior of a linearity region, a valid
-    subgradient on its boundary.
+    The greedy vertex of the full maximal chain through the profile: the
+    gradient inside a linearity region, a valid subgradient on its boundary
+    and on the boundary of the simplices.  Raises ``ValueError`` when the
+    oracle returns an infinite value along the chain.
     """
     rows = [[float(p) for p in row] for row in profile]
     _validate_profile(rows)
@@ -393,68 +394,57 @@ def objective_subgradient(profile, oracle: CostOracle) -> list[list[float]]:
     return grad
 
 
+def _finite_value(oracle: CostOracle, point: tuple) -> float:
+    value = float(oracle(point))
+    if not math.isfinite(value):
+        raise ValueError(
+            f"oracle value at {point} is infinite; the numeric solvers need "
+            "finite oracle values"
+        )
+    return value
+
+
 def _peel_with_gradient(rows, oracle: CostOracle):
-    """Float peel returning (value, gradient, chain-items-top-down).
+    """Float peel along a full maximal chain: (value, gradient, chain points).
 
-    ``remaining mass`` at each type's current top is maintained both as a
-    number and as a sparse linear form over the original entries; the
-    gradient accumulates oracle values against the leader's linear form.
-
-    Exactly one row — the leader — advances per step.  At ties the other
-    exhausted rows lead later zero-mass steps of their own, whose residual
-    linear forms still enter the gradient; collapsing such steps would leave
-    the traced linear piece valid only on the tie hyperplane itself, and its
-    slope would be no subgradient.
+    Every type starts at the top outcome.  Each step pays the current vector
+    for the mass up to the next threshold, the smallest tail sum
+    ``sum(row[k:])`` among the types not yet at the bottom, and moves that
+    type (the leader) down one outcome; after ``n * (m - 1)`` steps all sit
+    at the bottom, which takes the rest of the mass.  Outcomes without mass
+    are walked too, so every coordinate ``(i, j)`` collects the marginals
+    ``f(x) - f(x - e_i)`` of all leader steps of type ``i`` at levels
+    ``1..j``: the greedy vertex, a subgradient of the extension everywhere on
+    the product of simplices, boundary included.  The gradient is defined up
+    to a constant per row.
     """
     n = len(rows)
     m = len(rows[0])
-    tol = POSITIVITY_TOL
-
-    tops = []
-    for i in range(n):
-        top = max((j for j in range(m) if rows[i][j] > tol), default=None)
-        if top is None:
-            raise ValueError(f"marginal row {i} has no positive mass")
-        tops.append(top)
-    rem_val = [rows[i][tops[i]] for i in range(n)]
-    rem_coef = [{(i, tops[i]): 1.0} for i in range(n)]
-
+    tails = [list(itertools.accumulate(reversed(row)))[::-1] for row in rows]
+    tops = [m - 1] * n
+    point = tuple(tops)
+    cost = _finite_value(oracle, point)
     grad = [[0.0] * m for _ in range(n)]
     value = 0.0
-    items = []
-    for _ in range(n * m + 1):
-        leader = 0
-        for i in range(1, n):
-            if rem_val[i] < rem_val[leader]:
-                leader = i
-        delta = max(rem_val[leader], 0.0)
-        delta_coef = rem_coef[leader]
-        point = tuple(tops)
-        c = float(oracle(point))
-        value += delta * c
-        items.append((point, delta))
-        for (ii, jj), co in delta_coef.items():
-            grad[ii][jj] += c * co
-
-        for i in range(n):
-            if i != leader:
-                rem_val[i] -= delta
-                merged = dict(rem_coef[i])
-                for key, co in delta_coef.items():
-                    merged[key] = merged.get(key, 0.0) - co
-                rem_coef[i] = merged
-        nxt = max(
-            (j for j in range(tops[leader]) if rows[leader][j] > tol),
-            default=None,
+    level = 0.0
+    points = [point]
+    for _ in range(n * (m - 1)):
+        leader = min(
+            (i for i in range(n) if tops[i]), key=lambda i: tails[i][tops[i]]
         )
-        if nxt is None:
-            break
-        tops[leader] = nxt
-        rem_val[leader] = rows[leader][nxt]
-        rem_coef[leader] = {(leader, nxt): 1.0}
-    else:
-        raise SelfCheckError("gradient peel exceeded its iteration bound")
-    return value, grad, items
+        k = tops[leader]
+        threshold = tails[leader][k]
+        tops[leader] = k - 1
+        lower = tuple(tops)
+        lower_cost = _finite_value(oracle, lower)
+        value += (threshold - level) * cost
+        row = grad[leader]
+        for j in range(k, m):
+            row[j] += cost - lower_cost
+        level, point, cost = threshold, lower, lower_cost
+        points.append(point)
+    value += (1.0 - level) * cost
+    return value, grad, points
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +694,8 @@ def solve_deterministic_submodular(
 
     def value_and_grad(z):
         profile = _levels_to_profile(z, n, m)
-        value, grad_p, items = _peel_with_gradient(profile, oracle)
-        for point, _ in items:
+        value, grad_p, points = _peel_with_gradient(profile, oracle)
+        for point in points:
             consider(point)
         grad = np.empty_like(z)
         for i in range(n):
@@ -723,7 +713,7 @@ def solve_deterministic_submodular(
         min_level = max(1e-9, float(value_granularity) / 8.0)
     else:
         min_level = max(1e-6, 1e-3 * max(1.0, float(oracle.bound)))
-    _, _, iterations = _target_level_minimize(
+    iterations = _target_level_minimize(
         value_and_grad, project, z0, max_iters=max_iters, min_level=min_level,
         diameter=math.sqrt(n * (m - 1)),
     )
@@ -765,51 +755,6 @@ class SubmodularRandomizedSolution:
     backend: str
 
 
-def _project_rows_to_simplex(p: np.ndarray) -> np.ndarray:
-    """Euclidean projection of every row of ``p`` onto the probability simplex."""
-    n, m = p.shape
-    u = np.sort(p, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    ks = np.arange(1, m + 1)
-    mask = u - css / ks > 0
-    rho = m - 1 - np.argmax(mask[:, ::-1], axis=1)
-    theta = css[np.arange(n), rho] / (rho + 1)
-    return np.maximum(p - theta[:, None], 0.0)
-
-
-def _profile_projector(
-    outcomes: OutcomeSpace,
-    relation: ReportingRelation,
-    n: int,
-    m: int,
-    tol: float = PROJECTION_TOL,
-):
-    """Cyclic projection onto the truthful-marginal polytope: alternate row
-    simplex projections with halfspace corrections for each dominance pair."""
-    u = np.array([float(x) for x in outcomes.utilities])
-    unorm2 = float(u @ u)
-    pairs = sorted((a, b) for a, b in relation.pairs if a != b)
-
-    def project(p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        for _ in range(5000):
-            p = _project_rows_to_simplex(p)
-            worst = 0.0
-            for a, b in pairs:
-                gap = float((p[b] - p[a]) @ u)
-                if gap > 0:
-                    shift = gap / (2.0 * unorm2) * u
-                    p[a] += shift
-                    p[b] -= shift
-                    if gap > worst:
-                        worst = gap
-            if worst <= tol:
-                break
-        return _project_rows_to_simplex(p)
-
-    return project
-
-
 def _target_level_minimize(
     value_and_grad,
     project,
@@ -817,8 +762,6 @@ def _target_level_minimize(
     max_iters: int,
     min_level: float,
     diameter: float,
-    stall_level: float | None = None,
-    stall_patience: int = 0,
 ):
     """Projected subgradient with path-length-controlled target levels.
 
@@ -827,20 +770,16 @@ def _target_level_minimize(
     feasible set's diameter; so once the path since the last material
     improvement exceeds ``diameter``, the target must be unattainable and
     the level halves.  The run stops when the level falls below
-    ``min_level`` (or at the iteration cap); with ``stall_level`` set it
-    also stops once the level has reached that mark and ``stall_patience``
-    iterations pass without improving the best value by ``min_level``.
-    Returns ``(best_x, best_value, iterations)``.
+    ``min_level`` (or at the iteration cap).  Returns the iteration count;
+    ``value_and_grad`` sees every iterate and keeps whatever it needs.
     """
     x = project(np.array(x0, dtype=float))
     value, grad = value_and_grad(x)
-    best_x = x.copy()
     best = value
     level = max(min_level, 0.5 * abs(best)) if best else max(min_level, 1.0)
     path = 0.0
     mark = best
     iterations = 0
-    idle = 0
     while iterations < max_iters and level > min_level:
         iterations += 1
         gnorm2 = float(np.vdot(grad, grad))
@@ -850,12 +789,8 @@ def _target_level_minimize(
         x = project(x - (gap / gnorm2) * grad)
         path += gap / math.sqrt(gnorm2)
         value, grad = value_and_grad(x)
-        idle += 1
         if value < best:
-            if value <= best - min_level:
-                idle = 0
             best = value
-            best_x = x.copy()
             if best <= mark - 0.5 * level:
                 path = 0.0
                 mark = best
@@ -863,13 +798,7 @@ def _target_level_minimize(
             level /= 2.0
             path = 0.0
             mark = best
-        if (
-            stall_level is not None
-            and level <= stall_level
-            and idle >= stall_patience > 0
-        ):
-            break
-    return best_x, best, iterations
+    return iterations
 
 
 def solve_randomized_submodular(
@@ -877,94 +806,59 @@ def solve_randomized_submodular(
     outcomes: OutcomeSpace,
     relation: ReportingRelation,
     eps: float = 1e-3,
-    backend: str = "subgradient",
+    backend: str = "ellipsoid",
     max_iters: int = DEFAULT_ITERATION_CAP,
-    seed: int = 0,
 ) -> SubmodularRandomizedSolution:
     """Cheapest truthful marginal profile for a submodular oracle cost.
 
     Minimizes the chain-greedy extension over profiles whose expected
-    utilities dominate along the misreport relation, to additive accuracy
-    ``eps`` (heuristically certified by the final target level).  The
-    returned chain realizes the optimal marginals.
+    utilities dominate along the misreport relation with a central-cut
+    ellipsoid, the only ``backend``.  ``gap_estimate`` is the certified gap
+    between the best value found and a lower bound on the optimum;
+    ``converged`` means it is at most ``eps / 2``.  The returned chain
+    realizes the best marginals found.
     """
-    n, m = oracle.type_count, oracle.outcome_count
-    if len(outcomes.utilities) != m:
+    if backend != "ellipsoid":
+        raise ValueError(f"unknown backend {backend!r}")
+    if len(outcomes.utilities) != oracle.outcome_count:
         raise ValueError("outcome ladder does not match the oracle's width")
     oracle = _memoized(oracle)
-    loose = _profile_projector(
-        outcomes, relation, n, m, tol=max(PROJECTION_TOL, eps * 1e-3)
+    best_x, gap, iterations = _ellipsoid_minimize(
+        oracle, outcomes, relation, eps=eps, max_iters=max_iters
     )
-    strict = _profile_projector(outcomes, relation, n, m)
 
-    def value_and_grad(p):
-        rows = [list(map(float, p[i])) for i in range(n)]
-        value, grad_p, _ = _peel_with_gradient(rows, oracle)
-        grad = np.array(grad_p)
-        # Per-row constant components are normal to the row-sum-preserving
-        # affine hull the iterates live in; dropping them leaves a valid
-        # relative subgradient with a far smaller norm.
-        return value, grad - grad.mean(axis=1, keepdims=True)
-
-    p0 = np.full((n, m), 1.0 / m)
-    if backend == "subgradient":
-        best_x, best, iterations = _target_level_minimize(
-            value_and_grad, loose, p0, max_iters=max_iters, min_level=eps / 8.0,
-            diameter=math.sqrt(2.0 * n),
-            stall_level=eps, stall_patience=2000,
-        )
-        converged = iterations < max_iters
-        gap = eps if converged else float("nan")
-    elif backend == "ellipsoid":
-        best_x, best, iterations, converged = _ellipsoid_minimize(
-            oracle, outcomes, relation, loose, eps=eps, max_iters=max_iters
-        )
-        gap = eps if converged else float("nan")
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
-    best_x = strict(best_x)
+    best_x = np.clip(best_x, 0.0, None)
+    best_x /= best_x.sum(axis=1, keepdims=True)
     u = np.array([float(x) for x in outcomes.utilities])
     for a, b in relation.pairs:
         if a != b and float((best_x[b] - best_x[a]) @ u) > TRUTHFUL_MARGINAL_TOL:
             raise SelfCheckError("solution violates marginal truthfulness")
 
-    chain = interpret_marginals([list(map(float, best_x[i])) for i in range(n)])
+    chain = interpret_marginals(best_x.tolist())
     cost = chain_cost(chain, oracle)
     return SubmodularRandomizedSolution(
-        chain, float(cost), cost, converged, gap, iterations, backend
+        chain, float(cost), cost, gap <= eps / 2, gap, iterations, backend
     )
 
 
-def _mutual_reach_classes(relation: ReportingRelation, n: int) -> list[list[int]]:
+def _mutual_reach_classes(relation: ReportingRelation) -> list[list[int]]:
     """Groups of types that can mutually reach each other along the relation.
 
     Expected utilities are forced equal within such a group, so the truthful
     polytope is flat along the corresponding directions.
     """
-    adj = [set() for _ in range(n)]
-    for a, b in relation.pairs:
-        if a != b:
-            adj[a].add(b)
-    reach = []
-    for s in range(n):
-        seen = {s}
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        reach.append(seen)
+    reach = transitive_closure(relation).pairs
     classes = []
-    assigned = [False] * n
-    for s in range(n):
-        if assigned[s]:
+    assigned = set()
+    for s in range(relation.type_count):
+        if s in assigned:
             continue
-        group = sorted(t for t in reach[s] if s in reach[t])
-        for t in group:
-            assigned[t] = True
+        group = [s] + [
+            t
+            for t in range(s + 1, relation.type_count)
+            if (s, t) in reach and (t, s) in reach
+        ]
+        assigned.update(group)
         classes.append(group)
     return classes
 
@@ -973,7 +867,6 @@ def _ellipsoid_minimize(
     oracle: CostOracle,
     outcomes: OutcomeSpace,
     relation: ReportingRelation,
-    project,
     eps: float,
     max_iters: int,
 ):
@@ -981,11 +874,15 @@ def _ellipsoid_minimize(
 
     Mutually-reachable types force expected-utility equalities, which would
     leave the feasible set with empty interior; those directions are
-    eliminated first and the ellipsoid runs in the remaining subspace.
-    Feasibility cuts come from nonnegativity, row mass, and the dominance
-    constraints; objective cuts from the peel subgradient.  Terminates once
-    the localization certifies a value gap below ``eps``; the best projected
-    center seen is returned.
+    eliminated first and the ellipsoid runs in the remaining subspace.  It is
+    kept in factored form ``{c + Bv : |v| <= 1}``, so its shape ``B Bᵀ``
+    cannot lose positive semidefiniteness to round-off.  An infeasible center
+    is cut by its first violated constraint (nonnegativity, row mass,
+    dominance).  A feasible center is evaluated; its peel subgradient ``g``
+    cuts the ellipsoid, which keeps containing the optimum, and so bounds the
+    optimum from below by ``f(c) - |Bᵀg|``.  Stops once the best feasible
+    value is within ``eps / 2`` of the best lower bound.  Returns
+    ``(best profile, best value - lower bound, iterations)``.
     """
     n, m = oracle.type_count, oracle.outcome_count
     d = n * (m - 1)
@@ -1011,7 +908,7 @@ def _ellipsoid_minimize(
         constraints.append((w, 0.0))
 
     equalities = []
-    for group in _mutual_reach_classes(relation, n):
+    for group in _mutual_reach_classes(relation):
         for t in group[1:]:
             w = np.zeros(d)
             w[group[0] * (m - 1): (group[0] + 1) * (m - 1)] = tail
@@ -1028,12 +925,11 @@ def _ellipsoid_minimize(
         basis = np.eye(d)
     r = basis.shape[1]
 
-    cons_z = []
-    for w, b in constraints:
-        wz = basis.T @ w
-        rhs = b - float(w @ y0)
-        if float(wz @ wz) > 1e-18:
-            cons_z.append((wz, rhs))
+    normals = np.array([w for w, _ in constraints])
+    walls = normals @ basis
+    room = np.array([b for _, b in constraints]) - normals @ y0
+    keep = np.einsum("ij,ij->i", walls, walls) > 1e-18
+    walls, room = walls[keep], room[keep]
 
     def expand(z: np.ndarray) -> np.ndarray:
         y = y0 + basis @ z
@@ -1043,94 +939,34 @@ def _ellipsoid_minimize(
         p[:, m - 1] = 1.0 - blocks.sum(axis=1)
         return p
 
-    best = None
-    best_x = None
-    iterations = 0
-
-    def evaluate(z: np.ndarray):
-        nonlocal best, best_x
-        p_eval = project(np.clip(expand(z), 0.0, None))
-        value, grad_p, _ = _peel_with_gradient(
-            [list(map(float, p_eval[i])) for i in range(n)], oracle
-        )
-        if best is None or value < best:
-            best = value
-            best_x = p_eval.copy()
-        return value, grad_p
-
-    radius = math.sqrt(d)
-    if r == 0:
-        evaluate(np.zeros(0))
-        return best_x, best, 1, True
-    if r == 1:
-        lo, hi = -radius, radius
-        for wz, rhs in cons_z:
-            w0 = float(wz[0])
-            if w0 > 1e-12:
-                hi = min(hi, rhs / w0)
-            elif w0 < -1e-12:
-                lo = max(lo, rhs / w0)
-        if lo > hi:
-            lo = hi = 0.0
-        cache: dict[float, float] = {}
-
-        def fval(z: float) -> float:
-            if z not in cache:
-                cache[z] = evaluate(np.array([z]))[0]
-            return cache[z]
-
-        while hi - lo > 1e-12:
-            iterations += 1
-            z1 = lo + (hi - lo) / 3.0
-            z2 = hi - (hi - lo) / 3.0
-            if fval(z1) <= fval(z2):
-                hi = z2
-            else:
-                lo = z1
-            if iterations >= max_iters:
-                break
-        fval((lo + hi) / 2.0)
-        return best_x, best, max(iterations, 1), True
-
     center = np.zeros(r)
-    shape = np.eye(r) * (radius * radius)
+    factor = np.eye(r) * math.sqrt(d)  # the ball around y0 holds [0, 1]^d
+    # For r == 1 every finite stretch halves the interval: bisection.
+    stretch = r / math.sqrt(r * r - 1.0) if r > 1 else 1.0
+    best, best_x, lower = math.inf, None, -math.inf
+    iterations = 0
     for iterations in range(1, max_iters + 1):
-        cut = None
-        for wz, rhs in cons_z:
-            if float(wz @ center) > rhs + 1e-12:
-                cut = wz
+        violated = np.flatnonzero(walls @ center > room + 1e-12)
+        if violated.size:
+            along = factor.T @ walls[violated[0]]
+        else:
+            p = expand(center)
+            value, grad_p, _ = _peel_with_gradient(p.tolist(), oracle)
+            if value < best:
+                best, best_x = value, p
+            g = np.array(grad_p)
+            along = factor.T @ (basis.T @ (g[:, : m - 1] - g[:, m - 1:]).reshape(d))
+            lower = max(lower, value - float(np.linalg.norm(along)))
+            if best - lower <= eps / 2:
                 break
-        value, grad_p = evaluate(center)
-        if cut is None:
-            g_full = np.array(grad_p)
-            gy = (g_full[:, : m - 1] - g_full[:, m - 1:]).reshape(d)
-            cut = basis.T @ gy
-            if float(cut @ cut) <= 1e-18:
-                return best_x, best, iterations, True
-            # Value-gap certificate: the optimum lies inside the current
-            # ellipsoid, so the objective spread along the cut bounds the gap.
-            if math.sqrt(max(float(cut @ shape @ cut), 0.0)) <= 0.5 * eps:
-                return best_x, best, iterations, True
-        denom = float(cut @ shape @ cut)
-        if denom <= 0 or not math.isfinite(denom):
-            # Rank-one downdates along near-repeated cut directions can push
-            # an eigenvalue of the shape matrix slightly negative; floor the
-            # spectrum and carry on rather than losing the localization.
-            eigvals, eigvecs = np.linalg.eigh((shape + shape.T) / 2.0)
-            floor = max(float(eigvals[-1]), 1.0) * 1e-14
-            shape = (eigvecs * np.maximum(eigvals, floor)) @ eigvecs.T
-            denom = float(cut @ shape @ cut)
-            if denom <= 0 or not math.isfinite(denom):
-                break
-        bvec = (shape @ cut) / math.sqrt(denom)
-        center = center - bvec / (r + 1)
-        shape = (r * r / (r * r - 1.0)) * (
-            shape - (2.0 / (r + 1)) * np.outer(bvec, bvec)
-        )
-        shape = (shape + shape.T) / 2.0
-        if float(np.max(np.diag(shape))) < (eps * 1e-3) ** 2:
-            return best_x, best, iterations, True
-    return best_x, best, iterations, False
+        norm = float(np.linalg.norm(along))
+        if not 0 < norm < math.inf:
+            break
+        a = along / norm
+        shift = factor @ a
+        center = center - shift / (r + 1)
+        factor = stretch * factor + (r / (r + 1) - stretch) * np.outer(shift, a)
+    return best_x, best - lower, iterations
 
 
 # ---------------------------------------------------------------------------

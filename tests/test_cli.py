@@ -1,9 +1,11 @@
 """Command-line interface: full command round trips and exit codes."""
 
 import csv
+import importlib.util
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,16 @@ from mechdesign.cli import (
     EXIT_USAGE,
     main,
 )
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "mdbench" / "reference.py"
+
+
+def _load_reference():
+    spec = importlib.util.spec_from_file_location("mdbench_reference", REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run(capsys, *argv):
@@ -226,6 +238,76 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert "cannot read" in err
 
+
+    def test_sub_rand_rejects_subgradient_backend(self, capsys, instance_file):
+        code, _, err = run(
+            capsys, "solve", str(instance_file), "--algo", "sub-rand",
+            "--backend", "subgradient",
+        )
+        assert code == EXIT_USAGE
+        assert "unknown sub-rand backend" in err
+
+    def test_sub_rand_certificate_holds_at_n8(self, tmp_path, capsys):
+        # Here the ellipsoid once certified a gap of 0 while 2.4e-3 above
+        # the optimum, after its shape matrix lost definiteness.
+        rng = random.Random(1)
+        n, m = 8, 4
+        relation = [[i, i] for i in range(n)] + [[i, i - 1] for i in range(1, n)]
+        costs = [[rng.randint(0, 20) for _ in range(m)] for _ in range(n)]
+        c0 = rng.randint(1, 10)
+        doc = {
+            "outcomes": list(range(m)),
+            "relation": relation,
+            "costs": costs,
+            "meta": {"oracle": {"kind": "additive_plus_overhead", "c0": c0}},
+        }
+        path = tmp_path / "n8.json"
+        path.write_text(json.dumps(doc))
+        lp = _load_reference().lattice_lp_optimum(doc)
+        code, out, _ = run(
+            capsys, "solve", str(path), "--algo", "sub-rand", "--eps", "1e-3"
+        )
+        assert code == EXIT_OK
+        report = last_json(out)
+        assert report["checks"]["converged"] is True
+        assert lp - 1e-6 <= float(report["cost"]) <= lp + 1e-3
+
+
+class TestInfiniteOracleTables:
+    @staticmethod
+    def table_instance(tmp_path, values):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({
+            "outcomes": [0, 1],
+            "relation": [[0, 0], [1, 1]],
+            "costs": [[0, 0], [0, 0]],
+            "meta": {"oracle": {"kind": "table", "values": values}},
+        }))
+        return path
+
+    @pytest.mark.parametrize(
+        "algo", [["sub-det"], ["sub-det", "--backend", "brute"], ["sub-rand"]]
+    )
+    def test_no_finite_value_exits_3(self, tmp_path, capsys, algo):
+        path = self.table_instance(tmp_path, ["inf"] * 4)
+        code, _, err = run(capsys, "solve", str(path), "--algo", *algo)
+        assert code == EXIT_INFINITE
+        assert "no finite value" in err
+
+    @pytest.mark.parametrize("algo", ["sub-det", "sub-rand"])
+    def test_numeric_solvers_reject_infinite_values(self, tmp_path, capsys, algo):
+        path = self.table_instance(tmp_path, [1, "inf", "inf", "inf"])
+        code, _, err = run(capsys, "solve", str(path), "--algo", algo)
+        assert code == EXIT_USAGE
+        assert "is infinite" in err
+
+    def test_brute_solves_partly_infinite_table(self, tmp_path, capsys):
+        path = self.table_instance(tmp_path, [1, "inf", "inf", "inf"])
+        code, out, _ = run(
+            capsys, "solve", str(path), "--algo", "sub-det", "--backend", "brute"
+        )
+        assert code == EXIT_OK
+        assert last_json(out)["cost"] == "1"
 
 class TestVerify:
     def test_accepts_solver_output(self, tmp_path, capsys, instance_file):

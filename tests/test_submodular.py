@@ -24,6 +24,7 @@ from mechdesign import (
     meet,
     is_truthful,
     objective_subgradient,
+    overhead_cost_oracle,
     random_instance,
     solve_deterministic,
     solve_deterministic_submodular,
@@ -37,6 +38,7 @@ from mechdesign.submodular import (
     chain_from_json,
     chain_to_json,
     chain_violations,
+    _mutual_reach_classes,
     lattice_index,
     lattice_points,
     oracle_from_json,
@@ -313,6 +315,47 @@ class TestSubgradient:
                 fd = (value(up) - value(dn)) / (2 * h)
                 assert grad[i][j] - grad[i][k] == pytest.approx(fd, abs=1e-4)
 
+    @pytest.mark.parametrize("kind", ["table", "overhead"])
+    def test_subgradient_inequality_on_profiles_with_zero_entries(self, kind):
+        # f(q) >= f(p) + <g, q - p> for the extension f and the peel
+        # subgradient g at p, also where p has outcomes without mass.
+        rng = random.Random(43)
+
+        def sparse_profile(n, m):
+            rows = []
+            for row in random_float_profile(rng, n, m):
+                keep = rng.randrange(m)
+                row = [x if j == keep or rng.random() < 0.5 else 0.0
+                       for j, x in enumerate(row)]
+                rows.append([x / sum(row) for x in row])
+            return rows
+
+        for trial in range(40):
+            n, m = rng.randint(2, 4), rng.randint(2, 4)
+            if kind == "table":
+                oracle = random_submodular_table(rng, n, m)
+            else:
+                inst = random_instance(
+                    seed=900 + trial, type_count=n, outcome_count=m,
+                    edge_density=0.0,
+                )
+                oracle = overhead_cost_oracle(inst, rng.randint(1, 10))
+
+            def value(rows):
+                return float(chain_cost(interpret_marginals(rows), oracle))
+
+            p = sparse_profile(n, m)
+            grad = objective_subgradient(p, oracle)
+            base = value(p)
+            for _ in range(10):
+                q = sparse_profile(n, m)
+                linear = base + sum(
+                    grad[i][j] * (q[i][j] - p[i][j])
+                    for i in range(n)
+                    for j in range(m)
+                )
+                assert value(q) >= linear - 1e-9
+
 
 class TestUncross:
     def test_chain_input_is_fixed_point(self):
@@ -410,7 +453,6 @@ class TestDeterministicSubmodular:
 
 
 class TestRandomizedSubmodular:
-    @pytest.mark.slow
     def test_additive_matches_envelope_solver(self):
         for seed in (800, 801, 802):
             inst = random_instance(
@@ -466,3 +508,45 @@ class TestRandomizedSubmodular:
             solve_randomized_submodular(
                 oracle, OutcomeSpace([1, 2, 3]), ReportingRelation.identity(2)
             )
+
+    def test_unknown_backend_rejected(self):
+        oracle = table_oracle([0, 1, 1, 2], 2, 2)
+        with pytest.raises(ValueError):
+            solve_randomized_submodular(
+                oracle,
+                OutcomeSpace([0, 1]),
+                ReportingRelation.identity(2),
+                backend="subgradient",
+            )
+
+    def test_gap_is_certified(self):
+        rng = random.Random(63)
+        for _ in range(10):
+            oracle = random_submodular_table(rng, 3, 3)
+            rel = random_relation(rng, 3, 0.5)
+            sol = solve_randomized_submodular(
+                oracle, OutcomeSpace([0, 1, 2]), rel, eps=1e-3
+            )
+            assert sol.converged
+            assert 0 <= sol.gap_estimate <= 5e-4
+
+    def test_mutual_reach_classes(self):
+        def naive(rel):
+            n = rel.type_count
+            reach = [{s} for s in range(n)]
+            for _ in range(n):
+                for a, b in rel.pairs:
+                    for s in range(n):
+                        if a in reach[s]:
+                            reach[s].add(b)
+            classes = []
+            for s in range(n):
+                group = sorted(t for t in reach[s] if s in reach[t])
+                if group[0] == s:
+                    classes.append(group)
+            return classes
+
+        rng = random.Random(64)
+        for _ in range(50):
+            rel = random_relation(rng, rng.randint(1, 7), rng.random())
+            assert _mutual_reach_classes(rel) == naive(rel)
