@@ -249,7 +249,7 @@ def cmd_solve(args, argv) -> int:
         if backend not in ("lovasz", "brute"):
             raise CliError(f"unknown sub-det backend {backend!r}")
         solution = solve_deterministic_submodular(
-            oracle, instance.relation, backend=backend, seed=args.seed
+            oracle, instance.relation, backend=backend
         )
         mechanism = DeterministicMechanism(solution.point)
         if not in_truthful_lattice(solution.point, instance.relation):
@@ -261,6 +261,7 @@ def cmd_solve(args, argv) -> int:
         report["checks"] = {
             "truthful": True,
             "self_check": "ok",
+            "gap": solution.gap,
             "oracle_queries": oracle.query_count,
         }
         if args.out:
@@ -507,7 +508,6 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--dot", help="write the cut network as Graphviz (det only)")
     slv.add_argument("--backend", help="sub-det: lovasz|brute; sub-rand: ellipsoid")
     slv.add_argument("--eps", type=float, default=1e-3)
-    slv.add_argument("--seed", type=int, default=0)
 
     ver = sub.add_parser("verify", help="check a mechanism file against an instance")
     ver.add_argument("instance")

@@ -7,11 +7,14 @@ vectors (coordinatewise dominance along the misreport relation) form a
 distributive sublattice, and submodularity makes both the deterministic and
 the randomized problem tractable:
 
-* deterministic: minimize the cost's chain-greedy (threshold) extension over
-  the order polytope of level indicators, then round along the final chain;
-* randomized: minimize the same extension expressed in per-type marginals
-  over the truthfulness polytope (expected-utility dominance) with a
-  central-cut ellipsoid that certifies its optimality gap.
+* randomized: minimize the cost's chain-greedy (threshold) extension over
+  per-type marginals in the truthfulness polytope (expected-utility
+  dominance) with a central-cut ellipsoid that certifies its optimality gap;
+* deterministic: run the same ellipsoid with the step ladders ``[j > k]``.
+  Their dominance is first-order stochastic dominance, so the feasible set
+  is the order polytope, whose vertices are the truthful vectors.  The
+  cheapest truthful vector on the peel chains of the feasible centers is
+  returned, with a certified gap to the optimum.
 
 The chain-greedy extension evaluates a marginal profile by peeling: read
 each type at its highest remaining outcome, pay the smallest remaining mass
@@ -53,9 +56,6 @@ from .oracle import BudgetExceededError, DEFAULT_ENUMERATION_BUDGET
 # Marginal entries at or below this are treated as exhausted in float mode;
 # exact (rational) profiles use strict positivity instead.
 POSITIVITY_TOL = 1e-12
-
-# Feasibility projections iterate until constraint violations fall below this.
-PROJECTION_TOL = 1e-10
 
 # A returned randomized solution must satisfy marginal truthfulness to here.
 TRUTHFUL_MARGINAL_TOL = 1e-9
@@ -604,6 +604,7 @@ class SubmodularDeterministicSolution:
     cost: Cost
     backend: str
     iterations: int = 0
+    gap: float = 0.0  # cost minus a lower bound on the optimum
 
 
 def solve_deterministic_submodular(
@@ -612,21 +613,25 @@ def solve_deterministic_submodular(
     backend: str = "lovasz",
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     max_iters: int = DEFAULT_ITERATION_CAP,
-    seed: int = 0,
     value_granularity=None,
 ) -> SubmodularDeterministicSolution:
     """Cheapest truthful outcome vector for a (submodular) oracle cost.
 
     ``brute`` scans the whole lattice (exact for any oracle, exponential).
     ``lovasz`` minimizes the threshold extension of the cost over the order
-    polytope of per-type level indicators — truthfulness becomes a set of
-    coordinate dominances — and rounds along the chain of the final point;
-    exact for submodular oracles, up to the numeric tolerance.
+    polytope with the central-cut ellipsoid of the randomized solver: the
+    ``m - 1`` step ladders ``[j > k]`` turn truthfulness into first-order
+    stochastic dominance of the marginals, whose vertices are exactly the
+    truthful outcome vectors.  Every feasible center's peel chain is
+    searched for its cheapest truthful vector; ``gap`` is the cheapest
+    cost found minus the ellipsoid's lower bound on the extension's minimum,
+    which for a submodular oracle is the optimum.  The search stops once
+    ``gap`` is at most ``max(1e-6, 1e-3 * max(1, bound))``.
 
     ``value_granularity``: a known lower bound on the separation between
-    distinct oracle values (1 for integer tables).  Once the extension is
-    within the separation of its minimum, some chain member must be exactly
-    optimal, so the search can stop much earlier.
+    distinct oracle values (1 for integer tables).  The search then stops at
+    ``gap < value_granularity``, which certifies that the returned vector is
+    exactly optimal.
     """
     n, m = oracle.type_count, oracle.outcome_count
     if backend == "brute":
@@ -653,91 +658,32 @@ def solve_deterministic_submodular(
         bottom = (0,) * n
         return SubmodularDeterministicSolution(bottom, oracle(bottom), "lovasz")
     oracle = _memoized(oracle)
+    state = {"point": None, "cost": None}
+    seen = set()
 
-    # Level indicators z[i, k] = P(type i's outcome index > k), k < m-1,
-    # monotone within each type; truthfulness is coordinatewise dominance.
-    dominances = []
-    for i in range(n):
-        for k in range(m - 2):
-            dominances.append(((i, k), (i, k + 1)))
-    for a, b in sorted(relation.pairs):
-        if a != b:
-            for k in range(m - 1):
-                dominances.append(((a, k), (b, k)))
-
-    def project(z):
-        z = np.clip(z, 0.0, 1.0)
-        for _ in range(2000):
-            worst = 0.0
-            for (hi, lo) in dominances:
-                gap = z[lo] - z[hi]
-                if gap > 0:
-                    mid = (z[hi] + z[lo]) / 2.0
-                    z[hi] = mid
-                    z[lo] = mid
-                    if gap > worst:
-                        worst = gap
-            np.clip(z, 0.0, 1.0, out=z)
-            if worst <= PROJECTION_TOL:
-                break
-        return z
-
-    state = {"best_point": None, "best_cost": None}
-
-    def consider(point):
-        if not in_truthful_lattice(point, relation):
-            return
-        c = oracle(point)
-        if state["best_cost"] is None or c < state["best_cost"]:
-            state["best_cost"] = c
-            state["best_point"] = point
-
-    def value_and_grad(z):
-        profile = _levels_to_profile(z, n, m)
-        value, grad_p, points = _peel_with_gradient(profile, oracle)
+    def upper(points) -> float:
         for point in points:
-            consider(point)
-        grad = np.empty_like(z)
-        for i in range(n):
-            for k in range(m - 1):
-                grad[i, k] = grad_p[i][k + 1] - grad_p[i][k]
-        return value, grad
+            if point not in seen:
+                seen.add(point)
+                if in_truthful_lattice(point, relation):
+                    c = oracle(point)
+                    if state["cost"] is None or c < state["cost"]:
+                        state["point"], state["cost"] = point, c
+        return float(state["cost"])
 
-    # A symmetric start would round to constant vectors only; a seeded
-    # perturbation lets the first chains already separate the types.
-    rng = random.Random(seed)
-    z0 = np.array(
-        [[0.35 + 0.3 * rng.random() for _ in range(m - 1)] for _ in range(n)]
-    )
     if value_granularity is not None:
-        min_level = max(1e-9, float(value_granularity) / 8.0)
+        tol = math.nextafter(float(value_granularity), 0.0)
     else:
-        min_level = max(1e-6, 1e-3 * max(1.0, float(oracle.bound)))
-    iterations = _target_level_minimize(
-        value_and_grad, project, z0, max_iters=max_iters, min_level=min_level,
-        diameter=math.sqrt(n * (m - 1)),
+        tol = max(1e-6, 1e-3 * max(1.0, float(oracle.bound)))
+    steps = [[1 if j > k else 0 for j in range(m)] for k in range(m - 1)]
+    _, gap, iterations = _ellipsoid_minimize(
+        oracle, steps, relation, tol=tol, max_iters=max_iters, upper=upper
     )
-    if state["best_point"] is None:
+    if state["point"] is None:
         raise SelfCheckError("rounding never produced a truthful vector")
     return SubmodularDeterministicSolution(
-        state["best_point"], state["best_cost"], "lovasz", iterations
+        state["point"], state["cost"], "lovasz", iterations, gap
     )
-
-
-def _levels_to_profile(z, n: int, m: int) -> list[list[float]]:
-    """Differences of monotone level indicators, clipped to a simplex row."""
-    profile = []
-    for i in range(n):
-        row = [0.0] * m
-        prev = 1.0
-        for k in range(m - 1):
-            cur = float(z[i, k])
-            row[k] = max(prev - cur, 0.0)
-            prev = cur
-        row[m - 1] = max(prev, 0.0)
-        total = sum(row)
-        profile.append([p / total for p in row])
-    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -753,52 +699,6 @@ class SubmodularRandomizedSolution:
     gap_estimate: float
     iterations: int
     backend: str
-
-
-def _target_level_minimize(
-    value_and_grad,
-    project,
-    x0: np.ndarray,
-    max_iters: int,
-    min_level: float,
-    diameter: float,
-):
-    """Projected subgradient with path-length-controlled target levels.
-
-    Steps aim at the target ``best - level``.  While that target is
-    attainable, the accumulated step path toward it is bounded by the
-    feasible set's diameter; so once the path since the last material
-    improvement exceeds ``diameter``, the target must be unattainable and
-    the level halves.  The run stops when the level falls below
-    ``min_level`` (or at the iteration cap).  Returns the iteration count;
-    ``value_and_grad`` sees every iterate and keeps whatever it needs.
-    """
-    x = project(np.array(x0, dtype=float))
-    value, grad = value_and_grad(x)
-    best = value
-    level = max(min_level, 0.5 * abs(best)) if best else max(min_level, 1.0)
-    path = 0.0
-    mark = best
-    iterations = 0
-    while iterations < max_iters and level > min_level:
-        iterations += 1
-        gnorm2 = float(np.vdot(grad, grad))
-        if gnorm2 <= 1e-18:
-            break
-        gap = value - (best - level)
-        x = project(x - (gap / gnorm2) * grad)
-        path += gap / math.sqrt(gnorm2)
-        value, grad = value_and_grad(x)
-        if value < best:
-            best = value
-            if best <= mark - 0.5 * level:
-                path = 0.0
-                mark = best
-        if path > diameter:
-            level /= 2.0
-            path = 0.0
-            mark = best
-    return iterations
 
 
 def solve_randomized_submodular(
@@ -824,7 +724,7 @@ def solve_randomized_submodular(
         raise ValueError("outcome ladder does not match the oracle's width")
     oracle = _memoized(oracle)
     best_x, gap, iterations = _ellipsoid_minimize(
-        oracle, outcomes, relation, eps=eps, max_iters=max_iters
+        oracle, [outcomes.utilities], relation, tol=eps / 2, max_iters=max_iters
     )
 
     best_x = np.clip(best_x, 0.0, None)
@@ -865,13 +765,18 @@ def _mutual_reach_classes(relation: ReportingRelation) -> list[list[int]]:
 
 def _ellipsoid_minimize(
     oracle: CostOracle,
-    outcomes: OutcomeSpace,
+    ladders: Sequence[Sequence],
     relation: ReportingRelation,
-    eps: float,
+    tol: float,
     max_iters: int,
+    upper: Callable | None = None,
 ):
     """Central-cut ellipsoid over reduced profiles (last column eliminated).
 
+    Truthfulness is dominance of expected utility along the relation under
+    every utility ladder in ``ladders``: one ladder gives the randomized
+    problem's polytope; the step ladders ``[j > k]`` give first-order
+    stochastic dominance, the order polytope of the deterministic problem.
     Mutually-reachable types force expected-utility equalities, which would
     leave the feasible set with empty interior; those directions are
     eliminated first and the ellipsoid runs in the remaining subspace.  It is
@@ -880,15 +785,14 @@ def _ellipsoid_minimize(
     is cut by its first violated constraint (nonnegativity, row mass,
     dominance).  A feasible center is evaluated; its peel subgradient ``g``
     cuts the ellipsoid, which keeps containing the optimum, and so bounds the
-    optimum from below by ``f(c) - |Bᵀg|``.  Stops once the best feasible
-    value is within ``eps / 2`` of the best lower bound.  Returns
-    ``(best profile, best value - lower bound, iterations)``.
+    optimum from below by ``f(c) - |Bᵀg|``.  The upper bound is the best
+    feasible value, or, when ``upper`` is given, the best of what
+    ``upper(chain points)`` returns at the feasible centers.  Stops once the
+    upper bound is within ``tol`` of the best lower bound.  Returns
+    ``(best profile, upper bound - lower bound, iterations)``.
     """
     n, m = oracle.type_count, oracle.outcome_count
     d = n * (m - 1)
-
-    u = np.array([float(x) for x in outcomes.utilities])
-    tail = u[:-1] - u[-1]
 
     constraints: list[tuple[np.ndarray, float]] = []  # w @ y <= b
     for i in range(n):
@@ -899,21 +803,25 @@ def _ellipsoid_minimize(
         w = np.zeros(d)
         w[i * (m - 1): (i + 1) * (m - 1)] = 1.0
         constraints.append((w, 1.0))
-    for a, b in sorted(relation.pairs):
-        if a == b:
-            continue
-        w = np.zeros(d)
-        w[a * (m - 1): (a + 1) * (m - 1)] = -tail
-        w[b * (m - 1): (b + 1) * (m - 1)] = tail
-        constraints.append((w, 0.0))
 
+    classes = _mutual_reach_classes(relation)
     equalities = []
-    for group in _mutual_reach_classes(relation):
-        for t in group[1:]:
+    for ladder in ladders:
+        u = np.array([float(x) for x in ladder])
+        tail = u[:-1] - u[-1]
+        for a, b in sorted(relation.pairs):
+            if a == b:
+                continue
             w = np.zeros(d)
-            w[group[0] * (m - 1): (group[0] + 1) * (m - 1)] = tail
-            w[t * (m - 1): (t + 1) * (m - 1)] = -tail
-            equalities.append(w)
+            w[a * (m - 1): (a + 1) * (m - 1)] = -tail
+            w[b * (m - 1): (b + 1) * (m - 1)] = tail
+            constraints.append((w, 0.0))
+        for group in classes:
+            for t in group[1:]:
+                w = np.zeros(d)
+                w[group[0] * (m - 1): (group[0] + 1) * (m - 1)] = tail
+                w[t * (m - 1): (t + 1) * (m - 1)] = -tail
+                equalities.append(w)
 
     y0 = np.full(d, 1.0 / m)  # uniform profile: feasible, satisfies equalities
     if equalities:
@@ -951,13 +859,14 @@ def _ellipsoid_minimize(
             along = factor.T @ walls[violated[0]]
         else:
             p = expand(center)
-            value, grad_p, _ = _peel_with_gradient(p.tolist(), oracle)
-            if value < best:
-                best, best_x = value, p
+            value, grad_p, points = _peel_with_gradient(p.tolist(), oracle)
+            found = value if upper is None else upper(points)
+            if found < best:
+                best, best_x = found, p
             g = np.array(grad_p)
             along = factor.T @ (basis.T @ (g[:, : m - 1] - g[:, m - 1:]).reshape(d))
             lower = max(lower, value - float(np.linalg.norm(along)))
-            if best - lower <= eps / 2:
+            if best - lower <= tol:
                 break
         norm = float(np.linalg.norm(along))
         if not 0 < norm < math.inf:

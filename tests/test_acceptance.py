@@ -325,7 +325,6 @@ def test_08_marginal_interpretation_round_trip():
     assert ok, detail or f"elapsed={elapsed:.2f}s"
 
 
-@pytest.mark.slow
 def test_09_threshold_extension_minimizer_is_exact():
     rng = random.Random(99)
     ok = True

@@ -199,6 +199,7 @@ class TestSolve:
         assert dot.read_text().startswith("digraph")
 
     def test_sub_det_backends(self, tmp_path, capsys, instance_file):
+        reports = {}
         for backend in ("lovasz", "brute"):
             code, out, _ = run(
                 capsys,
@@ -210,7 +211,13 @@ class TestSolve:
                 backend,
             )
             assert code == EXIT_OK
-            assert last_json(out)["solver"] == f"lattice-{backend}"
+            reports[backend] = last_json(out)
+            assert reports[backend]["solver"] == f"lattice-{backend}"
+        assert reports["brute"]["checks"]["gap"] == 0
+        gap = reports["lovasz"]["checks"]["gap"]
+        cost = float(reports["lovasz"]["cost"])
+        assert gap >= 0
+        assert cost - gap - 1e-9 <= float(reports["brute"]["cost"]) <= cost
 
     def test_sub_rand_chain_output(self, tmp_path, capsys, instance_file):
         chain_path = tmp_path / "chain.json"
@@ -624,4 +631,9 @@ class TestArgparseErrors:
     def test_missing_required_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["generate", "gap"])
+        assert info.value.code == 2
+
+    def test_solve_has_no_seed(self, capsys, instance_file):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", str(instance_file), "--algo", "sub-det", "--seed", "1"])
         assert info.value.code == 2

@@ -444,6 +444,62 @@ class TestDeterministicSubmodular:
             assert in_truthful_lattice(fast.point, rel)
             assert abs(float(fast.cost) - float(brute.cost)) <= 1e-6
 
+    def test_lovasz_gap_is_sound(self):
+        # Densities 0.5 and 0.9 draw cycles, whose types the ellipsoid must
+        # hold equal at every level.
+        rng = random.Random(2024)
+        for k in range(300):
+            n, m = rng.randint(1, 5), rng.randint(2, 4)
+            oracle = random_submodular_table(rng, n, m)
+            rel = random_relation(rng, n, (0.2, 0.5, 0.9)[k % 3])
+            brute = solve_deterministic_submodular(oracle, rel, backend="brute")
+            fast = solve_deterministic_submodular(oracle, rel, backend="lovasz")
+            cost, best = float(fast.cost), float(brute.cost)
+            assert in_truthful_lattice(fast.point, rel)
+            assert fast.gap >= 0
+            assert cost - fast.gap - 1e-9 <= best <= cost
+            assert cost - best <= 1e-6
+
+    def test_two_cycle_forces_equal_outcomes(self):
+        # Alone, type 0 wants outcome 0 and type 1 outcome 1; the 2-cycle
+        # leaves only the diagonal, whose cheapest point is (2, 2).
+        rows = [[0, 5, 1], [4, 0, 2]]
+        values = [rows[0][a] + rows[1][b] for a, b in lattice_points(2, 3)]
+        oracle = table_oracle(values, 2, 3)
+        rel = ReportingRelation(2, [(0, 0), (1, 1), (0, 1), (1, 0)])
+        sol = solve_deterministic_submodular(oracle, rel)
+        assert sol.point == (2, 2)
+        assert sol.cost == Cost(3)
+        assert 0 <= sol.gap <= 1e-3 * float(oracle.bound)
+
+    def test_one_iteration_still_bounds_its_excess(self):
+        # One step lands on a vector 1.25 above the optimum here.
+        rng = random.Random(0)
+        oracle = random_submodular_table(rng, 4, 3)
+        rel = random_relation(rng, 4, 0.4)
+        brute = solve_deterministic_submodular(oracle, rel, backend="brute")
+        sol = solve_deterministic_submodular(oracle, rel, max_iters=1)
+        assert sol.iterations == 1
+        assert in_truthful_lattice(sol.point, rel)
+        assert sol.gap >= 0
+        excess = float(sol.cost) - float(brute.cost)
+        assert 0 <= excess <= sol.gap + 1e-9
+
+    def test_overhead_oracle_at_n8_m4(self):
+        n, m = 8, 4
+        inst = random_instance(
+            seed=71, type_count=n, outcome_count=m, edge_density=0.0
+        )
+        oracle = overhead_cost_oracle(inst, 5)
+        rel = ReportingRelation(
+            n, [(i, i) for i in range(n)] + [(i, i - 1) for i in range(1, n)]
+        )
+        brute = solve_deterministic_submodular(oracle, rel, backend="brute")
+        fast = solve_deterministic_submodular(oracle, rel, backend="lovasz")
+        assert in_truthful_lattice(fast.point, rel)
+        assert abs(float(fast.cost) - float(brute.cost)) <= 1e-6
+        assert float(fast.cost) - fast.gap - 1e-9 <= float(brute.cost)
+
     def test_unknown_backend_rejected(self):
         oracle = table_oracle([0, 1, 1, 2], 2, 2)
         with pytest.raises(ValueError):
