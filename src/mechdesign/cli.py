@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -48,6 +49,7 @@ from .instances import (
     mechanism_from_json,
     mechanism_to_json,
     mechanism_violations,
+    rational_from_json,
     rational_to_json,
     truthfulness_violations,
 )
@@ -60,6 +62,7 @@ from .oracle import (
 )
 from .submodular import (
     chain_to_json,
+    default_stop,
     in_truthful_lattice,
     oracle_from_json,
     solve_deterministic_submodular,
@@ -120,6 +123,22 @@ def _oracle_for(instance, meta):
     ):
         raise CliError("the oracle table has no finite value", EXIT_INFINITE)
     return oracle
+
+
+def _value_granularity(instance, meta, oracle):
+    """``1 / lcm`` of the denominators of the values the oracle sums (the
+    costs, plus ``c0`` with overhead, or the table's finite values): distinct
+    oracle values lie at least this far apart.  ``None`` when it is finer
+    than the default stop, so no solve runs longer for knowing it."""
+    payload = meta.get("oracle", {"kind": "additive"})
+    if payload.get("kind") == "table":
+        values = [cost_from_json(v).value for v in payload["values"]]
+    else:
+        values = [c.value for row in instance.costs.rows for c in row]
+        if payload.get("kind") == "additive_plus_overhead":
+            values.append(rational_from_json(payload["c0"]))
+    grain = Fraction(1, math.lcm(*(v.denominator for v in values if v is not None)))
+    return grain if grain >= default_stop(oracle.bound) else None
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +268,10 @@ def cmd_solve(args, argv) -> int:
         if backend not in ("lovasz", "brute"):
             raise CliError(f"unknown sub-det backend {backend!r}")
         solution = solve_deterministic_submodular(
-            oracle, instance.relation, backend=backend
+            oracle,
+            instance.relation,
+            backend=backend,
+            value_granularity=_value_granularity(instance, meta, oracle),
         )
         mechanism = DeterministicMechanism(solution.point)
         if not in_truthful_lattice(solution.point, instance.relation):

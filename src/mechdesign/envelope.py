@@ -4,9 +4,13 @@ Replacing each type's cost curve by its lower convex envelope turns the
 randomized problem into a deterministic one: the cheapest truthful lottery
 profile concentrates, per type, on the two hull vertices bracketing a target
 utility, and costs exactly the envelope value there.  So the pipeline is:
-envelope every row, solve the deterministic problem on envelope costs with
-the cut solver, then expand each type's assigned target back into the
-bracketing two-point lottery.
+envelope every row, solve the deterministic problem on envelope costs, then
+expand each type's assigned target back into the bracketing two-point
+lottery.  Envelope rows are convex, so that deterministic problem needs no
+``n*m``-node cut network: bounds read off the rows' finite ranges settle
+infinite verdicts, and about ``log2 m`` rounds of closure cuts on the
+``n``-node relation graph find the pointwise-lowest optimum
+(``threshold_assignment``).
 
 Also here: the two operations behind the "convex costs need no randomness"
 argument — consolidating any truthful lottery profile onto two consecutive
@@ -17,12 +21,12 @@ matches exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .instances import (
     Cost,
-    CostMatrix,
     DeterministicMechanism,
     Instance,
     OutcomeSpace,
@@ -35,7 +39,9 @@ from .instances import (
     hard_violations,
     is_truthful,
 )
-from .mincut import DeterministicSolution, scale_to_integers, solve_deterministic
+from .mincut import minimal_closure, scale_to_integers
+# Unused here; the benchmark tracer (mdbench/spans.py) rebinds this name.
+from .mincut import solve_deterministic  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -67,7 +73,6 @@ class RandomizedSolution:
     mechanism: RandomizedMechanism | None
     cost: Cost
     pairs: tuple = ()
-    deterministic: DeterministicSolution | None = None
 
 
 def pl_extension_value(cost_row, outcomes: OutcomeSpace, point) -> Cost:
@@ -81,15 +86,7 @@ def pl_extension_value(cost_row, outcomes: OutcomeSpace, point) -> Cost:
     utilities = outcomes.utilities
     if x < utilities[0] or x > utilities[-1]:
         raise ValueError(f"{x} outside the outcome range")
-    lo = 0
-    hi = len(utilities) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if utilities[mid] <= x:
-            lo = mid
-        else:
-            hi = mid - 1
-    j = lo
+    j = bisect_right(utilities, x) - 1
     left = cost_row[j] if isinstance(cost_row[j], Cost) else Cost(cost_row[j])
     if utilities[j] == x:
         return left
@@ -199,6 +196,65 @@ def envelope_table(instance: Instance) -> list[EnvelopeRow]:
     ]
 
 
+def _spread(bounds: list[int], neighbours: list[list[int]], reverse: bool) -> list[int]:
+    """Carry each type's bound along ``neighbours`` to every type it reaches;
+    the most extreme bound (largest when ``reverse``) goes first and stays."""
+    spread: list = [None] * len(bounds)
+    for root in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=reverse):
+        queue = [root]
+        for u in queue:  # the loop also visits the nodes it appends
+            if spread[u] is None:
+                spread[u] = bounds[root]
+                queue += neighbours[u]
+    return spread
+
+
+def threshold_assignment(table: list[EnvelopeRow], relation) -> list[int] | None:
+    """Pointwise-lowest ``x`` minimizing ``sum(env_i(x_i))`` with ``x_a >= x_b``
+    whenever ``a`` can claim ``b``, or ``None`` if every such ``x`` costs inf.
+
+    ``x_a`` lies between the largest finite-range start of the types ``a``
+    reaches and the smallest finite-range end of the types reaching ``a``;
+    unless these bounds cross, ``x`` at the lower ones is finite.  Then by
+    Hochbaum's threshold theorem for convex rows, ``{i : x_i > k}`` is the
+    minimal closed set of least weight ``env_i(k+1) - env_i(k)``, so one
+    ``minimal_closure`` over the types the bounds leave free splits a group
+    at the middle threshold of its outcome range.
+    """
+    n = len(table)
+    claims: list[list[int]] = [[] for _ in range(n)]
+    claimed_by: list[list[int]] = [[] for _ in range(n)]
+    for a, b in relation.pairs:
+        if a != b:
+            claims[a].append(b)
+            claimed_by[b].append(a)
+    lower = _spread([row.vertices[0] for row in table], claimed_by, reverse=True)
+    upper = _spread([row.vertices[-1] for row in table], claims, reverse=False)
+    if any(lo > hi for lo, hi in zip(lower, upper)):
+        return None
+
+    assignment = [0] * n
+    groups = [(range(n), 0, len(table[0].values) - 1)]
+    while groups:
+        types, klo, khi = groups.pop()
+        if not types:
+            continue
+        if klo == khi:
+            for i in types:
+                assignment[i] = klo
+            continue
+        k = (klo + khi) // 2
+        free = [i for i in types if lower[i] <= k < upper[i]]
+        local = {i: p for p, i in enumerate(free)}
+        weights = [table[i].values[k + 1].value - table[i].values[k].value for i in free]
+        pairs = [(local[a], p) for p, b in enumerate(free) for a in claimed_by[b] if a in local]
+        above = {i for i, inside in zip(free, minimal_closure(weights, pairs)) if inside}
+        high = [lower[i] > k or i in above for i in types]
+        groups.append(([i for i, h in zip(types, high) if not h], klo, k))
+        groups.append(([i for i, h in zip(types, high) if h], k + 1, khi))
+    return assignment
+
+
 def solve_randomized(instance: Instance) -> RandomizedSolution:
     """Cost-optimal truthful randomized mechanism, or an infinite verdict.
 
@@ -208,48 +264,34 @@ def solve_randomized(instance: Instance) -> RandomizedSolution:
     problems = hard_violations(instance)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
-    n, m = instance.type_count, instance.outcome_count
-    utilities = instance.outcomes.utilities
-
     if any(not any(c.is_finite for c in row) for row in instance.costs.rows):
         return RandomizedSolution(None, Cost.infinite())
 
-    if m == 1:
-        mech = RandomizedMechanism.point_mass([0] * n, 1)
-        cost = cost_randomized(mech, instance)
-        pairs = tuple(MixturePair(i, 0, 0, Fraction(1)) for i in range(n))
-        return RandomizedSolution(mech, cost, pairs)
-
     table = envelope_table(instance)
-    relaxed = Instance(
-        instance.outcomes,
-        instance.relation,
-        CostMatrix([row.values for row in table]),
-    )
-    det = solve_deterministic(relaxed)
-    if det.mechanism is None:
-        return RandomizedSolution(None, Cost.infinite(), deterministic=det)
+    assignment = threshold_assignment(table, instance.relation)
+    if assignment is None:
+        return RandomizedSolution(None, Cost.infinite())
 
-    pairs = []
-    rows = []
-    for i in range(n):
-        target = utilities[det.mechanism.assignment[i]]
-        pair = recover_mixture(table[i], instance.outcomes, target, i)
-        pairs.append(pair)
-        row = [Fraction(0)] * m
+    outcomes = instance.outcomes
+    pairs = tuple(
+        recover_mixture(table[i], outcomes, outcomes.utilities[j], i)
+        for i, j in enumerate(assignment)
+    )
+    rows = [[Fraction(0)] * instance.outcome_count for _ in pairs]
+    for row, pair in zip(rows, pairs):
         row[pair.lower] += pair.alpha
         row[pair.upper] += 1 - pair.alpha
-        rows.append(row)
     mech = RandomizedMechanism(rows)
 
     if not is_truthful(mech, instance):
         raise SelfCheckError("randomized solution failed the truthfulness check")
     cost = cost_randomized(mech, instance)
-    if cost != det.cost:
+    optimum = Cost(sum(table[i].values[j].value for i, j in enumerate(assignment)))
+    if cost != optimum:
         raise SelfCheckError(
-            f"mixture cost {cost} disagrees with envelope optimum {det.cost}"
+            f"mixture cost {cost} disagrees with envelope optimum {optimum}"
         )
-    return RandomizedSolution(mech, cost, tuple(pairs), det)
+    return RandomizedSolution(mech, cost, pairs)
 
 
 def _exact_rows(mech: RandomizedMechanism) -> list[list[Fraction]]:

@@ -181,41 +181,20 @@ def clamp_capacities(network: FlowNetwork) -> ClampedNetwork:
     )
 
 
-def min_cut(clamped: ClampedNetwork) -> CutResult:
-    """Exact minimum cut: run Dinic on the integer capacities and take the
-    residual-reachable source side (the inclusion-minimal one).  The
-    feasible flow and the cut, summed in integers, certify each other."""
-    network, capacities = clamped.network, clamped.capacities
-    tails, heads = network.tails, network.heads
-    graph = FlowGraph(network.node_count)
+def certified_cut(
+    node_count: int, tails: list[int], heads: list[int], capacities: list[int]
+) -> tuple[list[bool], int]:
+    """Exact minimum ``SOURCE``-``SINK`` cut of integer arc arrays: run Dinic
+    and take the residual-reachable source side (the inclusion-minimal one),
+    returned as a node mask with the cut value.  The flow and the cut,
+    summed in integers, certify each other."""
+    graph = FlowGraph(node_count)
     graph.add_edges(tails, heads, capacities)
     flow = graph.max_flow(SOURCE, SINK)
-    _check_flow(graph, clamped, flow)
-    reachable = graph.residual_source_side(SOURCE)
-    if reachable[SINK]:
-        raise SelfCheckError("sink is reachable in the residual graph")
-
-    cut_total = sum(
-        cap
-        for tail, head, cap in zip(tails, heads, capacities)
-        if reachable[tail] and not reachable[head]
-    )
-    if cut_total != flow:
-        raise SelfCheckError(f"cut value {cut_total} disagrees with max flow {flow}")
-    source_side = frozenset(i for i, r in enumerate(reachable) if r)
-    return CutResult(source_side, Fraction(cut_total, clamped.scale), clamped.scale)
-
-
-def _check_flow(graph: FlowGraph, clamped: ClampedNetwork, flow: int) -> None:
-    """Check that the residual state holds a feasible flow of value ``flow``.
-
-    Arc ``k`` is edge ``2k``; its flow is the residual capacity of the
-    reverse edge.  The flow must respect ``0 <= flow <= capacity`` with the
-    forward residual holding the rest, be conserved at every node but the
-    source and sink, and leave the source at net rate ``flow``."""
-    network, cap = clamped.network, graph.cap
-    excess = [0] * graph.node_count
-    arcs = zip(network.tails, network.heads, clamped.capacities, cap[0::2], cap[1::2])
+    # Arc k is edge 2k and carries the reverse edge's residual capacity: it
+    # must fit its capacity and be conserved at every node but s and t.
+    cap, excess = graph.cap, [0] * node_count
+    arcs = zip(tails, heads, capacities, cap[0::2], cap[1::2])
     for k, (tail, head, capacity, residual, carried) in enumerate(arcs):
         if not 0 <= carried <= capacity or residual != capacity - carried:
             raise SelfCheckError(f"arc {k} carries infeasible flow {carried}")
@@ -223,12 +202,51 @@ def _check_flow(graph: FlowGraph, clamped: ClampedNetwork, flow: int) -> None:
             excess[tail] -= carried
             excess[head] += carried
     if -excess[SOURCE] != flow:
-        raise SelfCheckError(
-            f"source sends {-excess[SOURCE]} but max flow reported {flow}"
-        )
+        raise SelfCheckError(f"source sends {-excess[SOURCE]} but max flow reported {flow}")
     for node, surplus in enumerate(excess):
         if surplus and node not in (SOURCE, SINK):
             raise SelfCheckError(f"flow is not conserved at node {node}")
+    reachable = graph.residual_source_side(SOURCE)
+    if reachable[SINK]:
+        raise SelfCheckError("sink is reachable in the residual graph")
+    cut_total = sum(
+        cap
+        for tail, head, cap in zip(tails, heads, capacities)
+        if reachable[tail] and not reachable[head]
+    )
+    if cut_total != flow:
+        raise SelfCheckError(f"cut value {cut_total} disagrees with max flow {flow}")
+    return reachable, flow
+
+
+def min_cut(clamped: ClampedNetwork) -> CutResult:
+    """The certified minimum cut of the clamped network."""
+    network = clamped.network
+    reachable, value = certified_cut(
+        network.node_count, network.tails, network.heads, clamped.capacities
+    )
+    source_side = frozenset(i for i, r in enumerate(reachable) if r)
+    return CutResult(source_side, Fraction(value, clamped.scale), clamped.scale)
+
+
+def minimal_closure(weights: list[Fraction], pairs: list[tuple[int, int]]) -> list[bool]:
+    """The inclusion-minimal least-weight set ``S`` in which every ``(a, b)``
+    of ``pairs`` with ``b`` in ``S`` has ``a`` in ``S`` (Picard's closure
+    cut): ``s -> i`` carries ``-w_i`` and ``i -> t`` carries ``w_i``, scaled
+    to integers, and each pair is an arc ``b -> a`` above the empty set's
+    cut ``sum(-w_i for w_i < 0)``, which no minimum cut can cross."""
+    scaled, _ = scale_to_integers(weights)
+    tails = [SOURCE if w < 0 else node for node, w in enumerate(scaled, 2)]
+    heads = [node if w < 0 else SINK for node, w in enumerate(scaled, 2)]
+    capacities = [abs(w) for w in scaled]
+    tails += [b + 2 for _, b in pairs]
+    heads += [a + 2 for a, _ in pairs]
+    capacities += [1 - sum(w for w in scaled if w < 0)] * len(pairs)
+    reachable, _ = certified_cut(len(scaled) + 2, tails, heads, capacities)
+    inside = reachable[2:]
+    if any(inside[b] and not inside[a] for a, b in pairs):
+        raise SelfCheckError("a relation arc leaves the minimal closure")
+    return inside
 
 
 def extract_mechanism(cut: CutResult, clamped: ClampedNetwork) -> DeterministicMechanism:

@@ -607,6 +607,12 @@ class SubmodularDeterministicSolution:
     gap: float = 0.0  # cost minus a lower bound on the optimum
 
 
+def default_stop(bound) -> float:
+    """The gap at which ``solve_deterministic_submodular`` stops when no
+    value granularity is given."""
+    return max(1e-6, 1e-3 * max(1.0, float(bound)))
+
+
 def solve_deterministic_submodular(
     oracle: CostOracle,
     relation: ReportingRelation,
@@ -674,7 +680,7 @@ def solve_deterministic_submodular(
     if value_granularity is not None:
         tol = math.nextafter(float(value_granularity), 0.0)
     else:
-        tol = max(1e-6, 1e-3 * max(1.0, float(oracle.bound)))
+        tol = default_stop(oracle.bound)
     steps = [[1 if j > k else 0 for j in range(m)] for k in range(m - 1)]
     _, gap, iterations = _ellipsoid_minimize(
         oracle, steps, relation, tol=tol, max_iters=max_iters, upper=upper

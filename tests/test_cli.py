@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import mechdesign.cli as cli_module
 from mechdesign import (
     Cost,
     RandomizedMechanism,
@@ -218,6 +219,36 @@ class TestSolve:
         cost = float(reports["lovasz"]["cost"])
         assert gap >= 0
         assert cost - gap - 1e-9 <= float(reports["brute"]["cost"]) <= cost
+
+    def test_integer_overhead_sub_det_is_certified_exact(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Integer costs and c0: distinct oracle values lie 1 apart, so a gap
+        # below 1 proves the returned vector optimal.
+        granularities = []
+        solve = cli_module.solve_deterministic_submodular
+
+        def spy(*args, **kwargs):
+            granularities.append(kwargs.get("value_granularity"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "solve_deterministic_submodular", spy)
+        path = tmp_path / "over.json"
+        code, _, _ = run(
+            capsys, "generate", "overhead", "--out", str(path), "--overhead", "3",
+            "--types", "4", "--outcomes", "3", "--seed", "2",
+        )
+        assert code == EXIT_OK
+        reports = {}
+        for backend in ("lovasz", "brute"):
+            code, out, _ = run(
+                capsys, "solve", str(path), "--algo", "sub-det", "--backend", backend
+            )
+            assert code == EXIT_OK
+            reports[backend] = last_json(out)
+        assert granularities == [1, 1]
+        assert reports["lovasz"]["cost"] == reports["brute"]["cost"]
+        assert 0 <= reports["lovasz"]["checks"]["gap"] < 1
 
     def test_sub_rand_chain_output(self, tmp_path, capsys, instance_file):
         chain_path = tmp_path / "chain.json"

@@ -1,6 +1,7 @@
 """Randomized solver: envelopes, mixtures, and the rounding pipeline."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,8 @@ from mechdesign import (
     solve_randomized,
     threshold_round,
 )
+from mechdesign import mincut
+from mechdesign.envelope import envelope_table, threshold_assignment
 
 OUTCOMES = OutcomeSpace([1, 2, 3])
 UNEVEN = OutcomeSpace([0, Fraction(1, 3), Fraction(1, 2), 2, Fraction(7, 2)])
@@ -245,6 +248,118 @@ class TestSolveRandomized:
         for row in sol.mechanism.rows:
             support = [j for j, p in enumerate(row) if p]
             assert 1 <= len(support) <= 2
+
+
+def hostile_instance(rng: random.Random) -> Instance:
+    """A small instance mixing infinite prefixes and suffixes,
+    finite-infinite-finite rows, cyclic or dense relations and uneven
+    utilities; ``n = 1`` and ``m`` of 1 or 2 come up often."""
+    n = rng.choice([1, 2, 3, 4, 5, 6])
+    m = rng.choice([1, 2, 2, 3, 4, 5])
+    utilities = sorted(rng.sample(range(60), m))
+    if rng.random() < 0.5:
+        utilities = [Fraction(u, 7) + j for j, u in enumerate(utilities)]
+    rows = []
+    for _ in range(n):
+        row = [Fraction(rng.randint(0, 30), rng.choice([1, 2, 3, 7])) for _ in range(m)]
+        shape = rng.randrange(5)
+        cut = rng.randrange(m)
+        if shape == 0:
+            row[:cut] = [INF] * cut  # infinite prefix
+        elif shape == 1:
+            row[cut + 1 :] = [INF] * (m - cut - 1)  # infinite suffix
+        elif shape == 2 and 0 < cut < m - 1:
+            row[cut] = INF  # finite, infinite, finite
+        rows.append(row)
+    pairs = [(i, i) for i in range(n)]
+    style = rng.randrange(3)
+    if style == 0:  # sparse random claims
+        pairs += [(a, b) for a in range(n) for b in range(n) if rng.random() < 0.3]
+    elif style == 1:  # one cycle through every type
+        pairs += [(i, (i + 1) % n) for i in range(n)]
+    else:  # dense
+        pairs += [(a, b) for a in range(n) for b in range(n) if rng.random() < 0.8]
+    return Instance(OutcomeSpace(utilities), ReportingRelation(n, pairs), CostMatrix(rows))
+
+
+def envelope_relaxed(inst: Instance) -> Instance:
+    """The instance with every cost row replaced by its envelope."""
+    rows = [row.values for row in envelope_table(inst)]
+    return Instance(inst.outcomes, inst.relation, CostMatrix(rows))
+
+
+class TestThresholdDecomposition:
+    """The threshold cuts against the cut on the envelope-relaxed instance,
+    whose inclusion-minimal cut is the pointwise-lowest optimum too, and
+    against brute force over truthful assignments."""
+
+    def test_matches_relaxed_cut_and_brute_force(self):
+        rng = random.Random(8)
+        verdicts = set()
+        for trial in range(400):
+            inst = hostile_instance(rng)
+            sol = solve_randomized(inst)
+            expect_cost, _ = brute_force_envelope_opt(inst)
+            assert sol.cost == expect_cost, f"trial {trial}"
+            verdicts.add(expect_cost.is_finite)
+            if inst.outcome_count == 1 or not expect_cost.is_finite:
+                assert (sol.mechanism is None) == (not expect_cost.is_finite)
+                continue
+            relaxed = mincut.solve_deterministic(envelope_relaxed(inst))
+            assignment = threshold_assignment(envelope_table(inst), inst.relation)
+            assert assignment == list(relaxed.mechanism.assignment), f"trial {trial}"
+            assert relaxed.cost == sol.cost
+        assert verdicts == {True, False}
+
+    def test_bounds_prove_an_infinite_optimum(self):
+        # 0 claims 1, so x_0 >= x_1; row 0 is finite only at outcome 0 and
+        # row 1 only from outcome 1 up.
+        inst = Instance(
+            outcomes=OutcomeSpace([0, Fraction(1, 2), 3]),
+            relation=ReportingRelation(2, [(0, 0), (1, 1), (0, 1)]),
+            costs=CostMatrix([[1, INF, INF], [INF, 2, 0]]),
+        )
+        assert threshold_assignment(envelope_table(inst), inst.relation) is None
+        sol = solve_randomized(inst)
+        assert sol.mechanism is None and not sol.cost.is_finite
+        assert not mincut.solve_deterministic(envelope_relaxed(inst)).cost.is_finite
+
+    def test_large_sparse_instance(self):
+        # Sparse claims at n = 20000 (``random_instance`` would draw n**2
+        # relation coins); 2% infinite entries.
+        rng = random.Random(20000)
+        n, m = 20000, 5
+        rows = [
+            [INF if rng.random() < 0.02 else rng.randint(0, 20) for _ in range(m)]
+            for _ in range(n)
+        ]
+        claims = [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 2)]
+        relation = ReportingRelation(n, [(i, i) for i in range(n)] + claims)
+        inst = Instance(OutcomeSpace(range(m)), relation, CostMatrix(rows))
+        started = time.perf_counter()
+        assignment = threshold_assignment(envelope_table(inst), inst.relation)
+        relaxed = mincut.solve_deterministic(envelope_relaxed(inst))
+        assert assignment == list(relaxed.mechanism.assignment)
+        assert time.perf_counter() - started < 10.0
+
+    def test_never_builds_the_ishikawa_network(self, monkeypatch):
+        def refuse(instance):
+            raise AssertionError("rand built the n*m cut network")
+
+        monkeypatch.setattr(mincut, "build_network", refuse)
+        with pytest.raises(AssertionError):
+            mincut.solve_deterministic(gap_instance())
+        assert solve_randomized(gap_instance()).cost == Cost(0)
+        for k in range(0, 500, 7):  # the acceptance tests' random family
+            inst = random_instance(
+                seed=10_000 + k,
+                type_count=2 + k % 5,
+                outcome_count=2 + k % 3,
+                edge_density=0.15 * (k % 7),
+                infinity_rate=0.1 if k % 2 else 0.0,
+                close_relation=k % 4 < 2,
+            )
+            assert solve_randomized(inst).cost == brute_force_envelope_opt(inst)[0]
 
 
 class TestConsolidate:
