@@ -110,8 +110,8 @@ def _load_valid_instance(path):
 
 def _oracle_for(instance, meta):
     payload = meta.get("oracle", {"kind": "additive"})
-    if payload.get("kind", "additive") != "table" and not all(
-        c.is_finite for row in instance.costs.rows for c in row
+    if payload.get("kind", "additive") != "table" and any(
+        None in row for row in instance.costs.scaled
     ):
         raise CliError("combinatorial backends need finite cost entries")
     try:
@@ -133,11 +133,12 @@ def _value_granularity(instance, meta, oracle):
     payload = meta.get("oracle", {"kind": "additive"})
     if payload.get("kind") == "table":
         values = [cost_from_json(v).value for v in payload["values"]]
+        scale = math.lcm(*(v.denominator for v in values if v is not None))
     else:
-        values = [c.value for row in instance.costs.rows for c in row]
+        scale = instance.costs.scale
         if payload.get("kind") == "additive_plus_overhead":
-            values.append(rational_from_json(payload["c0"]))
-    grain = Fraction(1, math.lcm(*(v.denominator for v in values if v is not None)))
+            scale = math.lcm(scale, rational_from_json(payload["c0"]).denominator)
+    grain = Fraction(1, scale)
     return grain if grain >= default_stop(oracle.bound) else None
 
 

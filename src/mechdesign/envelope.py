@@ -24,9 +24,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .instances import (
     Cost,
+    CostMatrix,
     DeterministicMechanism,
     Instance,
     OutcomeSpace,
@@ -38,6 +40,7 @@ from .instances import (
     expected_utility,
     hard_violations,
     is_truthful,
+    ratio_sum,
 )
 from .mincut import minimal_closure, scale_to_integers
 # Unused here; the benchmark tracer (mdbench/spans.py) rebinds this name.
@@ -46,15 +49,50 @@ from .mincut import solve_deterministic  # noqa: F401
 
 @dataclass(frozen=True)
 class EnvelopeRow:
-    """Lower convex envelope of one cost row, sampled at every outcome.
+    """Lower convex envelope of one cost row, kept in integers.
 
     ``vertices`` lists outcome indices where the envelope bends strictly or
-    ends; collinear interior points are deliberately not vertices.  Outcomes
-    outside the finite range keep infinite envelope values.
+    ends; collinear interior points are deliberately not vertices.  ``xs``
+    holds every outcome's utility over the utilities' common denominator and
+    ``ys`` the cost at each vertex over ``scale``, the cost matrix's common
+    scale.  Outcomes outside the finite range have infinite envelope values.
     """
 
     vertices: tuple[int, ...]
-    values: tuple
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
+    scale: int
+
+    def scaled_value(self, k: int) -> tuple[int, int] | None:
+        """The envelope at outcome ``k`` times ``scale``, as a
+        ``(numerator, denominator)`` pair; ``None`` outside the finite range."""
+        v, xs = self.vertices, self.xs
+        if not v[0] <= k <= v[-1]:
+            return None
+        s = bisect_right(v, k) - 1
+        x1, y1 = xs[v[s]], self.ys[s]
+        if v[s] == k:
+            return y1, 1
+        dx = xs[v[s + 1]] - x1
+        return y1 * dx + (self.ys[s + 1] - y1) * (xs[k] - x1), dx
+
+    def slope(self, k: int) -> Fraction:
+        """The hull slope between outcomes ``k`` and ``k + 1``, both in the
+        finite range: ``env(k+1) - env(k)`` is this slope times
+        ``(xs[k+1] - xs[k]) / scale``."""
+        v = self.vertices
+        s = bisect_right(v, k) - 1
+        return Fraction(self.ys[s + 1] - self.ys[s], self.xs[v[s + 1]] - self.xs[v[s]])
+
+    @cached_property
+    def values(self) -> tuple:
+        """The envelope at every outcome as a ``Cost``, built on first use;
+        the solver reads the integer fields."""
+        values = map(self.scaled_value, range(len(self.xs)))
+        return tuple(
+            Cost.infinite() if v is None else Cost(Fraction(v[0], v[1] * self.scale))
+            for v in values
+        )
 
 
 @dataclass(frozen=True)
@@ -117,24 +155,13 @@ def is_convex_cost(instance: Instance) -> tuple[bool, list[bool]]:
     return all(per_type), per_type
 
 
-def convex_envelope(cost_row, outcomes: OutcomeSpace) -> EnvelopeRow:
-    """Lower convex envelope of the finite points of one cost row.
-
-    Hull vertices keep only strict slope increases, so collinear interior
-    points are excluded.  All arithmetic is exact: the hull runs on the
-    utilities and the finite costs each over their common denominator,
-    vertices keep the row's own entries, and every interpolated value is
-    built as one ``Fraction``.
-    """
-    row = [c if isinstance(c, Cost) else Cost(c) for c in cost_row]
-    finite = [j for j, c in enumerate(row) if c.is_finite]
-    if not finite:
-        raise ValueError("cost row has no finite entries")
-    xs, _ = scale_to_integers(outcomes.utilities)
-    ys, cost_scale = scale_to_integers([row[j].value for j in finite])
-
+def _lower_hull(xs: tuple[int, ...], ys, scale: int) -> EnvelopeRow:
+    """The envelope of the finite points ``(xs[j], ys[j])``, ``ys[j]`` being
+    ``None`` where the cost is infinite."""
     hull: list[tuple[int, int, int]] = []
-    for j, y in zip(finite, ys):
+    for j, y in enumerate(ys):
+        if y is None:
+            continue
         x = xs[j]
         while len(hull) >= 2:
             x1, y1, _ = hull[-2]
@@ -145,23 +172,22 @@ def convex_envelope(cost_row, outcomes: OutcomeSpace) -> EnvelopeRow:
             else:
                 break
         hull.append((x, y, j))
+    if not hull:
+        raise ValueError("cost row has no finite entries")
+    return EnvelopeRow(tuple(j for _, _, j in hull), xs, tuple(y for _, y, _ in hull), scale)
 
-    values = []
-    seg = 0
-    for u in xs:
-        if u < hull[0][0] or u > hull[-1][0]:
-            values.append(Cost.infinite())
-            continue
-        while seg + 1 < len(hull) and hull[seg + 1][0] <= u:
-            seg += 1
-        x1, y1, j1 = hull[seg]
-        if u == x1:
-            values.append(row[j1])
-            continue
-        x2, y2, _ = hull[seg + 1]
-        dx = x2 - x1
-        values.append(Cost(Fraction(y1 * dx + (y2 - y1) * (u - x1), cost_scale * dx)))
-    return EnvelopeRow(tuple(j for _, _, j in hull), tuple(values))
+
+def convex_envelope(cost_row, outcomes: OutcomeSpace) -> EnvelopeRow:
+    """Lower convex envelope of the finite points of one cost row.
+
+    Hull vertices keep only strict slope increases, so collinear interior
+    points are excluded.  All arithmetic is exact and in integers: the hull
+    runs on the utilities over their common denominator and on the row's
+    finite costs over theirs (``CostMatrix``'s layout).
+    """
+    costs = CostMatrix([cost_row])
+    xs, _ = scale_to_integers(outcomes.utilities)
+    return _lower_hull(tuple(xs), costs.scaled[0], costs.scale)
 
 
 def recover_mixture(
@@ -191,9 +217,11 @@ def recover_mixture(
 
 
 def envelope_table(instance: Instance) -> list[EnvelopeRow]:
-    return [
-        convex_envelope(row, instance.outcomes) for row in instance.costs.rows
-    ]
+    """Every row's envelope, read off the cost matrix's integer rows: all
+    rows share the matrix's scale and one tuple of scaled utilities."""
+    xs, _ = scale_to_integers(instance.outcomes.utilities)
+    xs, costs = tuple(xs), instance.costs
+    return [_lower_hull(xs, row, costs.scale) for row in costs.scaled]
 
 
 def _spread(bounds: list[int], neighbours: list[list[int]], reverse: bool) -> list[int]:
@@ -219,7 +247,10 @@ def threshold_assignment(table: list[EnvelopeRow], relation) -> list[int] | None
     Hochbaum's threshold theorem for convex rows, ``{i : x_i > k}`` is the
     minimal closed set of least weight ``env_i(k+1) - env_i(k)``, so one
     ``minimal_closure`` over the types the bounds leave free splits a group
-    at the middle threshold of its outcome range.
+    at the middle threshold of its outcome range.  The weights passed are
+    the hull slopes at ``k``: the factor ``(xs[k+1] - xs[k]) / scale`` that
+    turns them into envelope differences is positive and the same for every
+    type, so it changes no closure's rank.
     """
     n = len(table)
     claims: list[list[int]] = [[] for _ in range(n)]
@@ -234,7 +265,7 @@ def threshold_assignment(table: list[EnvelopeRow], relation) -> list[int] | None
         return None
 
     assignment = [0] * n
-    groups = [(range(n), 0, len(table[0].values) - 1)]
+    groups = [(range(n), 0, len(table[0].xs) - 1)]
     while groups:
         types, klo, khi = groups.pop()
         if not types:
@@ -246,7 +277,7 @@ def threshold_assignment(table: list[EnvelopeRow], relation) -> list[int] | None
         k = (klo + khi) // 2
         free = [i for i in types if lower[i] <= k < upper[i]]
         local = {i: p for p, i in enumerate(free)}
-        weights = [table[i].values[k + 1].value - table[i].values[k].value for i in free]
+        weights = [table[i].slope(k) for i in free]
         pairs = [(local[a], p) for p, b in enumerate(free) for a in claimed_by[b] if a in local]
         above = {i for i, inside in zip(free, minimal_closure(weights, pairs)) if inside}
         high = [lower[i] > k or i in above for i in types]
@@ -264,7 +295,7 @@ def solve_randomized(instance: Instance) -> RandomizedSolution:
     problems = hard_violations(instance)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
-    if any(not any(c.is_finite for c in row) for row in instance.costs.rows):
+    if any(row.count(None) == len(row) for row in instance.costs.scaled):
         return RandomizedSolution(None, Cost.infinite())
 
     table = envelope_table(instance)
@@ -277,7 +308,7 @@ def solve_randomized(instance: Instance) -> RandomizedSolution:
         recover_mixture(table[i], outcomes, outcomes.utilities[j], i)
         for i, j in enumerate(assignment)
     )
-    rows = [[Fraction(0)] * instance.outcome_count for _ in pairs]
+    rows = [[0] * instance.outcome_count for _ in pairs]
     for row, pair in zip(rows, pairs):
         row[pair.lower] += pair.alpha
         row[pair.upper] += 1 - pair.alpha
@@ -286,7 +317,10 @@ def solve_randomized(instance: Instance) -> RandomizedSolution:
     if not is_truthful(mech, instance):
         raise SelfCheckError("randomized solution failed the truthfulness check")
     cost = cost_randomized(mech, instance)
-    optimum = Cost(sum(table[i].values[j].value for i, j in enumerate(assignment)))
+    optimum = Cost(
+        ratio_sum(table[i].scaled_value(j) for i, j in enumerate(assignment))
+        / instance.costs.scale
+    )
     if cost != optimum:
         raise SelfCheckError(
             f"mixture cost {cost} disagrees with envelope optimum {optimum}"

@@ -6,9 +6,12 @@ relation listing which types can pass themselves off as which others, and the
 principal's cost for granting each type each outcome.  Mechanisms map types to
 outcomes, either deterministically or through per-type lotteries.
 
-All quantities are exact ``Fraction``s.  Infinite cost entries are
-first-class: ``Cost`` saturates under addition, so an expected cost is
-infinite exactly when positive probability lands on an infinite entry.
+All quantities are exact.  A ``CostMatrix`` holds its entries as integer
+rows over one common ``scale`` (the lcm of the finite entries'
+denominators), with ``None`` for an infinite entry, so the solvers and the
+cost checks work in ints; ``Cost`` and ``Fraction`` appear at the public API
+and in JSON.  An expected cost is infinite exactly when positive
+probability lands on an infinite entry.
 Values are exact when ``is_exact`` says so; ``differs`` and ``exceeds``
 compare exact values exactly and floats (produced by the numeric solvers)
 within a tolerance the caller passes, such as ``FLOAT_UTILITY_TOL`` for
@@ -244,16 +247,50 @@ class ReportingRelation:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Per-type, per-outcome principal costs (rows indexed by type)."""
+    """Per-type, per-outcome principal costs (rows indexed by type).
 
-    rows: tuple
+    Entry ``(i, j)`` is ``scaled[i][j] / scale``, or infinite when
+    ``scaled[i][j]`` is ``None``; ``scale`` is the lcm of the finite
+    entries' denominators.  Entries may be given as anything ``Cost``
+    accepts.
+    """
+
+    scaled: tuple
+    scale: int
 
     def __init__(self, rows: Iterable[Iterable]):
-        frozen = tuple(
-            tuple(entry if isinstance(entry, Cost) else Cost(entry) for entry in row)
+        values = [[Cost(entry).value for entry in row] for row in rows]
+        self._set_ratios(
+            [[None if v is None else v.as_integer_ratio() for v in row] for row in values]
+        )
+
+    def _set_ratios(self, rows) -> None:
+        """Fill the fields from a list of rows of ``(numerator, denominator)``
+        pairs in lowest terms, ``None`` for infinity."""
+        scale = math.lcm(*{r[1] for row in rows for r in row if r is not None})
+        scaled = tuple(
+            tuple(None if r is None else r[0] * (scale // r[1]) for r in row)
             for row in rows
         )
-        object.__setattr__(self, "rows", frozen)
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "scale", scale)
+
+    @classmethod
+    def from_ratios(cls, rows) -> "CostMatrix":
+        """A matrix read straight from ``(numerator, denominator)`` pairs in
+        lowest terms (``None`` for infinity), building no ``Cost``."""
+        matrix = object.__new__(cls)
+        matrix._set_ratios(rows)
+        return matrix
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The entries as ``Cost``s, built on first use; the solvers read
+        ``scaled``."""
+        return tuple(
+            tuple(Cost.infinite() if s is None else Cost(Fraction(s, self.scale)) for s in row)
+            for row in self.scaled
+        )
 
     def entry(self, type_index: int, outcome_index: int) -> Cost:
         return self.rows[type_index][outcome_index]
@@ -269,7 +306,7 @@ class Instance:
 
     @property
     def type_count(self) -> int:
-        return len(self.costs.rows)
+        return len(self.costs.scaled)
 
     @property
     def outcome_count(self) -> int:
@@ -299,8 +336,8 @@ class RandomizedMechanism:
     def point_mass(cls, assignment: Sequence[int], outcome_count: int) -> "RandomizedMechanism":
         rows = []
         for j in assignment:
-            row = [Fraction(0)] * outcome_count
-            row[j] = Fraction(1)
+            row = [0] * outcome_count
+            row[j] = 1
             rows.append(row)
         return cls(rows)
 
@@ -349,12 +386,12 @@ def validate(instance: Instance, include_degenerate: bool = True) -> list[str]:
         if (i, i) not in instance.relation.pairs:
             problems.append(f"relation is not reflexive: missing ({i}, {i})")
 
-    for i, row in enumerate(instance.costs.rows):
+    for i, row in enumerate(instance.costs.scaled):
         if len(row) != m:
             problems.append(
                 f"cost row {i} has {len(row)} entries, expected {m}"
             )
-        elif include_degenerate and m >= 1 and not any(c.is_finite for c in row):
+        elif include_degenerate and m >= 1 and row.count(None) == m:
             problems.append(f"degenerate: cost row {i} is entirely infinite")
     return problems
 
@@ -509,23 +546,41 @@ def best_response(mech: Mechanism, instance: Instance, type_index: int) -> int:
     return _best_report(type_index, reports, utilities)
 
 
+def ratio_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of ``(numerator, denominator)`` terms: numerators that share
+    a denominator are added as ints, then one ``Fraction`` per distinct
+    denominator."""
+    by_denominator: dict[int, int] = {}
+    for num, den in terms:
+        by_denominator[den] = by_denominator.get(den, 0) + num
+    return sum(
+        (Fraction(num, den) for den, num in by_denominator.items()), Fraction(0)
+    )
+
+
 def cost_deterministic(mech: DeterministicMechanism, instance: Instance) -> Cost:
     """Total principal cost under honest reports."""
-    total: Cost = ZERO_COST
-    for i in range(instance.type_count):
-        total = total + instance.costs.entry(i, mech.assignment[i])
-    return total
+    costs = instance.costs
+    entries = [row[mech.assignment[i]] for i, row in enumerate(costs.scaled)]
+    if None in entries:
+        return Cost.infinite()
+    return Cost(Fraction(sum(entries), costs.scale))
 
 
 def cost_randomized(mech: RandomizedMechanism, instance: Instance) -> Cost:
     """Expected total cost under honesty; infinite iff positive mass hits an
-    infinite entry."""
-    total: Cost = ZERO_COST
-    for i, row in enumerate(mech.rows):
-        for j, p in enumerate(row):
+    infinite entry.  Float probabilities count at their exact binary value."""
+    terms = []
+    for row, entries in zip(mech.rows, instance.costs.scaled):
+        for p, entry in zip(row, entries):
             if p:
-                total = total + instance.costs.entry(i, j).scaled(p)
-    return total
+                num, den = p.as_integer_ratio()
+                if num < 0:
+                    raise ValueError(f"negative probability {p}")
+                if entry is None:
+                    return Cost.infinite()
+                terms.append((num * entry, den))
+    return Cost(ratio_sum(terms) / instance.costs.scale)
 
 
 def cost_best_response(
@@ -552,7 +607,6 @@ def cost_best_response(
 # ---------------------------------------------------------------------------
 
 def rational_to_json(x: Fraction):
-    x = Fraction(x)
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -602,13 +656,32 @@ def instance_to_json(instance: Instance, meta: dict | None = None) -> dict:
     return data
 
 
+def cost_ratio_from_json(value) -> tuple[int, int] | None:
+    """``cost_from_json(value)`` as a ``(numerator, denominator)`` pair in
+    lowest terms, ``None`` for infinity.  Nonnegative ints and ``"a/b"``
+    strings of decimal digits are read without building a ``Fraction``; any
+    other value goes through ``cost_from_json``, with its errors."""
+    if type(value) is int and value >= 0:
+        return value, 1
+    if type(value) is str:
+        num, slash, den = value.partition("/")
+        den = den if slash else "1"
+        if num.isdecimal() and den.isdecimal():
+            a, b = int(num), int(den)
+            if b:
+                g = math.gcd(a, b)
+                return a // g, b // g
+    cost = cost_from_json(value)
+    return None if cost.value is None else cost.value.as_integer_ratio()
+
+
 def instance_from_json(data: dict) -> tuple[Instance, dict]:
     outcomes = OutcomeSpace(rational_from_json(u) for u in data["outcomes"])
-    costs = CostMatrix(
-        [cost_from_json(v) for v in row] for row in data["costs"]
+    costs = CostMatrix.from_ratios(
+        [[cost_ratio_from_json(v) for v in row] for row in data["costs"]]
     )
     _check_indices(index for pair in data["relation"] for index in pair)
-    relation = ReportingRelation(len(costs.rows), data["relation"])
+    relation = ReportingRelation(len(costs.scaled), data["relation"])
     meta = data.get("meta", {})
     if not isinstance(meta, dict) or not isinstance(meta.get("oracle", {}), dict):
         raise ValueError("meta and its oracle must be JSON objects")
@@ -616,13 +689,15 @@ def instance_from_json(data: dict) -> tuple[Instance, dict]:
 
 
 def _probability_to_json(p):
+    if type(p) is int:
+        return p
     return rational_to_json(p) if is_exact((p,)) else float(p)
 
 
 def probability_from_json(value):
-    """A probability read from JSON: floats stay floats, integers and
+    """A probability read from JSON: floats and ints stay as they are, and
     ``"a/b"`` strings are exact."""
-    return value if isinstance(value, float) else rational_from_json(value)
+    return value if type(value) in (float, int) else rational_from_json(value)
 
 
 def mechanism_to_json(mech: Mechanism) -> dict:

@@ -43,6 +43,7 @@ from typing import NamedTuple
 
 from .instances import (
     Cost,
+    CostMatrix,
     DeterministicMechanism,
     Instance,
     SelfCheckError,
@@ -74,14 +75,14 @@ class Arc(NamedTuple):
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """The cut network as arrays over the instance's cost rows (layout in
+    """The cut network as arrays over the instance's cost matrix (layout in
     the module docstring)."""
 
     type_count: int
     outcome_count: int
     tails: list[int]
     heads: list[int]
-    costs: tuple[tuple[Cost, ...], ...]
+    costs: CostMatrix
 
     @property
     def node_count(self) -> int:
@@ -147,7 +148,7 @@ def build_network(instance: Instance) -> FlowNetwork:
             # enforced by unbounded arcs from b's chain into a's at each level.
             tails.extend(range(grid_node(b, 0, m), grid_node(b, m, m)))
             heads.extend(range(grid_node(a, 0, m), grid_node(a, m, m)))
-    return FlowNetwork(n, m, tails, heads, instance.costs.rows)
+    return FlowNetwork(n, m, tails, heads, instance.costs)
 
 
 def scale_to_integers(values) -> tuple[list[int], int]:
@@ -158,23 +159,22 @@ def scale_to_integers(values) -> tuple[list[int], int]:
 
 
 def clamp_capacities(network: FlowNetwork) -> ClampedNetwork:
-    """Scale the finite cost entries to integers and replace infinite
-    capacities by ``B + 1``.
+    """Take the capacities from the cost matrix's integer rows, over its
+    ``scale``, and replace infinite capacities by ``B + 1``.
 
     ``B`` is the sum of every finite cost entry plus ``n`` times the largest
     finite entry, which dominates the cost of any finite-cost truthful
     mechanism; so a minimum cut exceeding ``B`` certifies an infinite
     optimum, and a cut within ``B`` can never contain a clamped arc.
     """
-    finite = [c.value for row in network.costs for c in row if c.value is not None]
-    scaled, scale = scale_to_integers(finite)
-    budget = sum(scaled) + network.type_count * max(scaled, default=0)
+    rows, scale = network.costs.scaled, network.costs.scale
+    finite = [c for row in rows for c in row if c is not None]
+    budget = sum(finite) + network.type_count * max(finite, default=0)
     clamp = budget + scale
-    entries = iter(scaled)
     capacities = []
-    for row in network.costs:
+    for row in rows:
         capacities.append(clamp)  # the entry arc
-        capacities += [clamp if c.value is None else next(entries) for c in row]
+        capacities += [clamp if c is None else c for c in row]
     capacities += [clamp] * (len(network.tails) - len(capacities))
     return ClampedNetwork(
         network, Fraction(budget, scale), Fraction(clamp, scale), capacities, scale

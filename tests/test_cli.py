@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,11 +13,18 @@ import pytest
 import mechdesign.cli as cli_module
 from mechdesign import (
     Cost,
+    CostMatrix,
+    Instance,
     RandomizedMechanism,
+    brute_force_deterministic_opt,
+    brute_force_envelope_opt,
     cost_best_response,
+    dump_instance,
     expected_utility,
     instance_from_json,
     random_instance,
+    solve_deterministic,
+    solve_randomized,
 )
 
 from mechdesign.cli import (
@@ -491,6 +499,101 @@ class TestHostileJson:
         code, out, _ = run(capsys, "verify", inst, mech)
         assert code == EXIT_OK
         assert last_json(out)["cost_truthful"] == "inf"
+
+
+class TestIntegerCostRows:
+    """``solve`` and ``verify`` read the cost matrix's integer rows."""
+
+    @pytest.mark.parametrize("algo", ["det", "rand"])
+    def test_hot_path_builds_no_cost_per_entry(self, tmp_path, capsys, monkeypatch, algo):
+        inst = random_instance(
+            seed=7, type_count=200, outcome_count=5, edge_density=0.005, infinity_rate=0.02
+        )
+        path, mech = tmp_path / "inst.json", tmp_path / "mech.json"
+        dump_instance(inst, path)
+        built = []
+        original = Cost.__init__
+
+        def counted(self, value=0):
+            built.append(value)
+            original(self, value)
+
+        def no_rows(self):
+            raise AssertionError("CostMatrix.rows built")
+
+        monkeypatch.setattr(Cost, "__init__", counted)
+        monkeypatch.setattr(CostMatrix, "rows", property(no_rows))
+        code, out, _ = run(capsys, "solve", str(path), "--algo", algo, "--out", str(mech))
+        assert code == EXIT_OK, out
+        assert run(capsys, "verify", str(path), str(mech))[0] == EXIT_OK
+        assert len(built) <= 10
+
+    @staticmethod
+    def _hostile(seed, n, m, density, infinity_rate):
+        """Each row's finite entries over its own prime denominator above
+        2**61, so the matrix's common scale is their product."""
+        base = random_instance(
+            seed=seed, type_count=n, outcome_count=m, edge_density=density,
+            infinity_rate=infinity_rate,
+        )
+        rng = random.Random(seed)
+        rows = [
+            [c if not c.is_finite else Fraction(int(c.value) * p + rng.randint(1, p - 1), p)
+             for c in row]
+            for row, p in zip(base.costs.rows, _primes_above(2**61, n))
+        ]
+        return Instance(base.outcomes, base.relation, CostMatrix(rows))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_hostile_scale_matches_brute_force(self, seed):
+        inst = self._hostile(seed, 4, 3, 0.4, 0.1)
+        assert solve_deterministic(inst).cost == brute_force_deterministic_opt(inst)[0]
+        assert solve_randomized(inst).cost == brute_force_envelope_opt(inst)[0]
+
+    def test_hostile_scale_at_n200_within_bound(self, tmp_path, capsys):
+        inst = self._hostile(0, 200, 5, 0.01, 0.02)
+        assert inst.costs.scale.bit_length() > 200 * 61
+        path = tmp_path / "inst.json"
+        dump_instance(inst, path)
+        started = time.perf_counter()
+        for algo in ("det", "rand"):
+            mech = tmp_path / f"{algo}.json"
+            code, out, _ = run(capsys, "solve", str(path), "--algo", algo, "--out", str(mech))
+            assert code == EXIT_OK, out
+            assert run(capsys, "verify", str(path), str(mech))[0] == EXIT_OK
+        # About 0.5 s on a 2-CPU host; the bound leaves room for slow runners.
+        assert time.perf_counter() - started < 20
+
+
+def _primes_above(low, count):
+    """The ``count`` smallest primes above ``low`` (< 3.3e24), by a
+    Miller-Rabin test whose fixed bases make it exact in that range."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+    def is_prime(n):
+        if any(n % p == 0 for p in bases):
+            return n in bases
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in bases:
+            x = pow(a, d, n)
+            if x in (1, n - 1):
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        return True
+
+    primes, n = [], low + 1
+    while len(primes) < count:
+        if is_prime(n):
+            primes.append(n)
+        n += 1
+    return primes
 
 
 def _naive_best_response_cost(mech, instance):

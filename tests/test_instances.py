@@ -34,7 +34,13 @@ from mechdesign import (
     truthfulness_violations,
     validate,
 )
-from mechdesign.instances import differs, exceeds, is_exact
+from mechdesign.instances import (
+    cost_from_json,
+    cost_ratio_from_json,
+    differs,
+    exceeds,
+    is_exact,
+)
 from mechdesign.oracle import _best_response_outcome
 
 
@@ -328,3 +334,71 @@ class TestSerialization:
                 assert back.assignment == mech.assignment
             else:
                 assert back.rows == mech.rows
+
+
+def _outcome(parse, value):
+    """What ``parse(value)`` gives: its value, or the type of its exception."""
+    try:
+        return "value", parse(value)
+    except Exception as exc:  # the exception type is the observable
+        return "error", type(exc)
+
+
+def _ratio_via_cost(value):
+    cost = cost_from_json(value)
+    return None if not cost.is_finite else cost.value.as_integer_ratio()
+
+
+_COST_CHARS = "0123456789/ +-_.eE\t٣٤²"
+_JSON_COSTS = st.one_of(
+    st.integers(min_value=-3, max_value=2**80),
+    st.booleans(),
+    st.floats(),
+    st.builds("{}/{}".format, st.integers(-3, 2**70), st.integers(-3, 2**70)),
+    st.text(alphabet=_COST_CHARS, max_size=10),
+    st.sampled_from([
+        "inf", "Infinity", " INF ", "-inf", "1/0", "0/0", "00/04", " 3/4 ", "+3/4",
+        "-3/4", "1_000/3", "1e3", "1e3/2", "٣/٤", "²/3", "3/", "/3", "", "3.5",
+        "0x10", "9" * 5000,
+    ]),
+)
+
+
+class TestFastCostParse:
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON_COSTS)
+    def test_agrees_with_cost_from_json(self, value):
+        assert _outcome(cost_ratio_from_json, value) == _outcome(_ratio_via_cost, value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.fractions(min_value=0, max_value=10**6),
+                    st.builds(Fraction, st.integers(0, 2**90), st.integers(2**63, 2**70)),
+                    st.just(Cost.infinite()),
+                ),
+                min_size=3,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_rows_view_matches_entries(self, rows):
+        matrix = CostMatrix(rows)
+        entries = tuple(tuple(Cost(e) for e in row) for row in rows)
+        assert matrix.rows == entries
+        assert matrix == CostMatrix(entries) and hash(matrix) == hash(CostMatrix(entries))
+        data = json.loads(json.dumps(instance_to_json(
+            Instance(OutcomeSpace([1, 2, 3]), ReportingRelation.identity(len(rows)), matrix)
+        )))
+        back, _ = instance_from_json(data)
+        assert back.costs == matrix and back.costs.rows == entries
+
+    def test_scale_is_the_lcm_of_finite_denominators(self):
+        matrix = CostMatrix([[Fraction(1, 4), Cost.infinite(), "5/6"], [2, Fraction(3, 9), 0]])
+        assert matrix.scale == 12
+        assert matrix.scaled == ((3, None, 10), (24, 4, 0))
+        assert CostMatrix([[Cost.infinite()]]).scale == 1

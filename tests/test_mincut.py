@@ -86,7 +86,7 @@ class TestNetworkBuild:
         assert len(caps) == 2 * 3
         for i, row in enumerate(inst.costs.rows):
             for j, entry in enumerate(row):
-                assert net.costs[i][j] == entry
+                assert net.costs.rows[i][j] == entry
 
     def test_one_imitation_arc_per_level_per_raw_pair(self):
         for seed in range(20):
@@ -350,7 +350,7 @@ def _networkx_cut_value(clamped) -> Fraction:
     """Minimum cut of the clamped network by networkx, with capacities taken
     from the arc kinds and the instance's cost rows, not the int arrays."""
     net = clamped.network
-    entries = iter(cost for row in net.costs for cost in row)
+    entries = iter(cost for row in net.costs.rows for cost in row)
     capacities = []
     for arc in net.arcs:
         cost = next(entries) if arc.kind in ("level", "exit") else Cost.infinite()
