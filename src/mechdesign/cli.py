@@ -558,6 +558,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command in ("solve", "oracle") and not 0 < args.eps < math.inf:
+            raise CliError(f"--eps must be finite and positive, got {args.eps!r}")
         if args.command == "generate":
             return cmd_generate(args, argv)
         if args.command == "solve":

@@ -9,7 +9,9 @@ the randomized problem tractable:
 
 * randomized: minimize the cost's chain-greedy (threshold) extension over
   per-type marginals in the truthfulness polytope (expected-utility
-  dominance) with a central-cut ellipsoid that certifies its optimality gap;
+  dominance) with a deep-cut ellipsoid that certifies its optimality gap:
+  it cuts an infeasible center at its violation depth and a feasible one
+  at its value's excess over the best value found;
 * deterministic: run the same ellipsoid with the step ladders ``[j > k]``.
   Their dominance is first-order stochastic dominance, so the feasible set
   is the order polytope, whose vertices are the truthful vectors.  The
@@ -30,7 +32,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -139,8 +141,10 @@ def table_oracle(values: Sequence, type_count: int, outcome_count: int) -> CostO
 
 
 def _memoized(oracle: CostOracle) -> CostOracle:
-    """Dict-backed shim so iterative solvers pay each value query once."""
+    """Dict-backed shim so iterative solvers pay each value query once; its
+    ``real(point)`` converts once to float and rejects infinite values."""
     cache: dict[tuple, Cost] = {}
+    reals: dict[tuple, float] = {}
 
     def lookup(point):
         got = cache.get(point)
@@ -149,7 +153,18 @@ def _memoized(oracle: CostOracle) -> CostOracle:
             cache[point] = got
         return got
 
-    return CostOracle(lookup, oracle.type_count, oracle.outcome_count, oracle.bound)
+    def real(point):
+        got = reals.get(point)
+        if got is None:
+            got = reals[point] = float(lookup(point))
+            if not math.isfinite(got):
+                raise ValueError(f"oracle value at {point} is infinite; the "
+                                 "numeric solvers need finite oracle values")
+        return got
+
+    memo = CostOracle(lookup, oracle.type_count, oracle.outcome_count, oracle.bound)
+    memo.real = real
+    return memo
 
 
 def meet(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -390,18 +405,8 @@ def objective_subgradient(profile, oracle: CostOracle) -> list[list[float]]:
     """
     rows = [[float(p) for p in row] for row in profile]
     _validate_profile(rows)
-    _, grad, _ = _peel_with_gradient(rows, oracle)
+    _, grad, _ = _peel_with_gradient(rows, _memoized(oracle))
     return grad
-
-
-def _finite_value(oracle: CostOracle, point: tuple) -> float:
-    value = float(oracle(point))
-    if not math.isfinite(value):
-        raise ValueError(
-            f"oracle value at {point} is infinite; the numeric solvers need "
-            "finite oracle values"
-        )
-    return value
 
 
 def _peel_with_gradient(rows, oracle: CostOracle):
@@ -423,7 +428,7 @@ def _peel_with_gradient(rows, oracle: CostOracle):
     tails = [list(itertools.accumulate(reversed(row)))[::-1] for row in rows]
     tops = [m - 1] * n
     point = tuple(tops)
-    cost = _finite_value(oracle, point)
+    cost = oracle.real(point)
     grad = [[0.0] * m for _ in range(n)]
     value = 0.0
     level = 0.0
@@ -436,7 +441,7 @@ def _peel_with_gradient(rows, oracle: CostOracle):
         threshold = tails[leader][k]
         tops[leader] = k - 1
         lower = tuple(tops)
-        lower_cost = _finite_value(oracle, lower)
+        lower_cost = oracle.real(lower)
         value += (threshold - level) * cost
         row = grad[leader]
         for j in range(k, m):
@@ -625,7 +630,7 @@ def solve_deterministic_submodular(
 
     ``brute`` scans the whole lattice (exact for any oracle, exponential).
     ``lovasz`` minimizes the threshold extension of the cost over the order
-    polytope with the central-cut ellipsoid of the randomized solver: the
+    polytope with the deep-cut ellipsoid of the randomized solver: the
     ``m - 1`` step ladders ``[j > k]`` turn truthfulness into first-order
     stochastic dominance of the marginals, whose vertices are exactly the
     truthful outcome vectors.  Every feasible center's peel chain is
@@ -675,7 +680,7 @@ def solve_deterministic_submodular(
                     c = oracle(point)
                     if state["cost"] is None or c < state["cost"]:
                         state["point"], state["cost"] = point, c
-        return float(state["cost"])
+        return oracle.real(state["point"])
 
     if value_granularity is not None:
         tol = math.nextafter(float(value_granularity), 0.0)
@@ -718,7 +723,7 @@ def solve_randomized_submodular(
     """Cheapest truthful marginal profile for a submodular oracle cost.
 
     Minimizes the chain-greedy extension over profiles whose expected
-    utilities dominate along the misreport relation with a central-cut
+    utilities dominate along the misreport relation with a deep-cut
     ellipsoid, the only ``backend``.  ``gap_estimate`` is the certified gap
     between the best value found and a lower bound on the optimum;
     ``converged`` means it is at most ``eps / 2``.  The returned chain
@@ -769,6 +774,20 @@ def _mutual_reach_classes(relation: ReportingRelation) -> list[list[int]]:
     return classes
 
 
+def _deep_cut(center: np.ndarray, factor: np.ndarray, a: np.ndarray, depth: float):
+    """Smallest ellipsoid holding ``{center + factor v : |v| <= 1, a @ v <= -depth}``
+    for a unit ``a`` and ``0 <= depth < 1`` (Bland, Goldfarb & Todd 1981);
+    ``depth = 0`` is the central cut.  ``factor`` is updated in place.  For
+    ``r == 1`` any finite stretch keeps the cut part of the interval."""
+    r = len(center)
+    shift = factor @ a
+    center = center - (1 + r * depth) / (r + 1) * shift
+    stretch = r * math.sqrt((1 - depth * depth) / (r * r - 1)) if r > 1 else 1.0
+    factor *= stretch
+    factor += (r * (1 - depth) / (r + 1) - stretch) * shift[:, None] * a
+    return center, factor
+
+
 def _ellipsoid_minimize(
     oracle: CostOracle,
     ladders: Sequence[Sequence],
@@ -777,25 +796,23 @@ def _ellipsoid_minimize(
     max_iters: int,
     upper: Callable | None = None,
 ):
-    """Central-cut ellipsoid over reduced profiles (last column eliminated).
+    """Deep-cut ellipsoid over reduced profiles (last column eliminated).
 
-    Truthfulness is dominance of expected utility along the relation under
-    every utility ladder in ``ladders``: one ladder gives the randomized
-    problem's polytope; the step ladders ``[j > k]`` give first-order
-    stochastic dominance, the order polytope of the deterministic problem.
-    Mutually-reachable types force expected-utility equalities, which would
-    leave the feasible set with empty interior; those directions are
-    eliminated first and the ellipsoid runs in the remaining subspace.  It is
-    kept in factored form ``{c + Bv : |v| <= 1}``, so its shape ``B Bᵀ``
-    cannot lose positive semidefiniteness to round-off.  An infeasible center
-    is cut by its first violated constraint (nonnegativity, row mass,
-    dominance).  A feasible center is evaluated; its peel subgradient ``g``
-    cuts the ellipsoid, which keeps containing the optimum, and so bounds the
-    optimum from below by ``f(c) - |Bᵀg|``.  The upper bound is the best
-    feasible value, or, when ``upper`` is given, the best of what
-    ``upper(chain points)`` returns at the feasible centers.  Stops once the
-    upper bound is within ``tol`` of the best lower bound.  Returns
-    ``(best profile, upper bound - lower bound, iterations)``.
+    Truthfulness is expected-utility dominance along the relation under each
+    ladder in ``ladders``: one ladder gives the randomized problem's polytope,
+    the step ladders ``[j > k]`` the order polytope of the deterministic one.
+    Mutually-reachable types force equalities that would leave the feasible
+    set no interior; the ellipsoid runs in the subspace they leave.  It is
+    kept as ``{c + Bv : |v| <= 1}``, so ``B Bᵀ`` cannot lose positive
+    semidefiniteness to round-off.  ``best`` is the best feasible value or,
+    given ``upper``, the best ``upper(chain points)`` at feasible centers.
+    Every cut is deep: an infeasible center is cut by its first violated wall
+    ``w @ y <= b`` at depth ``(w @ c - b) / |Bᵀw|``; a feasible one by its
+    peel subgradient ``g`` at depth ``(f(c) - best) / |Bᵀg|``, which keeps
+    every point with ``f <= best`` (the optimum among them) inside, so
+    ``f(c) - |Bᵀg|`` bounds the optimum from below.  Stops once ``best`` is
+    within ``tol`` of the best lower bound; returns ``(best profile, best -
+    lower bound, iterations)``.
     """
     n, m = oracle.type_count, oracle.outcome_count
     d = n * (m - 1)
@@ -843,6 +860,7 @@ def _ellipsoid_minimize(
     walls = normals @ basis
     room = np.array([b for _, b in constraints]) - normals @ y0
     keep = np.einsum("ij,ij->i", walls, walls) > 1e-18
+    keep[-1] = True  # a zero wall is never violated; the wall list stays nonempty
     walls, room = walls[keep], room[keep]
 
     def expand(z: np.ndarray) -> np.ndarray:
@@ -855,14 +873,15 @@ def _ellipsoid_minimize(
 
     center = np.zeros(r)
     factor = np.eye(r) * math.sqrt(d)  # the ball around y0 holds [0, 1]^d
-    # For r == 1 every finite stretch halves the interval: bisection.
-    stretch = r / math.sqrt(r * r - 1.0) if r > 1 else 1.0
     best, best_x, lower = math.inf, None, -math.inf
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        violated = np.flatnonzero(walls @ center > room + 1e-12)
-        if violated.size:
-            along = factor.T @ walls[violated[0]]
+        reach = walls @ center
+        i = int(np.argmax(reach - room > 1e-12))
+        if reach[i] - room[i] > 1e-12:
+            along = factor.T @ walls[i]
+            norm = math.sqrt(along @ along)
+            over, scale = reach[i] - room[i], abs(reach[i]) + abs(room[i])
         else:
             p = expand(center)
             value, grad_p, points = _peel_with_gradient(p.tolist(), oracle)
@@ -871,16 +890,17 @@ def _ellipsoid_minimize(
                 best, best_x = found, p
             g = np.array(grad_p)
             along = factor.T @ (basis.T @ (g[:, : m - 1] - g[:, m - 1:]).reshape(d))
-            lower = max(lower, value - float(np.linalg.norm(along)))
+            norm = math.sqrt(along @ along)
+            lower = max(lower, value - norm)
             if best - lower <= tol:
                 break
-        norm = float(np.linalg.norm(along))
+            over, scale = value - best, abs(value) + abs(best)
         if not 0 < norm < math.inf:
             break
-        a = along / norm
-        shift = factor @ a
-        center = center - shift / (r + 1)
-        factor = stretch * factor + (r / (r + 1) - stretch) * np.outer(shift, a)
+        depth = max(0.0, over - 1e-9 * scale) / norm  # relative round-off slack
+        if depth >= 1:
+            break  # round-off emptied the ellipsoid
+        center, factor = _deep_cut(center, factor, along / norm, depth)
     return best_x, best - lower, iterations
 
 

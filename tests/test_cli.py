@@ -500,6 +500,29 @@ class TestHostileJson:
         assert code == EXIT_OK
         assert last_json(out)["cost_truthful"] == "inf"
 
+    # Without the check, -1 and nan run until the ellipsoid degenerates and
+    # inf stops at the first feasible center, each with exit 0.
+    @pytest.mark.parametrize("eps", ["-1", "0", "-0.0", "nan", "inf", "1e400"])
+    def test_eps_must_be_finite_and_positive(self, tmp_path, capsys, eps):
+        inst = write_json(tmp_path / "inst.json", {
+            "outcomes": [0, 1, 2],
+            "relation": [[0, 0], [1, 1], [2, 2], [1, 0], [2, 1]],
+            "costs": [[9, 4, 0], [7, 5, 1], [3, 8, 2]],
+            "meta": {"oracle": {"kind": "additive_plus_overhead", "c0": 5}},
+        })
+        for argv in (
+            ["solve", inst, "--algo", "sub-rand", "--eps", eps],
+            ["solve", inst, "--algo", "sub-rand", "--backend", "ellipsoid", "--eps", eps],
+            ["oracle", inst, "--which", "sub-rand", "--eps", eps],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_USAGE, argv
+            assert out == ""
+            assert "--eps must be finite and positive" in err
+        code, out, _ = run(capsys, "solve", inst, "--algo", "sub-rand", "--eps", "1e-2")
+        assert code == EXIT_OK
+        assert last_json(out)["checks"]["converged"] is True
+
 
 class TestIntegerCostRows:
     """``solve`` and ``verify`` read the cost matrix's integer rows."""

@@ -1,9 +1,11 @@
 """Oracle-cost solvers: lattice checks, chains, gradients, determinization."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mechdesign import (
@@ -38,6 +40,7 @@ from mechdesign.submodular import (
     chain_from_json,
     chain_to_json,
     chain_violations,
+    _deep_cut,
     _mutual_reach_classes,
     lattice_index,
     lattice_points,
@@ -606,3 +609,134 @@ class TestRandomizedSubmodular:
         for _ in range(50):
             rel = random_relation(rng, rng.randint(1, 7), rng.random())
             assert _mutual_reach_classes(rel) == naive(rel)
+
+
+class TestDeepCut:
+    """``_deep_cut``, the ellipsoid's one update, on random ellipsoids."""
+
+    @staticmethod
+    def central_cut(center, factor, a):
+        # The central-cut update that deep cuts replaced.
+        r = len(center)
+        stretch = r / math.sqrt(r * r - 1.0) if r > 1 else 1.0
+        shift = factor @ a
+        return (
+            center - shift / (r + 1),
+            stretch * factor + (r / (r + 1) - stretch) * np.outer(shift, a),
+        )
+
+    @staticmethod
+    def draw(rng, r):
+        center = rng.normal(size=r)
+        factor = rng.normal(size=(r, r)) + r * np.eye(r)
+        a = rng.normal(size=r)
+        return center, factor, a / math.sqrt(a @ a)
+
+    @pytest.mark.parametrize("r", [1, 2, 5, 8])
+    def test_kept_part_stays_inside(self, r):
+        rng = np.random.default_rng(100 + r)
+        for k in range(40):
+            center, factor, a = self.draw(rng, r)
+            depth = (0.0, 0.999)[k] if k < 2 else rng.uniform(0.0, 1.0)
+            new_center, new_factor = _deep_cut(center, factor.copy(), a, depth)
+            # Points v = -t a + s q of the unit ball (q orthogonal to a) with
+            # a @ v = -t <= -depth, including the rim and the tip, which the
+            # smallest such ellipsoid touches.
+            radii = []
+            for j in range(60):
+                t = (depth, 1.0)[j] if j < 2 else rng.uniform(depth, 1.0)
+                q = rng.normal(size=r)
+                q -= (q @ a) * a
+                q_norm = math.sqrt(q @ q)
+                q = q / q_norm if q_norm > 1e-9 else np.zeros(r)
+                edge = math.sqrt(max(0.0, 1.0 - t * t))
+                s = edge if j < 30 else rng.uniform(0.0, edge)
+                v = -t * a + s * q
+                x = center + factor @ v
+                w = np.linalg.solve(new_factor, x - new_center)
+                radii.append(math.sqrt(w @ w))
+            assert max(radii) <= 1 + 1e-9
+            assert radii[1] >= 1 - 1e-9  # the tip -a lies on the new boundary
+
+    @pytest.mark.parametrize("r", [1, 2, 5, 8])
+    def test_zero_depth_is_the_central_cut(self, r):
+        rng = np.random.default_rng(200 + r)
+        for _ in range(40):
+            center, factor, a = self.draw(rng, r)
+            old_center, old_factor = self.central_cut(center, factor, a)
+            new_center, new_factor = _deep_cut(center, factor.copy(), a, 0.0)
+            assert np.max(np.abs(new_center - old_center)) <= 1e-12
+            assert np.max(np.abs(new_factor - old_factor)) <= 1e-12
+
+
+class TestDeepCutCertificates:
+    """The ellipsoid's certified gaps stay sound under deep cuts: a seeded
+    differential over integer and rational costs with chain, cyclic and
+    one-type relations."""
+
+    @staticmethod
+    def relations(rng, n):
+        chain = [(i, i) for i in range(n)] + [(i, i - 1) for i in range(1, n)]
+        yield ReportingRelation(n, chain)
+        if n > 1:
+            # 0 -> min(2, n-1) closes a cycle: a class of mutually reaching types.
+            yield ReportingRelation(n, chain + [(0, min(2, n - 1))])
+            yield random_relation(rng, n, 0.5)
+
+    @staticmethod
+    def exact_table(rng, n, m, denominator):
+        """Additive part, a concave charge on the highest level and a
+        discount in pairwise minima: submodular, on a 1/denominator grid."""
+        add = [
+            [Fraction(rng.randint(0, 8 * denominator), denominator) for _ in range(m)]
+            for _ in range(n)
+        ]
+        steps = sorted(
+            (Fraction(rng.randint(1, 4 * denominator), denominator) for _ in range(m - 1)),
+            reverse=True,
+        )
+        charge = [Fraction(0)]
+        for step in steps:
+            charge.append(charge[-1] + step)
+        mu = Fraction(rng.randint(0, denominator), denominator)
+        values = []
+        for pt in lattice_points(n, m):
+            pairs = sum(min(pt[i], pt[j]) for i in range(n) for j in range(i + 1, n))
+            values.append(
+                sum(add[i][pt[i]] for i in range(n)) + charge[max(pt)]
+                + mu * ((m - 1) * n * n - pairs)
+            )
+        return add, table_oracle(values, n, m)
+
+    def test_gaps_bound_the_exact_optima(self):
+        rng = random.Random(4242)
+        cases = 0
+        for n, denominator, _ in itertools.product(range(1, 6), (1, 6), range(3)):
+            m = rng.randint(2, 4)
+            add, oracle = self.exact_table(rng, n, m, denominator)
+            utilities = sorted(rng.sample(range(12), m))
+            for rel in self.relations(rng, n):
+                cases += 1
+                brute = solve_deterministic_submodular(oracle, rel, backend="brute")
+                fast = solve_deterministic_submodular(oracle, rel)
+                assert in_truthful_lattice(fast.point, rel)
+                assert fast.gap >= 0
+                assert float(fast.cost) - fast.gap - 1e-9 <= float(brute.cost)
+                exact = solve_deterministic_submodular(
+                    oracle, rel, value_granularity=Fraction(1, denominator)
+                )
+                assert exact.cost == brute.cost
+                assert in_truthful_lattice(exact.point, rel)
+
+                inst = Instance(OutcomeSpace(utilities), rel, CostMatrix(add))
+                optimum = float(solve_randomized(inst).cost)
+                eps = 1e-2
+                sol = solve_randomized_submodular(
+                    additive_oracle(inst), inst.outcomes, rel, eps=eps
+                )
+                assert sol.converged
+                assert 0 <= sol.gap_estimate <= eps / 2
+                assert sol.value - sol.gap_estimate - 1e-9 <= optimum
+                assert optimum <= sol.value + 1e-7
+                assert sol.value <= optimum + eps
+        assert cases == 78
