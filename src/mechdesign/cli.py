@@ -49,7 +49,6 @@ from .instances import (
     mechanism_from_json,
     mechanism_to_json,
     mechanism_violations,
-    rational_from_json,
     rational_to_json,
     truthfulness_violations,
 )
@@ -62,7 +61,6 @@ from .oracle import (
 )
 from .submodular import (
     chain_to_json,
-    default_stop,
     in_truthful_lattice,
     oracle_from_json,
     solve_deterministic_submodular,
@@ -123,23 +121,6 @@ def _oracle_for(instance, meta):
     ):
         raise CliError("the oracle table has no finite value", EXIT_INFINITE)
     return oracle
-
-
-def _value_granularity(instance, meta, oracle):
-    """``1 / lcm`` of the denominators of the values the oracle sums (the
-    costs, plus ``c0`` with overhead, or the table's finite values): distinct
-    oracle values lie at least this far apart.  ``None`` when it is finer
-    than the default stop, so no solve runs longer for knowing it."""
-    payload = meta.get("oracle", {"kind": "additive"})
-    if payload.get("kind") == "table":
-        values = [cost_from_json(v).value for v in payload["values"]]
-        scale = math.lcm(*(v.denominator for v in values if v is not None))
-    else:
-        scale = instance.costs.scale
-        if payload.get("kind") == "additive_plus_overhead":
-            scale = math.lcm(scale, rational_from_json(payload["c0"]).denominator)
-    grain = Fraction(1, scale)
-    return grain if grain >= default_stop(oracle.bound) else None
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +253,6 @@ def cmd_solve(args, argv) -> int:
             oracle,
             instance.relation,
             backend=backend,
-            value_granularity=_value_granularity(instance, meta, oracle),
         )
         mechanism = DeterministicMechanism(solution.point)
         if not in_truthful_lattice(solution.point, instance.relation):
@@ -284,7 +264,7 @@ def cmd_solve(args, argv) -> int:
         report["checks"] = {
             "truthful": True,
             "self_check": "ok",
-            "gap": solution.gap,
+            "gap": float(solution.gap),
             "oracle_queries": oracle.query_count,
         }
         if args.out:
@@ -292,21 +272,18 @@ def cmd_solve(args, argv) -> int:
 
     elif args.algo == "sub-rand":
         oracle = _oracle_for(instance, meta)
-        backend = args.backend or "ellipsoid"
-        if backend != "ellipsoid":
-            raise CliError(f"unknown sub-rand backend {backend!r}")
+        # ``ellipsoid`` is accepted so that existing command lines keep working.
+        if args.backend not in (None, "ellipsoid"):
+            raise CliError(f"unknown sub-rand backend {args.backend!r}")
         solution = solve_randomized_submodular(
-            oracle,
-            instance.outcomes,
-            instance.relation,
-            eps=args.eps,
-            backend=backend,
+            oracle, instance.outcomes, instance.relation, eps=args.eps
         )
-        report["solver"] = f"profile-{backend}"
+        report["solver"] = f"profile-{solution.backend}"
         report["cost"] = _number_text(solution.value)
         report["checks"] = {
             "marginally_truthful": True,  # asserted inside the solver
             "converged": solution.converged,
+            "gap": float(solution.gap_estimate),
             "self_check": "ok",
             "oracle_queries": oracle.query_count,
         }
@@ -395,8 +372,8 @@ def cmd_oracle(args, argv) -> int:
         brute_cost = solve_deterministic_submodular(
             oracle, instance.relation, backend="brute", budget=args.budget
         ).cost
-        match = abs(float(solver_cost) - float(brute_cost)) <= 1e-6
-        report["tolerance"] = "1e-06"
+        match = solver_cost == brute_cost
+        report["tolerance"] = "exact"
     elif which == "sub-rand":
         if meta.get("oracle", {"kind": "additive"}).get("kind", "additive") != "additive":
             raise CliError(
@@ -529,7 +506,9 @@ def _build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--algo", required=True, choices=["det", "rand", "sub-det", "sub-rand"])
     slv.add_argument("--out", help="mechanism/chain JSON destination")
     slv.add_argument("--dot", help="write the cut network as Graphviz (det only)")
-    slv.add_argument("--backend", help="sub-det: lovasz|brute; sub-rand: ellipsoid")
+    slv.add_argument(
+        "--backend", help="sub-det: lovasz|brute; sub-rand: ellipsoid (accepted, ignored)"
+    )
     slv.add_argument("--eps", type=float, default=1e-3)
 
     ver = sub.add_parser("verify", help="check a mechanism file against an instance")

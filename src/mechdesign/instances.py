@@ -13,9 +13,9 @@ cost checks work in ints; ``Cost`` and ``Fraction`` appear at the public API
 and in JSON.  An expected cost is infinite exactly when positive
 probability lands on an infinite entry.
 Values are exact when ``is_exact`` says so; ``differs`` and ``exceeds``
-compare exact values exactly and floats (produced by the numeric solvers)
-within a tolerance the caller passes, such as ``FLOAT_UTILITY_TOL`` for
-truthfulness.
+compare exact values exactly and floats (inputs such as float marginal
+profiles) within a tolerance the caller passes, such as
+``FLOAT_UTILITY_TOL`` for truthfulness.
 """
 
 from __future__ import annotations

@@ -5,18 +5,19 @@ product lattice under coordinatewise min (meet) and max (join).  Costs are
 submodular when meet-plus-join never beats the original pair.  The truthful
 vectors (coordinatewise dominance along the misreport relation) form a
 distributive sublattice, and submodularity makes both the deterministic and
-the randomized problem tractable:
+the randomized problem tractable.  Both minimize the cost's chain-greedy
+(threshold) extension ``f̂`` over a polytope ``P`` of marginal profiles with
+one exact double oracle (McMahan, Gordon & Blum 2003):
 
-* randomized: minimize the cost's chain-greedy (threshold) extension over
-  per-type marginals in the truthfulness polytope (expected-utility
-  dominance) with a deep-cut ellipsoid that certifies its optimality gap:
-  it cuts an infeasible center at its violation depth and a feasible one
-  at its value's excess over the best value found;
-* deterministic: run the same ellipsoid with the step ladders ``[j > k]``.
-  Their dominance is first-order stochastic dominance, so the feasible set
-  is the order polytope, whose vertices are the truthful vectors.  The
-  cheapest truthful vector on the peel chains of the feasible centers is
-  returned, with a certified gap to the optimum.
+* randomized: ``P`` holds the profiles whose expected utilities dominate
+  along the relation, and the linear oracle is the envelope cut of
+  ``solve_randomized``;
+* deterministic: the step ladders ``[j > k]`` turn dominance into
+  first-order stochastic dominance, so ``P`` is the order polytope, whose
+  vertices are the truthful vectors, and the linear oracle is the cut of
+  ``solve_deterministic``.  Every point of ``P`` peels into truthful
+  vectors, so the cheapest one on the peel chains bounds the optimum from
+  above.
 
 The chain-greedy extension evaluates a marginal profile by peeling: read
 each type at its highest remaining outcome, pay the smallest remaining mass
@@ -34,10 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
-
+from .envelope import solve_randomized
 from .instances import (
     Cost,
+    CostMatrix,
     DeterministicMechanism,
     Instance,
     OutcomeSpace,
@@ -51,8 +52,8 @@ from .instances import (
     is_exact,
     probability_from_json,
     rational_from_json,
-    transitive_closure,
 )
+from .mincut import solve_deterministic
 from .oracle import BudgetExceededError, DEFAULT_ENUMERATION_BUDGET
 
 # Marginal entries at or below this are treated as exhausted in float mode;
@@ -76,8 +77,7 @@ class CostOracle:
     """Value-query access to a cost over outcome vectors.
 
     ``bound`` is a declared upper bound on the finite values the oracle can
-    return; the numeric solvers use it to scale steps.  ``query_count``
-    tracks usage so tests can pin query complexity.
+    return.  ``query_count`` tracks usage so tests can pin query complexity.
     """
 
     def __init__(self, fn: Callable, type_count: int, outcome_count: int, bound):
@@ -141,10 +141,8 @@ def table_oracle(values: Sequence, type_count: int, outcome_count: int) -> CostO
 
 
 def _memoized(oracle: CostOracle) -> CostOracle:
-    """Dict-backed shim so iterative solvers pay each value query once; its
-    ``real(point)`` converts once to float and rejects infinite values."""
+    """Dict-backed shim so iterative solvers pay each value query once."""
     cache: dict[tuple, Cost] = {}
-    reals: dict[tuple, float] = {}
 
     def lookup(point):
         got = cache.get(point)
@@ -153,18 +151,7 @@ def _memoized(oracle: CostOracle) -> CostOracle:
             cache[point] = got
         return got
 
-    def real(point):
-        got = reals.get(point)
-        if got is None:
-            got = reals[point] = float(lookup(point))
-            if not math.isfinite(got):
-                raise ValueError(f"oracle value at {point} is infinite; the "
-                                 "numeric solvers need finite oracle values")
-        return got
-
-    memo = CostOracle(lookup, oracle.type_count, oracle.outcome_count, oracle.bound)
-    memo.real = real
-    return memo
+    return CostOracle(lookup, oracle.type_count, oracle.outcome_count, oracle.bound)
 
 
 def meet(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -395,61 +382,73 @@ def chain_cost(dist, oracle: CostOracle) -> Cost:
     return total
 
 
-def objective_subgradient(profile, oracle: CostOracle) -> list[list[float]]:
+def objective_subgradient(profile, oracle: CostOracle) -> list[list[Fraction]]:
     """A subgradient of ``p -> chain_cost(interpret_marginals(p), oracle)``.
 
-    The greedy vertex of the full maximal chain through the profile: the
-    gradient inside a linearity region, a valid subgradient on its boundary
-    and on the boundary of the simplices.  Raises ``ValueError`` when the
-    oracle returns an infinite value along the chain.
+    The greedy vertex of the full maximal chain through the profile, exact
+    (float entries are converted exactly): the gradient inside a linearity
+    region, a valid subgradient on its boundary and on the boundary of the
+    simplices.  Raises ``ValueError`` when the oracle returns an infinite
+    value along the chain.
     """
-    rows = [[float(p) for p in row] for row in profile]
+    rows = [list(row) for row in profile]
     _validate_profile(rows)
-    _, grad, _ = _peel_with_gradient(rows, _memoized(oracle))
+    _, grad, _ = _peel_with_gradient(
+        [[Fraction(p) for p in row] for row in rows], _memoized(oracle)
+    )
     return grad
 
 
 def _peel_with_gradient(rows, oracle: CostOracle):
-    """Float peel along a full maximal chain: (value, gradient, chain points).
+    """Exact peel along a full maximal chain: (value, gradient, chain points).
 
-    Every type starts at the top outcome.  Each step pays the current vector
-    for the mass up to the next threshold, the smallest tail sum
-    ``sum(row[k:])`` among the types not yet at the bottom, and moves that
-    type (the leader) down one outcome; after ``n * (m - 1)`` steps all sit
-    at the bottom, which takes the rest of the mass.  Outcomes without mass
-    are walked too, so every coordinate ``(i, j)`` collects the marginals
+    Every type starts at the top outcome.  Each step moves the type with the
+    smallest tail sum ``sum(row[k:])`` at its current outcome ``k`` (the
+    leader; ties go to the lowest index) down one outcome; after
+    ``n * (m - 1)`` steps all sit at the bottom.  Outcomes without mass are
+    walked too, so every coordinate ``(i, j)`` collects the marginals
     ``f(x) - f(x - e_i)`` of all leader steps of type ``i`` at levels
-    ``1..j``: the greedy vertex, a subgradient of the extension everywhere on
-    the product of simplices, boundary included.  The gradient is defined up
-    to a constant per row.
+    ``1..j``: the greedy vertex ``g``, a subgradient of the extension
+    everywhere on the product of simplices, boundary included, with
+    ``g[i][0] == 0``.  Summing the chain by parts gives the value
+    ``f(bottom) + <g, rows>``; for a submodular cost ``f(bottom) + <g, q>``
+    bounds the extension at every profile ``q`` from below.
     """
     n = len(rows)
     m = len(rows[0])
     tails = [list(itertools.accumulate(reversed(row)))[::-1] for row in rows]
     tops = [m - 1] * n
     point = tuple(tops)
-    cost = oracle.real(point)
-    grad = [[0.0] * m for _ in range(n)]
-    value = 0.0
-    level = 0.0
+    cost = _finite_value(oracle, point)
+    grad = [[Fraction(0)] * m for _ in range(n)]
     points = [point]
     for _ in range(n * (m - 1)):
         leader = min(
             (i for i in range(n) if tops[i]), key=lambda i: tails[i][tops[i]]
         )
         k = tops[leader]
-        threshold = tails[leader][k]
         tops[leader] = k - 1
-        lower = tuple(tops)
-        lower_cost = oracle.real(lower)
-        value += (threshold - level) * cost
+        point = tuple(tops)
+        lower_cost = _finite_value(oracle, point)
         row = grad[leader]
         for j in range(k, m):
             row[j] += cost - lower_cost
-        level, point, cost = threshold, lower, lower_cost
+        cost = lower_cost
         points.append(point)
-    value += (1.0 - level) * cost
-    return value, grad, points
+    return cost + _inner(grad, rows), grad, points
+
+
+def _finite_value(oracle: CostOracle, point) -> Fraction:
+    value = oracle(point).value
+    if value is None:
+        raise ValueError(f"oracle value at {point} is infinite; the query-model "
+                         "solvers need finite values along the chain")
+    return value
+
+
+def _inner(a, b):
+    """``<a, b>`` for two profiles given as rows."""
+    return sum(x * y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +608,7 @@ class SubmodularDeterministicSolution:
     cost: Cost
     backend: str
     iterations: int = 0
-    gap: float = 0.0  # cost minus a lower bound on the optimum
-
-
-def default_stop(bound) -> float:
-    """The gap at which ``solve_deterministic_submodular`` stops when no
-    value granularity is given."""
-    return max(1e-6, 1e-3 * max(1.0, float(bound)))
+    gap: Fraction = Fraction(0)  # cost minus a lower bound on the optimum
 
 
 def solve_deterministic_submodular(
@@ -624,25 +617,17 @@ def solve_deterministic_submodular(
     backend: str = "lovasz",
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     max_iters: int = DEFAULT_ITERATION_CAP,
-    value_granularity=None,
 ) -> SubmodularDeterministicSolution:
     """Cheapest truthful outcome vector for a (submodular) oracle cost.
 
     ``brute`` scans the whole lattice (exact for any oracle, exponential).
     ``lovasz`` minimizes the threshold extension of the cost over the order
-    polytope with the deep-cut ellipsoid of the randomized solver: the
-    ``m - 1`` step ladders ``[j > k]`` turn truthfulness into first-order
-    stochastic dominance of the marginals, whose vertices are exactly the
-    truthful outcome vectors.  Every feasible center's peel chain is
-    searched for its cheapest truthful vector; ``gap`` is the cheapest
-    cost found minus the ellipsoid's lower bound on the extension's minimum,
-    which for a submodular oracle is the optimum.  The search stops once
-    ``gap`` is at most ``max(1e-6, 1e-3 * max(1, bound))``.
-
-    ``value_granularity``: a known lower bound on the separation between
-    distinct oracle values (1 for integer tables).  The search then stops at
-    ``gap < value_granularity``, which certifies that the returned vector is
-    exactly optimal.
+    polytope with the double oracle of ``_double_oracle``, whose linear
+    oracle is ``solve_deterministic`` on the outcome ladder ``range(m)``.
+    Every peel chain is searched for its cheapest truthful vector; ``gap``
+    is the cheapest cost found minus the exact lower bound, which for a
+    submodular oracle is at most the optimum.  The search stops at
+    ``gap <= 0``, which proves the returned vector optimal.
     """
     n, m = oracle.type_count, oracle.outcome_count
     if backend == "brute":
@@ -665,35 +650,28 @@ def solve_deterministic_submodular(
     if backend != "lovasz":
         raise ValueError(f"unknown backend {backend!r}")
 
-    if m == 1:
-        bottom = (0,) * n
-        return SubmodularDeterministicSolution(bottom, oracle(bottom), "lovasz")
     oracle = _memoized(oracle)
     state = {"point": None, "cost": None}
-    seen = set()
 
-    def upper(points) -> float:
+    def upper(profile, value, points):
         for point in points:
-            if point not in seen:
-                seen.add(point)
-                if in_truthful_lattice(point, relation):
-                    c = oracle(point)
-                    if state["cost"] is None or c < state["cost"]:
-                        state["point"], state["cost"] = point, c
-        return oracle.real(state["point"])
+            if in_truthful_lattice(point, relation):
+                c = oracle(point).value
+                if state["cost"] is None or c < state["cost"]:
+                    state["point"], state["cost"] = point, c
+        return state["cost"]
 
-    if value_granularity is not None:
-        tol = math.nextafter(float(value_granularity), 0.0)
-    else:
-        tol = default_stop(oracle.bound)
-    steps = [[1 if j > k else 0 for j in range(m)] for k in range(m - 1)]
-    _, gap, iterations = _ellipsoid_minimize(
-        oracle, steps, relation, tol=tol, max_iters=max_iters, upper=upper
-    )
-    if state["point"] is None:
-        raise SelfCheckError("rounding never produced a truthful vector")
+    def cut(grad):
+        instance, shift = _linear_instance(OutcomeSpace(range(m)), relation, grad)
+        solution = solve_deterministic(instance)
+        rows = tuple(
+            tuple(int(j == x) for j in range(m)) for x in solution.mechanism.assignment
+        )
+        return rows, shift + solution.cost.value
+
+    best, lower, iterations = _double_oracle(oracle, cut, upper, 0, max_iters)
     return SubmodularDeterministicSolution(
-        state["point"], state["cost"], "lovasz", iterations, gap
+        state["point"], Cost(best), "lovasz", iterations, best - lower
     )
 
 
@@ -707,7 +685,7 @@ class SubmodularRandomizedSolution:
     value: float
     cost: Cost
     converged: bool
-    gap_estimate: float
+    gap_estimate: Fraction
     iterations: int
     backend: str
 
@@ -717,191 +695,173 @@ def solve_randomized_submodular(
     outcomes: OutcomeSpace,
     relation: ReportingRelation,
     eps: float = 1e-3,
-    backend: str = "ellipsoid",
     max_iters: int = DEFAULT_ITERATION_CAP,
 ) -> SubmodularRandomizedSolution:
     """Cheapest truthful marginal profile for a submodular oracle cost.
 
     Minimizes the chain-greedy extension over profiles whose expected
-    utilities dominate along the misreport relation with a deep-cut
-    ellipsoid, the only ``backend``.  ``gap_estimate`` is the certified gap
-    between the best value found and a lower bound on the optimum;
-    ``converged`` means it is at most ``eps / 2``.  The returned chain
-    realizes the best marginals found.
+    utilities dominate along the misreport relation with the double oracle
+    of ``_double_oracle``, whose linear oracle is ``solve_randomized`` on the
+    outcome ladder.  ``gap_estimate`` is the exact gap between the returned
+    chain's cost and a lower bound on the optimum; ``converged`` means it is
+    at most ``eps / 2``.  The returned chain realizes the best profile found,
+    which is checked to be marginally truthful and to cost exactly its
+    upper bound.
     """
-    if backend != "ellipsoid":
-        raise ValueError(f"unknown backend {backend!r}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     if len(outcomes.utilities) != oracle.outcome_count:
         raise ValueError("outcome ladder does not match the oracle's width")
     oracle = _memoized(oracle)
-    best_x, gap, iterations = _ellipsoid_minimize(
-        oracle, [outcomes.utilities], relation, tol=eps / 2, max_iters=max_iters
-    )
+    state = {"profile": None, "value": None}
 
-    best_x = np.clip(best_x, 0.0, None)
-    best_x /= best_x.sum(axis=1, keepdims=True)
-    u = np.array([float(x) for x in outcomes.utilities])
+    def upper(profile, value, points):
+        if state["value"] is None or value < state["value"]:
+            state["profile"], state["value"] = profile, value
+        return state["value"]
+
+    def cut(grad):
+        instance, shift = _linear_instance(outcomes, relation, grad)
+        solution = solve_randomized(instance)
+        return solution.mechanism.rows, shift + solution.cost.value
+
+    best, lower, iterations = _double_oracle(oracle, cut, upper, eps / 2, max_iters)
+
+    profile = state["profile"]
+    means = [sum(p * u for p, u in zip(row, outcomes.utilities)) for row in profile]
     for a, b in relation.pairs:
-        if a != b and float((best_x[b] - best_x[a]) @ u) > TRUTHFUL_MARGINAL_TOL:
+        if means[b] > means[a]:
             raise SelfCheckError("solution violates marginal truthfulness")
-
-    chain = interpret_marginals(best_x.tolist())
+    chain = interpret_marginals(profile)
     cost = chain_cost(chain, oracle)
+    if cost != Cost(best):
+        raise SelfCheckError(f"chain cost {cost} differs from its bound {best}")
+    gap = best - lower
     return SubmodularRandomizedSolution(
-        chain, float(cost), cost, gap <= eps / 2, gap, iterations, backend
+        chain, float(cost), cost, gap <= eps / 2, gap, iterations, "double-oracle"
     )
 
 
-def _mutual_reach_classes(relation: ReportingRelation) -> list[list[int]]:
-    """Groups of types that can mutually reach each other along the relation.
+def _linear_instance(outcomes: OutcomeSpace, relation: ReportingRelation, grad):
+    """The cut instance minimizing ``<grad, q>`` over lotteries ``q``.
 
-    Expected utilities are forced equal within such a group, so the truthful
-    polytope is flat along the corresponding directions.
+    Each row of ``grad`` is shifted by its minimum so that the costs are
+    nonnegative; a lottery's rows sum to one, so ``<grad, q>`` is the cut's
+    cost plus the returned total shift.
     """
-    reach = transitive_closure(relation).pairs
-    classes = []
-    assigned = set()
-    for s in range(relation.type_count):
-        if s in assigned:
-            continue
-        group = [s] + [
-            t
-            for t in range(s + 1, relation.type_count)
-            if (s, t) in reach and (t, s) in reach
-        ]
-        assigned.update(group)
-        classes.append(group)
-    return classes
+    shifts = [min(row) for row in grad]
+    costs = CostMatrix([[x - s for x in row] for row, s in zip(grad, shifts)])
+    reflexive = relation.pairs | {(i, i) for i in range(len(grad))}
+    instance = Instance(outcomes, ReportingRelation(len(grad), reflexive), costs)
+    return instance, sum(shifts)
 
 
-def _deep_cut(center: np.ndarray, factor: np.ndarray, a: np.ndarray, depth: float):
-    """Smallest ellipsoid holding ``{center + factor v : |v| <= 1, a @ v <= -depth}``
-    for a unit ``a`` and ``0 <= depth < 1`` (Bland, Goldfarb & Todd 1981);
-    ``depth = 0`` is the central cut.  ``factor`` is updated in place.  For
-    ``r == 1`` any finite stretch keeps the cut part of the interval."""
-    r = len(center)
-    shift = factor @ a
-    center = center - (1 + r * depth) / (r + 1) * shift
-    stretch = r * math.sqrt((1 - depth * depth) / (r * r - 1)) if r > 1 else 1.0
-    factor *= stretch
-    factor += (r * (1 - depth) / (r + 1) - stretch) * shift[:, None] * a
-    return center, factor
+def _double_oracle(oracle: CostOracle, cut: Callable, upper: Callable, tol, max_iters: int):
+    """Exact double oracle for ``min over P of f̂`` (McMahan, Gordon & Blum 2003).
 
+    ``f̂`` is the chain-greedy extension and ``P`` a polytope of marginal
+    profiles given by its linear oracle: ``cut(grad)`` returns a vertex ``q``
+    of ``P`` minimizing ``<grad, q>`` and that minimum.  The loop keeps the
+    peel's greedy vertices ``g_k`` and the cut's vertices ``q_l`` and plays
+    the zero-sum game ``M[k][l] = <g_k, q_l>`` between them:
 
-def _ellipsoid_minimize(
-    oracle: CostOracle,
-    ladders: Sequence[Sequence],
-    relation: ReportingRelation,
-    tol: float,
-    max_iters: int,
-    upper: Callable | None = None,
-):
-    """Deep-cut ellipsoid over reduced profiles (last column eliminated).
+    * the peel at the column player's mix ``p̄`` of the ``q_l`` (a point of
+      ``P``) gives ``f̂(p̄)`` and a new ``g``; ``upper(p̄, f̂(p̄), chain)``
+      returns the best upper bound so far;
+    * the cut at the row player's mix ``ḡ`` of the ``g_k`` gives a new ``q``
+      and, for a submodular cost, the lower bound ``f(bottom) + <ḡ, q>``,
+      since ``f̂ >= f(bottom) + <g_k, .>`` for every ``k``.
 
-    Truthfulness is expected-utility dominance along the relation under each
-    ladder in ``ladders``: one ladder gives the randomized problem's polytope,
-    the step ladders ``[j > k]`` the order polytope of the deterministic one.
-    Mutually-reachable types force equalities that would leave the feasible
-    set no interior; the ellipsoid runs in the subspace they leave.  It is
-    kept as ``{c + Bv : |v| <= 1}``, so ``B Bᵀ`` cannot lose positive
-    semidefiniteness to round-off.  ``best`` is the best feasible value or,
-    given ``upper``, the best ``upper(chain points)`` at feasible centers.
-    Every cut is deep: an infeasible center is cut by its first violated wall
-    ``w @ y <= b`` at depth ``(w @ c - b) / |Bᵀw|``; a feasible one by its
-    peel subgradient ``g`` at depth ``(f(c) - best) / |Bᵀg|``, which keeps
-    every point with ``f <= best`` (the optimum among them) inside, so
-    ``f(c) - |Bᵀg|`` bounds the optimum from below.  Stops once ``best`` is
-    within ``tol`` of the best lower bound; returns ``(best profile, best -
-    lower bound, iterations)``.
+    Both bounds hold for any mixes and are exact rationals.  When neither
+    oracle finds a new vertex the restricted game's value closes the gap, so
+    the loop stops at ``upper - lower <= tol`` after finitely many rounds;
+    ``max_iters`` caps them.  Returns ``(upper, lower, rounds)``.
     """
     n, m = oracle.type_count, oracle.outcome_count
-    d = n * (m - 1)
-
-    constraints: list[tuple[np.ndarray, float]] = []  # w @ y <= b
-    for i in range(n):
-        for k in range(m - 1):
-            w = np.zeros(d)
-            w[i * (m - 1) + k] = -1.0
-            constraints.append((w, 0.0))
-        w = np.zeros(d)
-        w[i * (m - 1): (i + 1) * (m - 1)] = 1.0
-        constraints.append((w, 1.0))
-
-    classes = _mutual_reach_classes(relation)
-    equalities = []
-    for ladder in ladders:
-        u = np.array([float(x) for x in ladder])
-        tail = u[:-1] - u[-1]
-        for a, b in sorted(relation.pairs):
-            if a == b:
-                continue
-            w = np.zeros(d)
-            w[a * (m - 1): (a + 1) * (m - 1)] = -tail
-            w[b * (m - 1): (b + 1) * (m - 1)] = tail
-            constraints.append((w, 0.0))
-        for group in classes:
-            for t in group[1:]:
-                w = np.zeros(d)
-                w[group[0] * (m - 1): (group[0] + 1) * (m - 1)] = tail
-                w[t * (m - 1): (t + 1) * (m - 1)] = -tail
-                equalities.append(w)
-
-    y0 = np.full(d, 1.0 / m)  # uniform profile: feasible, satisfies equalities
-    if equalities:
-        emat = np.array(equalities)
-        _, svals, vt = np.linalg.svd(emat, full_matrices=True)
-        rank = int(np.sum(svals > 1e-10 * max(1.0, float(svals[0]))))
-        basis = vt[rank:].T  # d x r, orthonormal null-space basis
-    else:
-        basis = np.eye(d)
-    r = basis.shape[1]
-
-    normals = np.array([w for w, _ in constraints])
-    walls = normals @ basis
-    room = np.array([b for _, b in constraints]) - normals @ y0
-    keep = np.einsum("ij,ij->i", walls, walls) > 1e-18
-    keep[-1] = True  # a zero wall is never violated; the wall list stays nonempty
-    walls, room = walls[keep], room[keep]
-
-    def expand(z: np.ndarray) -> np.ndarray:
-        y = y0 + basis @ z
-        p = np.empty((n, m))
-        blocks = y.reshape(n, m - 1)
-        p[:, : m - 1] = blocks
-        p[:, m - 1] = 1.0 - blocks.sum(axis=1)
-        return p
-
-    center = np.zeros(r)
-    factor = np.eye(r) * math.sqrt(d)  # the ball around y0 holds [0, 1]^d
-    best, best_x, lower = math.inf, None, -math.inf
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        reach = walls @ center
-        i = int(np.argmax(reach - room > 1e-12))
-        if reach[i] - room[i] > 1e-12:
-            along = factor.T @ walls[i]
-            norm = math.sqrt(along @ along)
-            over, scale = reach[i] - room[i], abs(reach[i]) + abs(room[i])
-        else:
-            p = expand(center)
-            value, grad_p, points = _peel_with_gradient(p.tolist(), oracle)
-            found = value if upper is None else upper(points)
-            if found < best:
-                best, best_x = found, p
-            g = np.array(grad_p)
-            along = factor.T @ (basis.T @ (g[:, : m - 1] - g[:, m - 1:]).reshape(d))
-            norm = math.sqrt(along @ along)
-            lower = max(lower, value - norm)
-            if best - lower <= tol:
-                break
-            over, scale = value - best, abs(value) + abs(best)
-        if not 0 < norm < math.inf:
+    bottom = _finite_value(oracle, (0,) * n)
+    uniform = tuple(tuple(Fraction(1, m) for _ in range(m)) for _ in range(n))
+    grads, points = [], [uniform]
+    game = []  # game[k][l] = <grads[k], points[l]>
+    mix = [Fraction(1)]
+    best = lower = None
+    rounds = 0
+    while rounds < max_iters:
+        rounds += 1
+        profile = _mix(mix, points)
+        value, grad, chain = _peel_with_gradient(profile, oracle)
+        best = upper(profile, value, chain)
+        if lower is not None and best - lower <= tol:
             break
-        depth = max(0.0, over - 1e-9 * scale) / norm  # relative round-off slack
-        if depth >= 1:
-            break  # round-off emptied the ellipsoid
-        center, factor = _deep_cut(center, factor, along / norm, depth)
-    return best_x, best - lower, iterations
+        grad = tuple(map(tuple, grad))
+        if grad not in grads:
+            grads.append(grad)
+            game.append([_inner(grad, q) for q in points])
+        weights, _ = _solve_game(game)
+        q, found = cut(_mix(weights, grads))
+        lower = bottom + found if lower is None else max(lower, bottom + found)
+        if best - lower <= tol:
+            break
+        q = tuple(map(tuple, q))
+        if q not in points:
+            points.append(q)
+            for g, row in zip(grads, game):
+                row.append(_inner(g, q))
+        _, mix = _solve_game(game)
+    return best, lower, rounds
+
+
+def _mix(weights, profiles):
+    """The convex combination ``sum(w * p)`` of equally shaped profiles."""
+    rows = [[0] * len(row) for row in profiles[0]]
+    for w, profile in zip(weights, profiles):
+        if w:
+            for out, row in zip(rows, profile):
+                for j, x in enumerate(row):
+                    out[j] += w * x
+    return rows
+
+
+def _solve_game(game):
+    """Optimal mixed strategies ``(rows, columns)`` of the zero-sum game in
+    which the row player receives ``game[k][l]``: exact, by the simplex
+    method with Bland's rule on ``max sum(y) s.t. A y <= 1, y >= 0``, where
+    ``A`` is the game shifted to be positive.  The optimal ``y`` scaled to
+    sum one is the column player's strategy, and the duals of the ``K``
+    constraints, scaled alike, the row player's."""
+    K, L = len(game), len(game[0])
+    shift = 1 - min(min(row) for row in game)
+    tableau = [
+        [Fraction(x + shift) for x in row]
+        + [Fraction(r == k) for r in range(K)]
+        + [Fraction(1)]
+        for k, row in enumerate(game)
+    ]
+    objective = [Fraction(-1)] * L + [Fraction(0)] * (K + 1)
+    basis = list(range(L, L + K))
+    while True:
+        enter = next((j for j in range(L + K) if objective[j] < 0), None)
+        if enter is None:
+            break
+        # A is positive, so the program is bounded and some row limits the
+        # entering column.
+        _, _, leave = min(
+            (tableau[r][-1] / tableau[r][enter], basis[r], r)
+            for r in range(K) if tableau[r][enter] > 0
+        )
+        pivot_row = tableau[leave]
+        pivot = pivot_row[enter]
+        pivot_row[:] = [x / pivot for x in pivot_row]
+        for row in tableau + [objective]:
+            if row is not pivot_row and row[enter]:
+                factor = row[enter]
+                row[:] = [x - factor * y for x, y in zip(row, pivot_row)]
+        basis[leave] = enter
+    total = objective[-1]
+    columns = [Fraction(0)] * L
+    for r, b in enumerate(basis):
+        if b < L:
+            columns[b] = tableau[r][-1] / total
+    return [x / total for x in objective[L:L + K]], columns
 
 
 # ---------------------------------------------------------------------------

@@ -357,7 +357,6 @@ def test_09_threshold_extension_minimizer_is_exact():
                 additive_oracle(inst),
                 inst.relation,
                 backend="lovasz",
-                value_granularity=1,
             )
             expect = solve_deterministic(inst).cost
             if Cost(fast.cost) != expect:
@@ -384,7 +383,6 @@ def test_10_profile_solver_reaches_the_additive_optimum():
             inst.outcomes,
             inst.relation,
             eps=1e-3,
-            backend="ellipsoid",
         )
         slack = float(sol.cost) - float(exact)
         if not sol.converged or not -1e-9 <= slack <= 1e-3 + 1e-9:
@@ -445,7 +443,6 @@ def test_11_binary_outcomes_round_to_deterministic():
             OutcomeSpace([0, 1]),
             rel,
             eps=1e-4,
-            backend="ellipsoid",
         )
         det = solve_deterministic_submodular(oracle, rel, backend="lovasz")
         mech, rounded_cost = determinize_binary(rand.chain, rel, oracle)

@@ -3,14 +3,17 @@
 import csv
 import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-import mechdesign.cli as cli_module
+import mechdesign
 from mechdesign import (
     Cost,
     CostMatrix,
@@ -228,19 +231,9 @@ class TestSolve:
         assert gap >= 0
         assert cost - gap - 1e-9 <= float(reports["brute"]["cost"]) <= cost
 
-    def test_integer_overhead_sub_det_is_certified_exact(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # Integer costs and c0: distinct oracle values lie 1 apart, so a gap
-        # below 1 proves the returned vector optimal.
-        granularities = []
-        solve = cli_module.solve_deterministic_submodular
-
-        def spy(*args, **kwargs):
-            granularities.append(kwargs.get("value_granularity"))
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(cli_module, "solve_deterministic_submodular", spy)
+    def test_integer_overhead_sub_det_is_certified_exact(self, tmp_path, capsys):
+        # The lower bound is exact, so a gap of 0 proves the returned vector
+        # optimal.
         path = tmp_path / "over.json"
         code, _, _ = run(
             capsys, "generate", "overhead", "--out", str(path), "--overhead", "3",
@@ -254,9 +247,8 @@ class TestSolve:
             )
             assert code == EXIT_OK
             reports[backend] = last_json(out)
-        assert granularities == [1, 1]
         assert reports["lovasz"]["cost"] == reports["brute"]["cost"]
-        assert 0 <= reports["lovasz"]["checks"]["gap"] < 1
+        assert reports["lovasz"]["checks"]["gap"] == 0
 
     def test_sub_rand_chain_output(self, tmp_path, capsys, instance_file):
         chain_path = tmp_path / "chain.json"
@@ -292,6 +284,23 @@ class TestSolve:
         )
         assert code == EXIT_USAGE
         assert "unknown sub-rand backend" in err
+
+    def test_overhead_n48_is_certified_exact(self, tmp_path, capsys):
+        path = tmp_path / "o48.json"
+        code, _, _ = run(
+            capsys, "generate", "overhead", "--seed", "0", "--types", "48",
+            "--outcomes", "4", "--density", "0.1", "--out", str(path),
+        )
+        assert code == EXIT_OK
+        for algo, optimum in (("sub-rand", "276"), ("sub-det", "422")):
+            code, out, _ = run(
+                capsys, "solve", str(path), "--algo", algo, "--eps", "0.01"
+            )
+            assert code == EXIT_OK
+            report = last_json(out)
+            assert report["cost"] == optimum
+            assert report["checks"]["gap"] == 0
+            assert report["checks"].get("converged", True) is True
 
     def test_sub_rand_certificate_holds_at_n8(self, tmp_path, capsys):
         # Here the ellipsoid once certified a gap of 0 while 2.4e-3 above
@@ -500,8 +509,7 @@ class TestHostileJson:
         assert code == EXIT_OK
         assert last_json(out)["cost_truthful"] == "inf"
 
-    # Without the check, -1 and nan run until the ellipsoid degenerates and
-    # inf stops at the first feasible center, each with exit 0.
+    # The CLI rejects a bad eps before the solver, which rejects it too.
     @pytest.mark.parametrize("eps", ["-1", "0", "-0.0", "nan", "inf", "1e400"])
     def test_eps_must_be_finite_and_positive(self, tmp_path, capsys, eps):
         inst = write_json(tmp_path / "inst.json", {
@@ -717,6 +725,20 @@ class TestOracleCommand:
         assert code == EXIT_OK
         assert last_json(out)["match"] is True
 
+    def test_sub_det_cross_check_is_exact(self, tmp_path, capsys):
+        path = tmp_path / "over.json"
+        code, _, _ = run(
+            capsys, "generate", "overhead", "--out", str(path), "--overhead", "7/3",
+            "--types", "4", "--outcomes", "3", "--seed", "3",
+        )
+        assert code == EXIT_OK
+        code, out, _ = run(capsys, "oracle", str(path), "--which", "sub-det")
+        assert code == EXIT_OK
+        report = last_json(out)
+        assert report["tolerance"] == "exact"
+        assert report["match"] is True
+        assert report["solver_cost"] == report["oracle_cost"]
+
     def test_budget_exit(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         run(
@@ -737,6 +759,22 @@ class TestOracleCommand:
         )
         assert code == EXIT_BUDGET
         assert "budget" in err or "enumeration" in err
+
+
+class TestImport:
+    def test_cli_import_loads_neither_numpy_nor_scipy(self):
+        # A fresh interpreter: the test run itself may have imported both.
+        src = Path(mechdesign.__file__).resolve().parents[1]
+        probe = (
+            "import sys, mechdesign.cli; "
+            "print([m for m in ('numpy', 'scipy') if m in sys.modules])"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestBench:

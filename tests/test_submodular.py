@@ -5,7 +5,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from mechdesign import (
@@ -37,18 +36,20 @@ from mechdesign import (
     determinize_binary,
 )
 from mechdesign.submodular import (
+    _solve_game,
     chain_from_json,
     chain_to_json,
     chain_violations,
-    _deep_cut,
-    _mutual_reach_classes,
     lattice_index,
     lattice_points,
     oracle_from_json,
 )
 
 from conftest import (
+    concave_of_sum_table,
     crossing_shuffle,
+    discount_pairs_table,
+    peak_surcharge_table,
     product_coupling,
     random_exact_profile,
     random_float_profile,
@@ -448,8 +449,8 @@ class TestDeterministicSubmodular:
             assert abs(float(fast.cost) - float(brute.cost)) <= 1e-6
 
     def test_lovasz_gap_is_sound(self):
-        # Densities 0.5 and 0.9 draw cycles, whose types the ellipsoid must
-        # hold equal at every level.
+        # Densities 0.5 and 0.9 draw cycles, whose types every truthful
+        # vector holds equal.
         rng = random.Random(2024)
         for k in range(300):
             n, m = rng.randint(1, 5), rng.randint(2, 4)
@@ -539,7 +540,6 @@ class TestRandomizedSubmodular:
             inst.outcomes,
             inst.relation,
             eps=1e-3,
-            backend="ellipsoid",
         )
         assert sol.converged
         assert float(sol.cost) - float(exact) <= 1e-3 + 1e-9
@@ -561,21 +561,19 @@ class TestRandomizedSubmodular:
             if a != b:
                 assert mean_utility(a) >= mean_utility(b) - 1e-6
 
+    @pytest.mark.parametrize("eps", [float("nan"), -1, 0, float("inf")])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        oracle = table_oracle([0, 1, 1, 2], 2, 2)
+        with pytest.raises(ValueError, match="eps"):
+            solve_randomized_submodular(
+                oracle, OutcomeSpace([0, 1]), ReportingRelation.identity(2), eps=eps
+            )
+
     def test_mismatched_ladder_rejected(self):
         oracle = table_oracle([0, 1, 1, 2], 2, 2)
         with pytest.raises(ValueError):
             solve_randomized_submodular(
                 oracle, OutcomeSpace([1, 2, 3]), ReportingRelation.identity(2)
-            )
-
-    def test_unknown_backend_rejected(self):
-        oracle = table_oracle([0, 1, 1, 2], 2, 2)
-        with pytest.raises(ValueError):
-            solve_randomized_submodular(
-                oracle,
-                OutcomeSpace([0, 1]),
-                ReportingRelation.identity(2),
-                backend="subgradient",
             )
 
     def test_gap_is_certified(self):
@@ -589,88 +587,9 @@ class TestRandomizedSubmodular:
             assert sol.converged
             assert 0 <= sol.gap_estimate <= 5e-4
 
-    def test_mutual_reach_classes(self):
-        def naive(rel):
-            n = rel.type_count
-            reach = [{s} for s in range(n)]
-            for _ in range(n):
-                for a, b in rel.pairs:
-                    for s in range(n):
-                        if a in reach[s]:
-                            reach[s].add(b)
-            classes = []
-            for s in range(n):
-                group = sorted(t for t in reach[s] if s in reach[t])
-                if group[0] == s:
-                    classes.append(group)
-            return classes
-
-        rng = random.Random(64)
-        for _ in range(50):
-            rel = random_relation(rng, rng.randint(1, 7), rng.random())
-            assert _mutual_reach_classes(rel) == naive(rel)
-
-
-class TestDeepCut:
-    """``_deep_cut``, the ellipsoid's one update, on random ellipsoids."""
-
-    @staticmethod
-    def central_cut(center, factor, a):
-        # The central-cut update that deep cuts replaced.
-        r = len(center)
-        stretch = r / math.sqrt(r * r - 1.0) if r > 1 else 1.0
-        shift = factor @ a
-        return (
-            center - shift / (r + 1),
-            stretch * factor + (r / (r + 1) - stretch) * np.outer(shift, a),
-        )
-
-    @staticmethod
-    def draw(rng, r):
-        center = rng.normal(size=r)
-        factor = rng.normal(size=(r, r)) + r * np.eye(r)
-        a = rng.normal(size=r)
-        return center, factor, a / math.sqrt(a @ a)
-
-    @pytest.mark.parametrize("r", [1, 2, 5, 8])
-    def test_kept_part_stays_inside(self, r):
-        rng = np.random.default_rng(100 + r)
-        for k in range(40):
-            center, factor, a = self.draw(rng, r)
-            depth = (0.0, 0.999)[k] if k < 2 else rng.uniform(0.0, 1.0)
-            new_center, new_factor = _deep_cut(center, factor.copy(), a, depth)
-            # Points v = -t a + s q of the unit ball (q orthogonal to a) with
-            # a @ v = -t <= -depth, including the rim and the tip, which the
-            # smallest such ellipsoid touches.
-            radii = []
-            for j in range(60):
-                t = (depth, 1.0)[j] if j < 2 else rng.uniform(depth, 1.0)
-                q = rng.normal(size=r)
-                q -= (q @ a) * a
-                q_norm = math.sqrt(q @ q)
-                q = q / q_norm if q_norm > 1e-9 else np.zeros(r)
-                edge = math.sqrt(max(0.0, 1.0 - t * t))
-                s = edge if j < 30 else rng.uniform(0.0, edge)
-                v = -t * a + s * q
-                x = center + factor @ v
-                w = np.linalg.solve(new_factor, x - new_center)
-                radii.append(math.sqrt(w @ w))
-            assert max(radii) <= 1 + 1e-9
-            assert radii[1] >= 1 - 1e-9  # the tip -a lies on the new boundary
-
-    @pytest.mark.parametrize("r", [1, 2, 5, 8])
-    def test_zero_depth_is_the_central_cut(self, r):
-        rng = np.random.default_rng(200 + r)
-        for _ in range(40):
-            center, factor, a = self.draw(rng, r)
-            old_center, old_factor = self.central_cut(center, factor, a)
-            new_center, new_factor = _deep_cut(center, factor.copy(), a, 0.0)
-            assert np.max(np.abs(new_center - old_center)) <= 1e-12
-            assert np.max(np.abs(new_factor - old_factor)) <= 1e-12
-
 
 class TestDeepCutCertificates:
-    """The ellipsoid's certified gaps stay sound under deep cuts: a seeded
+    """The double oracle's exact gaps stay sound: a seeded
     differential over integer and rational costs with chain, cyclic and
     one-type relations."""
 
@@ -722,9 +641,7 @@ class TestDeepCutCertificates:
                 assert in_truthful_lattice(fast.point, rel)
                 assert fast.gap >= 0
                 assert float(fast.cost) - fast.gap - 1e-9 <= float(brute.cost)
-                exact = solve_deterministic_submodular(
-                    oracle, rel, value_granularity=Fraction(1, denominator)
-                )
+                exact = solve_deterministic_submodular(oracle, rel)
                 assert exact.cost == brute.cost
                 assert in_truthful_lattice(exact.point, rel)
 
@@ -740,3 +657,82 @@ class TestDeepCutCertificates:
                 assert optimum <= sol.value + 1e-7
                 assert sol.value <= optimum + eps
         assert cases == 78
+
+
+class TestDoubleOracle:
+    """The exact double oracle against the lattice scan and the envelope cut
+    on seeded hostile tables: the three ``conftest`` families and
+    ``TestDeepCutCertificates.exact_table``, ``m`` from 1 to 4, and chain,
+    cyclic, full, identity and one-type relations."""
+
+    @staticmethod
+    def relations(rng, n):
+        chain = [(i, i) for i in range(n)] + [(i, i - 1) for i in range(1, n)]
+        yield ReportingRelation(n, chain)
+        yield ReportingRelation(n, chain + [(0, n - 1)])  # every type reaches every other
+        yield ReportingRelation.full(n)
+        yield ReportingRelation.identity(n)
+        yield random_relation(rng, n, 0.5)
+
+    @staticmethod
+    def tables(rng, n, m):
+        yield None, concave_of_sum_table(rng, n, m)
+        yield None, peak_surcharge_table(rng, n, m)
+        yield None, discount_pairs_table(rng, n, m)
+        yield TestDeepCutCertificates.exact_table(rng, n, m, rng.choice((1, 6)))
+
+    def test_game_strategies_certify_each_other(self):
+        # By LP duality the two strategies are optimal exactly when the row
+        # player's guaranteed payoff equals the column player's.
+        assert _solve_game([[1, -1], [-1, 1]]) == (
+            [Fraction(1, 2)] * 2, [Fraction(1, 2)] * 2
+        )
+        rng = random.Random(1104)
+        for k in range(300):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            game = [
+                [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if k % 3 else rng.randint(0, 1)
+                 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            w, v = _solve_game(game)
+            assert sum(w) == sum(v) == 1
+            assert min(w) >= 0 and min(v) >= 0
+            floor = min(sum(w[a] * game[a][b] for a in range(rows)) for b in range(cols))
+            ceiling = max(sum(v[b] * game[a][b] for b in range(cols)) for a in range(rows))
+            assert floor == ceiling
+
+    def test_exact_on_hostile_tables(self):
+        rng = random.Random(1103)
+        eps = 1e-2
+        cases = 0
+        for n, m in itertools.product(range(1, 6), range(1, 5)):
+            utilities = sorted(rng.sample(range(12), m))
+            for add, oracle in self.tables(rng, n, m):
+                for rel in self.relations(rng, n):
+                    cases += 1
+                    brute = solve_deterministic_submodular(oracle, rel, backend="brute")
+                    det = solve_deterministic_submodular(oracle, rel)
+                    assert det.cost == brute.cost
+                    assert det.gap == 0
+                    assert in_truthful_lattice(det.point, rel)
+
+                    sol = solve_randomized_submodular(
+                        oracle, OutcomeSpace(utilities), rel, eps=eps
+                    )
+                    assert sol.converged
+                    assert 0 <= sol.gap_estimate <= eps / 2
+                    assert chain_violations(sol.chain) == []
+                    # Truthful vectors are truthful lotteries.
+                    assert sol.cost <= det.cost
+                    if add is None:
+                        continue
+                    inst = Instance(OutcomeSpace(utilities), rel, CostMatrix(add))
+                    optimum = solve_randomized(inst).cost.value
+                    sol = solve_randomized_submodular(
+                        additive_oracle(inst), inst.outcomes, rel, eps=eps
+                    )
+                    assert sol.converged
+                    assert optimum <= sol.cost.value <= optimum + Fraction(eps) / 2
+        assert cases == 400
+
