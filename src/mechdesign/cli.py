@@ -21,6 +21,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .envelope import solve_randomized
@@ -91,8 +92,51 @@ def _number_text(x) -> str:
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
+_FLOAT_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(x, newline: str = "\n") -> str:
+    """``json.dumps(x, indent=2)`` byte for byte, without the pure-Python
+    encoder that ``indent`` selects; raises ``TypeError`` on other types, as
+    that encoder does.  Strings and ints inside containers, most of every
+    report, are written inline."""
+    if not isinstance(x, (list, tuple, dict)):
+        return _json_scalar(x)
+    if not x:
+        return "{}" if isinstance(x, dict) else "[]"
+    inner, encode = newline + "  ", encode_basestring_ascii
+    if isinstance(x, dict):
+        texts = [
+            encode(k if isinstance(k, str) else _json_scalar(k)) + ": "
+            + (encode(v) if isinstance(v, str) else _json_text(v, inner))
+            for k, v in x.items()
+        ]
+        return "{" + inner + ("," + inner).join(texts) + newline + "}"
+    texts = [
+        encode(v) if isinstance(v, str)
+        else int.__repr__(v) if type(v) is int
+        else _json_text(v, inner)
+        for v in x
+    ]
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def _json_scalar(x) -> str:
+    """The JSON text of a string, number, boolean or None."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _FLOAT_TEXT.get(text, text)
+    raise TypeError(f"{type(x).__name__} is not a JSON type")
+
+
 def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2))
+    print(_json_text(report))
 
 
 def _load_valid_instance(path):
@@ -206,7 +250,7 @@ def cmd_generate(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(_json_text(payload) + "\n")
 
 
 def cmd_solve(args, argv) -> int:

@@ -255,10 +255,9 @@ def threshold_assignment(table: list[EnvelopeRow], relation) -> list[int] | None
     n = len(table)
     claims: list[list[int]] = [[] for _ in range(n)]
     claimed_by: list[list[int]] = [[] for _ in range(n)]
-    for a, b in relation.pairs:
-        if a != b:
-            claims[a].append(b)
-            claimed_by[b].append(a)
+    for a, b in relation.claims:
+        claims[a].append(b)
+        claimed_by[b].append(a)
     lower = _spread([row.vertices[0] for row in table], claimed_by, reverse=True)
     upper = _spread([row.vertices[-1] for row in table], claims, reverse=False)
     if any(lo > hi for lo, hi in zip(lower, upper)):

@@ -17,9 +17,11 @@ from typing import Iterable, Sequence
 from .instances import (
     Cost,
     CostMatrix,
+    DeterministicMechanism,
     Instance,
     OutcomeSpace,
     ReportingRelation,
+    cost_deterministic,
     transitive_closure,
 )
 
@@ -410,12 +412,8 @@ def overhead_cost_oracle(instance: Instance, activation_cost) -> "CostOracle":
         raise ValueError("overhead oracle needs finite cost entries")
 
     def evaluate(point: Sequence[int]) -> Cost:
-        total = Cost(0)
-        for i, j in enumerate(point):
-            total = total + instance.costs.entry(i, j)
-        if any(j > 0 for j in point):
-            total = total + c0
-        return total
+        total = cost_deterministic(DeterministicMechanism(point), instance)
+        return total + c0 if any(point) else total
 
     bound = (
         sum(max(c.value for c in row) for row in instance.costs.rows)

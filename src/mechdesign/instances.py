@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 # Absolute slack used for truthfulness comparisons when a mechanism's expected
 # utilities are floats; exact (rational) utilities use no slack.
@@ -149,29 +150,18 @@ class Cost:
             return NotImplemented
         return self.value == other.value
 
-    def __lt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp_key() < other._cmp_key()
+    def _order(compare):
+        def method(self, other):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+            return compare(self._cmp_key(), other._cmp_key())
 
-    def __le__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp_key() <= other._cmp_key()
+        return method
 
-    def __gt__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other._cmp_key() < self._cmp_key()
-
-    def __ge__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other._cmp_key() <= self._cmp_key()
+    __lt__, __le__ = _order(operator.lt), _order(operator.le)
+    __gt__, __ge__ = _order(operator.gt), _order(operator.ge)
+    del _order
 
     def __hash__(self):
         return hash(("Cost", self.value))
@@ -240,6 +230,11 @@ class ReportingRelation:
         for claims in reports.values():
             claims.sort()
         return reports
+
+    @cached_property
+    def claims(self) -> list[tuple[int, int]]:
+        """The non-reflexive pairs, sorted; built once per relation."""
+        return sorted((a, b) for a, b in self.pairs if a != b)
 
     def allowed_reports(self, reporter: int) -> list[int]:
         return list(self._reports_by_reporter.get(reporter, ()))
@@ -331,15 +326,6 @@ class RandomizedMechanism:
 
     def __init__(self, rows: Iterable[Iterable]):
         object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
-
-    @classmethod
-    def point_mass(cls, assignment: Sequence[int], outcome_count: int) -> "RandomizedMechanism":
-        rows = []
-        for j in assignment:
-            row = [0] * outcome_count
-            row[j] = 1
-            rows.append(row)
-        return cls(rows)
 
 
 Mechanism = Union[DeterministicMechanism, RandomizedMechanism]
@@ -514,7 +500,7 @@ def truthfulness_violations(
     """
     if utilities is None:
         utilities = expected_utilities(mech, instance)
-    pairs = [(a, b) for a, b in sorted(instance.relation.pairs) if a != b]
+    pairs = instance.relation.claims
     if is_exact(utilities):
         return [(a, b) for a, b in pairs if utilities[b] > utilities[a]]
     return [

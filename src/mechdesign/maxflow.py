@@ -1,23 +1,26 @@
-"""Integer max-flow via Dinic's algorithm, one connected component at a time.
+"""Integer max-flow via Dinic's algorithm, seeded and run one component at a time.
 
 Capacities are Python ints (arbitrary precision), so the computation is
 exact and always terminates: every augmentation moves at least one unit.
 Callers holding rational capacities scale them to integers first.
 
-Decomposition: remove the source and the sink and split the other nodes
-into weakly connected components.  A simple augmenting path leaves the
-source once and stops at the sink, so every node between lies in one
-component, and pushing flow along it changes residual capacities only
-inside that component and on its source and sink edges.  Flows in
-different components therefore never interact: saturating each component
-in turn (Dinic phases whose search starts from that component's source
-edges only) leaves no augmenting path in the whole graph.  The result is a
-maximum flow like any other, so the residual-reachable set is still the
-inclusion-minimal minimum-cut source side, while each phase's search and
-reset touch one component instead of every node.
+``seed_chains`` first pushes along each of the caller's arc-disjoint
+source-to-sink chains its least capacity, a feasible flow to augment from.
+Then Dinic runs per weakly connected component of the graph without source
+and sink: a simple augmenting path lies in one component and changes
+residual capacities only there, so saturating each in turn (phases that
+leave the source through its edges only) leaves no augmenting path at all.
+The caller knows the components (the cut networks read them off the
+reporting relation) and lists in ``source_groups`` those that can still
+carry flow; a seeded chain that meets no other cannot.  The result is a
+maximum flow like any other, and every maximum flow leaves the same
+residual-reachable set, the inclusion-minimal minimum-cut source side; a
+component wrongly left out would leave the sink reachable.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class FlowGraph:
@@ -28,6 +31,9 @@ class FlowGraph:
         self.head: list[list[int]] = [[] for _ in range(node_count)]
         self.to: list[int] = []
         self.cap: list[int] = []
+        # The source's edges grouped by component, as Dinic should search
+        # them; ``None`` searches every source edge as one group.
+        self.source_groups: list[list[int]] | None = None
 
     def add_edge(self, u: int, v: int, capacity: int) -> int:
         """Add a directed edge and its zero-capacity reverse; returns the
@@ -49,28 +55,17 @@ class FlowGraph:
             head[v].append(eid + 1)
         return first
 
-    def _source_groups(self, source: int, sink: int) -> list[list[int]]:
-        """The source's edges grouped by the weakly connected component,
-        source and sink removed, that their heads lie in.  ``head[u]`` holds
-        the reverse of every edge into ``u``, so it lists all neighbours."""
-        head, to = self.head, self.to
-        component = [-1] * self.node_count
-        component[source] = source
-        component[sink] = sink
-        groups: dict[int, list[int]] = {}
-        for eid in head[source]:
-            root = to[eid]
-            if component[root] < 0:
-                component[root] = root
-                stack = [root]
-                while stack:
-                    for e in head[stack.pop()]:
-                        v = to[e]
-                        if component[v] < 0:
-                            component[v] = root
-                            stack.append(v)
-            groups.setdefault(component[root], []).append(eid)
-        return list(groups.values())
+    def seed_chains(self, count: int, length: int) -> int:
+        """Push each chain's least residual capacity along it; chain ``c`` is
+        forward edges ``2k``, ``c * length <= k < (c + 1) * length``, in path
+        order.  Returns the value pushed."""
+        cap, stop, step = self.cap, 2 * count * length, 2 * length
+        columns = [cap[2 * p : stop : step] for p in range(length)]
+        lows = list(map(min, zip(*columns)))
+        for p, column in enumerate(columns):
+            cap[2 * p : stop : step] = map(operator.sub, column, lows)
+            cap[2 * p + 1 : stop : step] = map(operator.add, cap[2 * p + 1 : stop : step], lows)
+        return sum(lows)
 
     def _levels(
         self, source: int, sink: int, group: list[int], level: list[int]
@@ -148,12 +143,14 @@ class FlowGraph:
             u = source if not path else to[path[-1]]
 
     def max_flow(self, source: int, sink: int) -> int:
-        """Push a maximum flow, left in the residual capacities, and return
-        its value; Dinic runs one component at a time (module docstring)."""
+        """Augment the current flow to a maximum one, left in the residual
+        capacities, and return the value added; Dinic runs one source group
+        at a time (module docstring)."""
         level = [-1] * self.node_count
         iter_index = [0] * self.node_count
         total = 0
-        for group in self._source_groups(source, sink):
+        groups = self.source_groups
+        for group in [self.head[source]] if groups is None else groups:
             reached = True
             while reached:
                 touched = self._levels(source, sink, group, level)

@@ -31,11 +31,18 @@ then the level arcs, then the exit arc, where arc ``i*(m+1) + p`` for
 first ``n*(m+1)`` is an imitation arc, ``m`` per sorted pair ``(a, b)`` with
 ``a != b``.  Since every chain has exactly ``m + 1`` arcs and all chains come
 first, an arc's kind follows from its position alone and is not stored.
+
+Flow.  Each type's chain is a source-to-sink path of its own, so the flow
+starts with every chain saturated at its cheapest arc, and Dinic runs only on
+the relation's components that hold a claim (``claim_groups``); a lone
+chain carries no more.  Every maximum flow leaves the same residual source
+side, so neither the seed nor the split changes the cut (``maxflow.py``).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -83,6 +90,7 @@ class FlowNetwork:
     tails: list[int]
     heads: list[int]
     costs: CostMatrix
+    claims: list[tuple[int, int]]  # the pairs behind the imitation arcs
 
     @property
     def node_count(self) -> int:
@@ -116,7 +124,7 @@ class ClampedNetwork:
 
 @dataclass(frozen=True)
 class CutResult:
-    source_side: frozenset[int]
+    reachable: list[bool]  # the source side, as a mask over the nodes
     value: Fraction
     scale: int
 
@@ -142,13 +150,13 @@ def build_network(instance: Instance) -> FlowNetwork:
     for bottom in range(grid_node(0, 0, m), grid_node(n, 0, m), m):
         tails += [SOURCE, *range(bottom, bottom + m)]
         heads += [*range(bottom, bottom + m), SINK]
-    for a, b in sorted(instance.relation.pairs):
-        if a != b:
-            # "a can claim b": a's chain must reach at least as high as b's,
-            # enforced by unbounded arcs from b's chain into a's at each level.
-            tails.extend(range(grid_node(b, 0, m), grid_node(b, m, m)))
-            heads.extend(range(grid_node(a, 0, m), grid_node(a, m, m)))
-    return FlowNetwork(n, m, tails, heads, instance.costs)
+    claims = instance.relation.claims
+    for a, b in claims:
+        # "a can claim b": a's chain must reach at least as high as b's,
+        # enforced by unbounded arcs from b's chain into a's at each level.
+        tails.extend(range(grid_node(b, 0, m), grid_node(b, m, m)))
+        heads.extend(range(grid_node(a, 0, m), grid_node(a, m, m)))
+    return FlowNetwork(n, m, tails, heads, instance.costs, claims)
 
 
 def scale_to_integers(values) -> tuple[list[int], int]:
@@ -181,16 +189,44 @@ def clamp_capacities(network: FlowNetwork) -> ClampedNetwork:
     )
 
 
+def claim_groups(count: int, claims: list[tuple[int, int]]) -> list[list[int]]:
+    """The weakly connected components of ``range(count)`` that hold one of
+    the ``claims``, found by a search over the pairs, in O(count + claims)."""
+    neighbours: list[list[int]] = [[] for _ in range(count)]
+    for a, b in claims:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen = [False] * count
+    groups = []
+    for start in range(count):
+        if neighbours[start] and not seen[start]:
+            seen[start] = True
+            group = [start]
+            for x in group:  # the loop also visits the nodes it appends
+                for y in neighbours[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        group.append(y)
+            groups.append(group)
+    return groups
+
+
 def certified_cut(
-    node_count: int, tails: list[int], heads: list[int], capacities: list[int]
+    node_count: int, tails: list[int], heads: list[int], capacities: list[int],
+    groups: list[list[int]], chains: tuple[int, int] = (0, 0),
 ) -> tuple[list[bool], int]:
-    """Exact minimum ``SOURCE``-``SINK`` cut of integer arc arrays: run Dinic
-    and take the residual-reachable source side (the inclusion-minimal one),
-    returned as a node mask with the cut value.  The flow and the cut,
-    summed in integers, certify each other."""
+    """Exact minimum ``SOURCE``-``SINK`` cut of integer arc arrays: seed the
+    first ``count * length`` arcs, ``chains = (count, length)``, as that many
+    source-to-sink paths, augment by Dinic from each group of source arcs
+    (a component with none has no augmenting path), and take the
+    residual-reachable (inclusion-minimal) source side, returned as a node
+    mask with the cut value.  The final flow and the cut, summed in
+    integers, certify each other."""
     graph = FlowGraph(node_count)
     graph.add_edges(tails, heads, capacities)
-    flow = graph.max_flow(SOURCE, SINK)
+    graph.source_groups = [[2 * k for k in group] for group in groups]
+    flow = graph.seed_chains(*chains)
+    flow += graph.max_flow(SOURCE, SINK)
     # Arc k is edge 2k and carries the reverse edge's residual capacity: it
     # must fit its capacity and be conserved at every node but s and t.
     cap, excess = graph.cap, [0] * node_count
@@ -220,13 +256,17 @@ def certified_cut(
 
 
 def min_cut(clamped: ClampedNetwork) -> CutResult:
-    """The certified minimum cut of the clamped network."""
+    """The certified minimum cut of the clamped network: the type chains
+    seed the flow, and Dinic searches from the entry arcs of each claim
+    component (module docstring)."""
     network = clamped.network
+    n, chain = network.type_count, network.outcome_count + 1
+    groups = [[i * chain for i in types] for types in claim_groups(n, network.claims)]
     reachable, value = certified_cut(
-        network.node_count, network.tails, network.heads, clamped.capacities
+        network.node_count, network.tails, network.heads, clamped.capacities,
+        groups, (n, chain),
     )
-    source_side = frozenset(i for i, r in enumerate(reachable) if r)
-    return CutResult(source_side, Fraction(value, clamped.scale), clamped.scale)
+    return CutResult(reachable, Fraction(value, clamped.scale), clamped.scale)
 
 
 def minimal_closure(weights: list[Fraction], pairs: list[tuple[int, int]]) -> list[bool]:
@@ -234,7 +274,9 @@ def minimal_closure(weights: list[Fraction], pairs: list[tuple[int, int]]) -> li
     of ``pairs`` with ``b`` in ``S`` has ``a`` in ``S`` (Picard's closure
     cut): ``s -> i`` carries ``-w_i`` and ``i -> t`` carries ``w_i``, scaled
     to integers, and each pair is an arc ``b -> a`` above the empty set's
-    cut ``sum(-w_i for w_i < 0)``, which no minimum cut can cross."""
+    cut ``sum(-w_i for w_i < 0)``, which no minimum cut can cross.  Only
+    the pairs join types, so Dinic searches the components holding a pair
+    and no other: a lone type has a source arc or a sink arc, not both."""
     scaled, _ = scale_to_integers(weights)
     tails = [SOURCE if w < 0 else node for node, w in enumerate(scaled, 2)]
     heads = [node if w < 0 else SINK for node, w in enumerate(scaled, 2)]
@@ -242,11 +284,19 @@ def minimal_closure(weights: list[Fraction], pairs: list[tuple[int, int]]) -> li
     tails += [b + 2 for _, b in pairs]
     heads += [a + 2 for a, _ in pairs]
     capacities += [1 - sum(w for w in scaled if w < 0)] * len(pairs)
-    reachable, _ = certified_cut(len(scaled) + 2, tails, heads, capacities)
+    groups = [[i for i in g if scaled[i] < 0] for g in claim_groups(len(scaled), pairs)]
+    reachable, _ = certified_cut(len(scaled) + 2, tails, heads, capacities, groups)
     inside = reachable[2:]
     if any(inside[b] and not inside[a] for a, b in pairs):
         raise SelfCheckError("a relation arc leaves the minimal closure")
     return inside
+
+
+def _chain_columns(cut: CutResult, clamped: ClampedNetwork) -> list[list[bool]]:
+    """Column ``j`` is the source-side mask of every type's level ``j``."""
+    m = clamped.network.outcome_count
+    levels = cut.reachable[grid_node(0, 0, m) :]
+    return [levels[j::m] for j in range(m)]
 
 
 def extract_mechanism(cut: CutResult, clamped: ClampedNetwork) -> DeterministicMechanism:
@@ -256,26 +306,26 @@ def extract_mechanism(cut: CutResult, clamped: ClampedNetwork) -> DeterministicM
         raise InfiniteOptimumError(
             f"minimum cut {cut.value} exceeds budget {clamped.budget}"
         )
-    m = clamped.network.outcome_count
-    assignment = []
-    for i in range(clamped.network.type_count):
-        inside = [j for j in range(m) if grid_node(i, j, m) in cut.source_side]
-        if not inside:
-            raise SelfCheckError(f"type {i} has no chain node on the source side")
-        assignment.append(inside[-1])
+    assignment = [-1] * clamped.network.type_count
+    for j, column in enumerate(_chain_columns(cut, clamped)):
+        assignment = [j if inside else x for x, inside in zip(assignment, column)]
+    if -1 in assignment:
+        raise SelfCheckError(
+            f"type {assignment.index(-1)} has no chain node on the source side"
+        )
     return DeterministicMechanism(assignment)
 
 
 def _check_cut_shape(cut: CutResult, clamped: ClampedNetwork) -> None:
-    network, side = clamped.network, cut.source_side
-    m = network.outcome_count
-    for i in range(network.type_count):
-        inside = [grid_node(i, j, m) in side for j in range(m)]
-        if inside != sorted(inside, reverse=True):
-            raise SelfCheckError(f"source side not downward closed on chain {i}")
+    columns = _chain_columns(cut, clamped)
+    for below, above in zip(columns, columns[1:]):
+        rises = list(map(operator.gt, above, below))
+        if True in rises:
+            raise SelfCheckError(f"source side not downward closed on chain {rises.index(True)}")
+    network, side = clamped.network, cut.reachable
     chain = network.chain_arc_count
     for tail, head in zip(network.tails[chain:], network.heads[chain:]):
-        if tail in side and head not in side:
+        if side[tail] and not side[head]:
             raise SelfCheckError("an imitation arc crosses the returned cut")
 
 
@@ -307,7 +357,8 @@ def solve_deterministic(instance: Instance) -> DeterministicSolution:
 def network_to_dot(clamped: ClampedNetwork, cut: CutResult | None = None) -> str:
     """Graphviz rendering of the clamped network, optionally with the cut's
     source side filled in."""
-    net, side = clamped.network, cut.source_side if cut is not None else ()
+    net = clamped.network
+    side = cut.reachable if cut is not None else [False] * net.node_count
     m = net.outcome_count
     clamp = clamped.clamp_value * clamped.scale  # above every finite capacity
     lines = ["digraph cutnet {", "  rankdir=LR;", '  s [shape=box];', '  t [shape=box];']
@@ -319,13 +370,13 @@ def network_to_dot(clamped: ClampedNetwork, cut: CutResult | None = None) -> str
 
     for node in range(2, net.node_count):
         i, j = divmod(node - 2, m)
-        style = ', style=filled, fillcolor="lightblue"' if node in side else ""
+        style = ', style=filled, fillcolor="lightblue"' if side[node] else ""
         lines.append(f'  {name(node)} [label="type {i} / level {j}"{style}];')
     for tail, head, cap in zip(net.tails, net.heads, clamped.capacities):
         attrs = ['label="inf"', "style=dashed"]
         if cap != clamp:
             attrs = [f'label="{Fraction(cap, clamped.scale)}"']
-        if tail in side and head not in side:
+        if side[tail] and not side[head]:
             attrs.append("color=red")
         lines.append(f"  {name(tail)} -> {name(head)} [{', '.join(attrs)}];")
     lines.append("}")

@@ -86,22 +86,6 @@ def enumerate_truthful_deterministic(
     )
 
 
-def _enumerate_truthful_general(
-    outcome_count: int,
-    relation,
-    utilities: Sequence[Sequence[Fraction]],
-    budget: int,
-) -> Iterator[tuple[int, ...]]:
-    """Truthful assignments when each type has its own utility row."""
-    _check_budget(outcome_count ** relation.type_count, budget, "enumeration")
-    return _enumerate_with_pair_constraints(
-        relation.type_count,
-        outcome_count,
-        sorted(relation.pairs),
-        lambda a, ja, jb: utilities[a][ja] >= utilities[a][jb],
-    )
-
-
 def _assignment_cost(instance: Instance, assignment: tuple[int, ...], cost_oracle) -> Cost:
     if cost_oracle is not None:
         return cost_oracle(assignment)
@@ -125,12 +109,14 @@ def brute_force_deterministic_opt(
     Returns ``(cost, argmin)``; the cost is infinite when every truthful
     assignment hits an infinite entry.
     """
-    m = instance.outcome_count
+    m, relation = instance.outcome_count, instance.relation
     if utilities is None:
-        candidates = enumerate_truthful_deterministic(m, instance.relation, budget)
-    else:
-        candidates = _enumerate_truthful_general(
-            m, instance.relation, utilities, budget
+        candidates = enumerate_truthful_deterministic(m, relation, budget)
+    else:  # each type has its own utility row
+        _check_budget(m**relation.type_count, budget, "enumeration")
+        candidates = _enumerate_with_pair_constraints(
+            relation.type_count, m, sorted(relation.pairs),
+            lambda a, ja, jb: utilities[a][ja] >= utilities[a][jb],
         )
     best_cost: Cost | None = None
     best: tuple[int, ...] | None = None

@@ -46,6 +46,7 @@ from .instances import (
     SelfCheckError,
     _check_indices,
     _probability_to_json,
+    cost_deterministic,
     cost_from_json,
     differs,
     exceeds,
@@ -95,20 +96,15 @@ class CostOracle:
 
 def additive_oracle(instance: Instance) -> CostOracle:
     """Sum of per-type entries; the bridge between matrix and query worlds."""
-    rows = instance.costs.rows
-
-    def evaluate(point):
-        total = Cost(0)
-        for i, j in enumerate(point):
-            total = total + rows[i][j]
-        return total
-
     bound = Fraction(0)
-    for row in rows:
+    for row in instance.costs.rows:
         finite = [c.value for c in row if c.is_finite]
         if finite:
             bound += max(finite)
-    return CostOracle(evaluate, instance.type_count, instance.outcome_count, bound)
+    return CostOracle(
+        lambda point: cost_deterministic(DeterministicMechanism(point), instance),
+        instance.type_count, instance.outcome_count, bound,
+    )
 
 
 def lattice_index(point: Sequence[int], outcome_count: int) -> int:
@@ -775,7 +771,9 @@ def _double_oracle(oracle: CostOracle, cut: Callable, upper: Callable, tol, max_
     Both bounds hold for any mixes and are exact rationals.  When neither
     oracle finds a new vertex the restricted game's value closes the gap, so
     the loop stops at ``upper - lower <= tol`` after finitely many rounds;
-    ``max_iters`` caps them.  Returns ``(upper, lower, rounds)``.
+    ``max_iters`` caps them.  Returns ``(upper, lower, rounds)``.  A lower
+    bound above the upper one proves the cost not submodular and raises
+    ``SelfCheckError``.
     """
     n, m = oracle.type_count, oracle.outcome_count
     bottom = _finite_value(oracle, (0,) * n)
@@ -807,6 +805,10 @@ def _double_oracle(oracle: CostOracle, cut: Callable, upper: Callable, tol, max_
             for g, row in zip(grads, game):
                 row.append(_inner(g, q))
         _, mix = _solve_game(game)
+    if lower is not None and lower > best:
+        raise SelfCheckError(
+            f"lower bound {lower} exceeds the cost {best}: the oracle is not submodular"
+        )
     return best, lower, rounds
 
 

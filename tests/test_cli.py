@@ -12,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mechdesign
 from mechdesign import (
@@ -37,6 +39,7 @@ from mechdesign.cli import (
     EXIT_SELF_CHECK,
     EXIT_UNTRUTHFUL,
     EXIT_USAGE,
+    _json_text,
     main,
 )
 
@@ -363,6 +366,53 @@ class TestInfiniteOracleTables:
         )
         assert code == EXIT_OK
         assert last_json(out)["cost"] == "1"
+
+class TestNonSubmodularTable:
+    # The peel's upper bound on this 2x3 table falls 1 below the cut's lower
+    # bound, which no submodular cost allows.
+    VALUES = [4, 4, 0, 7, 8, 5, 4, 3, 9]
+
+    @pytest.mark.parametrize("algo", ["sub-det", "sub-rand"])
+    def test_negative_gap_exits_6(self, tmp_path, capsys, algo):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({
+            "outcomes": [0, 1, 2],
+            "relation": [[0, 0], [1, 1], [1, 0]],
+            "costs": [[0, 0, 0], [0, 0, 0]],
+            "meta": {"oracle": {"kind": "table", "values": self.VALUES}},
+        }))
+        code, _, err = run(capsys, "solve", str(path), "--algo", algo)
+        assert code == EXIT_SELF_CHECK
+        assert "not submodular" in err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text() | st.integers() | st.booleans(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    @example({"a": [], "b": {}, "c": [[], [{}], {"d": []}]})
+    @example(["caf\u00e9 \u2603 \U0001f600", "tab\t quote\" back\\ nl\n \x00"])
+    @example([True, False, None, 0, -1, 2**80, 0.1, -0.0, 1e300, float("inf"),
+              float("-inf"), float("nan")])
+    @example({1: "int key", 2.5: "float key", None: "none key", True: "bool key"})
+    def test_matches_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [{"x": Fraction(1, 3)}, [{(1, 2): 3}], {(): 0}])
+    def test_unknown_types_raise_like_json(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            _json_text(value)
+
 
 class TestVerify:
     def test_accepts_solver_output(self, tmp_path, capsys, instance_file):

@@ -30,8 +30,9 @@ from mechdesign import (
     solve_deterministic,
     transitive_closure,
 )
+from mechdesign import mincut
 from mechdesign.maxflow import FlowGraph
-from mechdesign.mincut import grid_node
+from mechdesign.mincut import certified_cut, claim_groups, grid_node, minimal_closure
 
 
 def chain_instance():
@@ -468,6 +469,178 @@ class TestFlowCertificate:
         clamped = clamp_capacities(build_network(chain_instance()))
         with pytest.raises(SelfCheckError, match=message):
             min_cut(clamped)
+
+
+def _networkx_minimal_side(node_count, tails, heads, capacities):
+    """Max-flow value and residual-reachable source side by networkx."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(node_count))
+    for u, v, c in zip(tails, heads, capacities):
+        if graph.has_edge(u, v):
+            graph[u][v]["capacity"] += c
+        else:
+            graph.add_edge(u, v, capacity=c)
+    residual = nx.algorithms.flow.preflow_push(graph, 0, 1)
+    open_arcs = nx.DiGraph(
+        (u, v) for u, v, d in residual.edges(data=True) if d["flow"] < d["capacity"]
+    )
+    open_arcs.add_node(0)
+    side = nx.descendants(open_arcs, 0) | {0}
+    return residual.graph["flow_value"], [v in side for v in range(node_count)]
+
+
+def _random_chain_network(rng, count, length):
+    """``count`` chains ``s -> ... -> t`` of ``length`` arcs, then random
+    arcs between chain nodes of a few chains; the groups are the chains'
+    entry arcs per weakly connected component that holds an extra arc."""
+    inner = length - 1
+    tails, heads, capacities = [], [], []
+    for c in range(count):
+        nodes = [0, *range(2 + c * inner, 2 + (c + 1) * inner), 1]
+        tails += nodes[:-1]
+        heads += nodes[1:]
+        capacities += [rng.choice([0, 1, 3, 8, 2**70 + 1]) for _ in range(length)]
+    links = []
+    for _ in range(rng.randint(0, 2 * count)):
+        a, b = rng.sample(range(count), 2) if count > 1 else (0, 0)
+        links.append((a, b))
+        tails.append(2 + a * inner + rng.randrange(inner))
+        heads.append(2 + b * inner + rng.randrange(inner))
+        capacities.append(rng.choice([0, 2, 5, 2**66]))
+    groups = claim_groups(count, [(a, b) for a, b in links if a != b])
+    # A link inside one chain joins no chains but may still open a path.
+    loops = {a for a, b in links if a == b} - {c for g in groups for c in g}
+    groups += [[c] for c in sorted(loops)]
+    arcs = [[c * length for c in group] for group in groups]
+    return 2 + count * inner, tails, heads, capacities, arcs
+
+
+class TestSeededCut:
+    """The seeded, component-split cut against networkx: the same value and
+    the same inclusion-minimal source side."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_chain_networks(self, seed):
+        rng = random.Random(seed)
+        count, length = rng.randint(1, 7), rng.randint(2, 5)
+        nodes, tails, heads, capacities, groups = _random_chain_network(rng, count, length)
+        reachable, value = certified_cut(
+            nodes, tails, heads, capacities, groups, (count, length)
+        )
+        assert (value, reachable) == _networkx_minimal_side(nodes, tails, heads, capacities)
+
+    def test_hostile_instances(self):
+        for k, inst in enumerate(networkx_probe_instances()):
+            clamped = clamp_capacities(build_network(inst))
+            network = clamped.network
+            value, side = _networkx_minimal_side(
+                network.node_count, network.tails, network.heads, clamped.capacities
+            )
+            cut = min_cut(clamped)
+            assert cut.value == Fraction(value, clamped.scale), f"instance {k}"
+            assert cut.reachable == side, f"instance {k}"
+
+    def test_minimal_closure_on_cyclic_and_dense_pairs(self):
+        rng = random.Random(12)
+        for k in range(80):
+            n = rng.randint(1, 8)
+            weights = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 2**64 + 1]))
+                       for _ in range(n)]
+            density = rng.choice([0.1, 0.3, 0.8])
+            pairs = [(a, b) for a in range(n) for b in range(n)
+                     if a != b and rng.random() < density]
+            scaled, _ = mincut.scale_to_integers(weights)
+            tails = [0 if w < 0 else i for i, w in enumerate(scaled, 2)]
+            heads = [i if w < 0 else 1 for i, w in enumerate(scaled, 2)]
+            capacities = [abs(w) for w in scaled]
+            tails += [b + 2 for _, b in pairs]
+            heads += [a + 2 for a, _ in pairs]
+            capacities += [1 - sum(w for w in scaled if w < 0)] * len(pairs)
+            _, side = _networkx_minimal_side(n + 2, tails, heads, capacities)
+            assert minimal_closure(weights, pairs) == side[2:], f"case {k}"
+
+    def test_claim_groups(self):
+        groups = claim_groups(6, [(4, 1), (1, 3), (5, 0)])
+        assert sorted(map(sorted, groups)) == [[0, 5], [1, 3, 4]]
+        assert claim_groups(3, []) == []
+
+    def test_overfull_seed_is_refused(self, monkeypatch):
+        original = FlowGraph.seed_chains
+
+        def overseed(graph, count, length):
+            total = original(graph, count, length)
+            for eid in range(0, 2 * count * length, 2):  # one unit more per chain
+                graph.cap[eid] -= 1
+                graph.cap[eid + 1] += 1
+            return total + count
+
+        monkeypatch.setattr(FlowGraph, "seed_chains", overseed)
+        clamped = clamp_capacities(build_network(chain_instance()))
+        with pytest.raises(SelfCheckError, match="infeasible"):
+            min_cut(clamped)
+
+    def test_wrongly_skipped_component_is_caught(self, monkeypatch):
+        # Type 0 may claim type 1, and both would rather sit apart, so the
+        # seed leaves an augmenting path through the imitation arcs.  Types
+        # 2 and 3 form a second component with a claim.
+        instance = Instance(
+            outcomes=OutcomeSpace([1, 2, 3]),
+            relation=ReportingRelation(4, [(i, i) for i in range(4)] + [(0, 1), (2, 3)]),
+            costs=CostMatrix([[1, 9, 9], [9, 9, 1], [4, 2, 7], [1, 5, 3]]),
+        )
+        clamped = clamp_capacities(build_network(instance))
+        assert min_cut(clamped).value == 10 + 3
+        original = mincut.claim_groups
+        monkeypatch.setattr(
+            mincut, "claim_groups", lambda count, claims: original(count, claims)[1:]
+        )
+        with pytest.raises(SelfCheckError, match="sink is reachable"):
+            min_cut(clamped)
+
+
+class TestCutMaskChecks:
+    """``extract_mechanism`` and the shape check read chain slices of the
+    reachable mask; a mask that no minimum cut leaves is refused."""
+
+    @staticmethod
+    def tampered(change):
+        clamped = clamp_capacities(build_network(chain_instance()))
+        cut = min_cut(clamped)
+        reachable = list(cut.reachable)
+        change(reachable)
+        return mincut.CutResult(reachable, cut.value, cut.scale), clamped
+
+    def test_untampered_mask_passes(self):
+        cut, clamped = self.tampered(lambda side: None)
+        assert extract_mechanism(cut, clamped).assignment == (1, 0)
+        mincut._check_cut_shape(cut, clamped)
+
+    def test_chain_with_no_level_inside(self):
+        def empty_chain(side):
+            for j in range(3):
+                side[grid_node(1, j, 3)] = False
+
+        cut, clamped = self.tampered(empty_chain)
+        with pytest.raises(SelfCheckError, match="type 1 has no chain node"):
+            extract_mechanism(cut, clamped)
+
+    def test_chain_not_downward_closed(self):
+        def gap(side):
+            side[grid_node(1, 0, 3)] = False
+            side[grid_node(1, 1, 3)] = True
+
+        cut, clamped = self.tampered(gap)
+        with pytest.raises(SelfCheckError, match="not downward closed on chain 1"):
+            mincut._check_cut_shape(cut, clamped)
+
+    def test_imitation_arc_crossing(self):
+        def lift_claimed(side):  # type 1 above type 0, which may claim it
+            side[grid_node(1, 1, 3)] = side[grid_node(1, 2, 3)] = True
+            side[grid_node(0, 2, 3)] = False
+
+        cut, clamped = self.tampered(lift_claimed)
+        with pytest.raises(SelfCheckError, match="imitation arc crosses"):
+            mincut._check_cut_shape(cut, clamped)
 
 
 class TestDotOutput:

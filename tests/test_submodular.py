@@ -14,6 +14,7 @@ from mechdesign import (
     Instance,
     OutcomeSpace,
     ReportingRelation,
+    SelfCheckError,
     additive_oracle,
     brute_force_deterministic_opt,
     chain_cost,
@@ -657,6 +658,21 @@ class TestDeepCutCertificates:
                 assert optimum <= sol.value + 1e-7
                 assert sol.value <= optimum + eps
         assert cases == 78
+
+
+class TestNonSubmodularTables:
+    def test_negative_gap_is_a_self_check_failure(self):
+        # On this 2x3 table the exact lower bound ends 1 above the cheapest
+        # truthful cost the peel finds, so both solvers used to report gap -1.
+        values = [4, 4, 0, 7, 8, 5, 4, 3, 9]
+        relation = ReportingRelation(2, [(0, 0), (1, 1), (1, 0)])
+        assert not is_submodular(table_oracle(values, 2, 3))
+        with pytest.raises(SelfCheckError, match="not submodular"):
+            solve_deterministic_submodular(table_oracle(values, 2, 3), relation)
+        with pytest.raises(SelfCheckError, match="not submodular"):
+            solve_randomized_submodular(
+                table_oracle(values, 2, 3), OutcomeSpace(range(3)), relation, eps=1e-2
+            )
 
 
 class TestDoubleOracle:
