@@ -6,11 +6,13 @@ profile concentrates, per type, on the two hull vertices bracketing a target
 utility, and costs exactly the envelope value there.  So the pipeline is:
 envelope every row, solve the deterministic problem on envelope costs, then
 expand each type's assigned target back into the bracketing two-point
-lottery.  Envelope rows are convex, so that deterministic problem needs no
-``n*m``-node cut network: bounds read off the rows' finite ranges settle
-infinite verdicts, and about ``log2 m`` rounds of closure cuts on the
-``n``-node relation graph find the pointwise-lowest optimum
-(``threshold_assignment``).
+lottery.  Envelope rows are convex, so that problem needs no ``n*m``-node
+cut network: the rows' finite ranges settle infinite verdicts, and about
+``log2 m`` rounds of closure cuts on the relation graph, weighted by integer
+hull slopes, find the pointwise-lowest optimum (``threshold_assignment``).
+The path stays in integers: each type's bracket is found on the integer
+hull and yields one ``Fraction`` weight, and each expected utility that the
+truthfulness check compares is one integer sum.
 
 Also here: the two operations behind the "convex costs need no randomness"
 argument — consolidating any truthful lottery profile onto two consecutive
@@ -21,6 +23,7 @@ matches exactly.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +45,7 @@ from .instances import (
     is_truthful,
     ratio_sum,
 )
-from .mincut import minimal_closure, scale_to_integers
+from .mincut import minimal_closure
 # Unused here; the benchmark tracer (mdbench/spans.py) rebinds this name.
 from .mincut import solve_deterministic  # noqa: F401
 
@@ -75,14 +78,6 @@ class EnvelopeRow:
             return y1, 1
         dx = xs[v[s + 1]] - x1
         return y1 * dx + (self.ys[s + 1] - y1) * (xs[k] - x1), dx
-
-    def slope(self, k: int) -> Fraction:
-        """The hull slope between outcomes ``k`` and ``k + 1``, both in the
-        finite range: ``env(k+1) - env(k)`` is this slope times
-        ``(xs[k+1] - xs[k]) / scale``."""
-        v = self.vertices
-        s = bisect_right(v, k) - 1
-        return Fraction(self.ys[s + 1] - self.ys[s], self.xs[v[s + 1]] - self.xs[v[s]])
 
     @cached_property
     def values(self) -> tuple:
@@ -186,41 +181,36 @@ def convex_envelope(cost_row, outcomes: OutcomeSpace) -> EnvelopeRow:
     finite costs over theirs (``CostMatrix``'s layout).
     """
     costs = CostMatrix([cost_row])
-    xs, _ = scale_to_integers(outcomes.utilities)
-    return _lower_hull(tuple(xs), costs.scaled[0], costs.scale)
+    return _lower_hull(outcomes.scaled[0], costs.scaled[0], costs.scale)
 
 
 def recover_mixture(
     envelope_row: EnvelopeRow, outcomes: OutcomeSpace, target, type_index: int = 0
 ) -> MixturePair:
     """Two hull vertices bracketing ``target`` utility, with the unique
-    mixing weight whose expected utility is exactly ``target``."""
-    t = Fraction(target)
-    utilities = outcomes.utilities
-    if t < utilities[0] or t > utilities[-1]:
-        raise ValueError(f"target {t} outside the outcome range")
-    lower = None
-    upper = None
-    for v in envelope_row.vertices:
-        if utilities[v] <= t:
-            lower = v
-        if upper is None and utilities[v] >= t:
-            upper = v
-    if lower is None or upper is None:
-        raise ValueError(
-            f"target {t} not covered by the envelope's finite range"
-        )
-    if lower == upper:
-        return MixturePair(type_index, lower, upper, Fraction(1))
-    alpha = (utilities[upper] - t) / (utilities[upper] - utilities[lower])
+    mixing weight whose expected utility is exactly ``target``.  With
+    ``target = p / q``, ``t = q * target * scale`` lies on the integer
+    ``xs`` times ``q``; it is bisected there, then among the vertices."""
+    p, q = target.as_integer_ratio()
+    v, xs = envelope_row.vertices, envelope_row.xs
+    t = p * outcomes.scaled[1]
+    if not xs[0] * q <= t <= xs[-1] * q:
+        raise ValueError(f"target {Fraction(p, q)} outside the outcome range")
+    j = bisect_right(xs, t // q) - 1
+    s = bisect_right(v, j) - 1
+    if s >= 0 and v[s] == j and xs[j] * q == t:
+        return MixturePair(type_index, j, j, Fraction(1))
+    if s < 0 or s + 1 == len(v):
+        raise ValueError(f"target {Fraction(p, q)} not covered by the envelope's finite range")
+    lower, upper = v[s], v[s + 1]
+    alpha = Fraction(xs[upper] * q - t, (xs[upper] - xs[lower]) * q)
     return MixturePair(type_index, lower, upper, alpha)
 
 
 def envelope_table(instance: Instance) -> list[EnvelopeRow]:
     """Every row's envelope, read off the cost matrix's integer rows: all
     rows share the matrix's scale and one tuple of scaled utilities."""
-    xs, _ = scale_to_integers(instance.outcomes.utilities)
-    xs, costs = tuple(xs), instance.costs
+    xs, costs = instance.outcomes.scaled[0], instance.costs
     return [_lower_hull(xs, row, costs.scale) for row in costs.scaled]
 
 
@@ -248,9 +238,9 @@ def threshold_assignment(table: list[EnvelopeRow], relation) -> list[int] | None
     minimal closed set of least weight ``env_i(k+1) - env_i(k)``, so one
     ``minimal_closure`` over the types the bounds leave free splits a group
     at the middle threshold of its outcome range.  The weights passed are
-    the hull slopes at ``k``: the factor ``(xs[k+1] - xs[k]) / scale`` that
-    turns them into envelope differences is positive and the same for every
-    type, so it changes no closure's rank.
+    the hull slopes ``dy / dx`` at ``k`` as ints ``dy * (L // dx)``, ``L``
+    the runs' lcm: the factor ``(xs[k+1] - xs[k]) / (L * scale)`` that turns
+    them into envelope differences is positive and the same for every type.
     """
     n = len(table)
     claims: list[list[int]] = [[] for _ in range(n)]
@@ -276,7 +266,11 @@ def threshold_assignment(table: list[EnvelopeRow], relation) -> list[int] | None
         k = (klo + khi) // 2
         free = [i for i in types if lower[i] <= k < upper[i]]
         local = {i: p for p, i in enumerate(free)}
-        weights = [table[i].slope(k) for i in free]
+        ends = [(table[i], bisect_right(table[i].vertices, k)) for i in free]
+        steps = [(r.ys[s] - r.ys[s - 1], r.xs[r.vertices[s]] - r.xs[r.vertices[s - 1]])
+                 for r, s in ends]
+        unit = math.lcm(*{dx for _, dx in steps})
+        weights = [dy * (unit // dx) for dy, dx in steps]
         pairs = [(local[a], p) for p, b in enumerate(free) for a in claimed_by[b] if a in local]
         above = {i for i, inside in zip(free, minimal_closure(weights, pairs)) if inside}
         high = [lower[i] > k or i in above for i in types]
@@ -309,8 +303,9 @@ def solve_randomized(instance: Instance) -> RandomizedSolution:
     )
     rows = [[0] * instance.outcome_count for _ in pairs]
     for row, pair in zip(rows, pairs):
-        row[pair.lower] += pair.alpha
-        row[pair.upper] += 1 - pair.alpha
+        if pair.upper != pair.lower:
+            row[pair.upper] = 1 - pair.alpha
+        row[pair.lower] = pair.alpha
     mech = RandomizedMechanism(rows)
 
     if not is_truthful(mech, instance):
@@ -325,11 +320,6 @@ def solve_randomized(instance: Instance) -> RandomizedSolution:
             f"mixture cost {cost} disagrees with envelope optimum {optimum}"
         )
     return RandomizedSolution(mech, cost, pairs)
-
-
-def _exact_rows(mech: RandomizedMechanism) -> list[list[Fraction]]:
-    # Fraction(float) is exact, so this loses nothing for numeric inputs.
-    return [[Fraction(p) for p in row] for row in mech.rows]
 
 
 def consolidate_two_consecutive(
@@ -348,7 +338,7 @@ def consolidate_two_consecutive(
         raise ValueError("consolidation requires convex cost rows")
     utilities = instance.outcomes.utilities
     before_cost = cost_randomized(mech, instance)
-    rows = _exact_rows(mech)
+    rows = [[Fraction(p) for p in row] for row in mech.rows]  # exact for floats too
 
     for i, row in enumerate(rows):
         while True:
@@ -398,7 +388,7 @@ def threshold_round(
     if not is_truthful(mech, instance):
         raise ValueError("threshold rounding expects a truthful lottery profile")
     m = instance.outcome_count
-    rows = _exact_rows(mech)
+    rows = [[Fraction(p) for p in row] for row in mech.rows]  # exact for floats too
     bottoms = []
     upper_mass = []
     for i, row in enumerate(rows):

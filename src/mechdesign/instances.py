@@ -41,6 +41,13 @@ class SelfCheckError(RuntimeError):
     """An internal consistency check failed; results must not be trusted."""
 
 
+def scale_to_integers(values) -> tuple[tuple[int, ...], int]:
+    """Rationals over their least common denominator ``scale``: returns
+    ``(tuple(v * scale for v in values), scale)``, all ints."""
+    scale = math.lcm(*{v.denominator for v in values})
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
+
+
 def is_exact(values: Iterable) -> bool:
     """Whether every value is an exact rational (an ``int`` or a ``Fraction``)."""
     return all(isinstance(v, (int, Fraction)) for v in values)
@@ -198,6 +205,11 @@ class OutcomeSpace:
     @property
     def size(self) -> int:
         return len(self.utilities)
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """``scale_to_integers(utilities)``, built once per outcome space."""
+        return scale_to_integers(self.utilities)
 
 
 @dataclass(frozen=True)
@@ -407,10 +419,15 @@ def mechanism_violations(mech: Mechanism, instance: Instance) -> list[str]:
         if len(row) != m:
             problems.append(f"row {i} has {len(row)} entries, expected {m}")
             continue
-        total = sum(row)
-        if any(p < 0 for p in row):
+        exact = is_exact(row)
+        if exact:  # one integer pass: signs, then one sum per denominator
+            ratios = [p.as_integer_ratio() for p in row if p]
+            negative, total = any(r[0] < 0 for r in ratios), ratio_sum(ratios)
+        else:
+            negative, total = any(p < 0 for p in row), sum(row)
+        if negative:
             problems.append(f"row {i} has a negative probability")
-        if differs(total, 1, is_exact(row), ROW_SUM_TOL):
+        if differs(total, 1, exact, ROW_SUM_TOL):
             problems.append(f"row {i} sums to {total}, expected 1")
     return problems
 
@@ -469,23 +486,25 @@ def transitive_closure(relation: ReportingRelation) -> ReportingRelation:
 # ---------------------------------------------------------------------------
 
 def expected_utility(mech: Mechanism, outcomes: OutcomeSpace, type_index: int):
-    """Expected common utility the given type receives under the mechanism."""
+    """Expected common utility the given type receives under the mechanism.
+    An exact lottery is summed in one integer pass over ``outcomes.scaled``
+    that builds one ``Fraction``; one with a nonzero float, as floats."""
     if isinstance(mech, DeterministicMechanism):
         return outcomes.utilities[mech.assignment[type_index]]
     row = mech.rows[type_index]
-    total = 0
-    for p, u in zip(row, outcomes.utilities):
+    (xs, scale), num, den = outcomes.scaled, 0, 1
+    for p, x in zip(row, xs):
         if p:
-            total += p * u
-    return total
+            if not isinstance(p, (int, Fraction)):
+                return sum(p * u for p, u in zip(row, outcomes.utilities) if p)
+            a, b = p.as_integer_ratio()
+            num, den = (num + a * x, den) if b == den else (num * b + a * x * den, den * b)
+    return Fraction(num, den * scale)
 
 
 def expected_utilities(mech: Mechanism, instance: Instance) -> list:
     """Each type's expected utility under the mechanism, indexed by type."""
-    return [
-        expected_utility(mech, instance.outcomes, i)
-        for i in range(instance.type_count)
-    ]
+    return [expected_utility(mech, instance.outcomes, i) for i in range(instance.type_count)]
 
 
 def truthfulness_violations(

@@ -41,7 +41,6 @@ side, so neither the seed nor the split changes the cut (``maxflow.py``).
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,13 +158,6 @@ def build_network(instance: Instance) -> FlowNetwork:
     return FlowNetwork(n, m, tails, heads, instance.costs, claims)
 
 
-def scale_to_integers(values) -> tuple[list[int], int]:
-    """Rationals over their least common denominator ``scale``: returns
-    ``([v * scale for v in values], scale)``, all ints."""
-    scale = math.lcm(*{v.denominator for v in values})
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def clamp_capacities(network: FlowNetwork) -> ClampedNetwork:
     """Take the capacities from the cost matrix's integer rows, over its
     ``scale``, and replace infinite capacities by ``B + 1``.
@@ -269,23 +261,22 @@ def min_cut(clamped: ClampedNetwork) -> CutResult:
     return CutResult(reachable, Fraction(value, clamped.scale), clamped.scale)
 
 
-def minimal_closure(weights: list[Fraction], pairs: list[tuple[int, int]]) -> list[bool]:
+def minimal_closure(weights: list[int], pairs: list[tuple[int, int]]) -> list[bool]:
     """The inclusion-minimal least-weight set ``S`` in which every ``(a, b)``
     of ``pairs`` with ``b`` in ``S`` has ``a`` in ``S`` (Picard's closure
-    cut): ``s -> i`` carries ``-w_i`` and ``i -> t`` carries ``w_i``, scaled
-    to integers, and each pair is an arc ``b -> a`` above the empty set's
-    cut ``sum(-w_i for w_i < 0)``, which no minimum cut can cross.  Only
-    the pairs join types, so Dinic searches the components holding a pair
-    and no other: a lone type has a source arc or a sink arc, not both."""
-    scaled, _ = scale_to_integers(weights)
-    tails = [SOURCE if w < 0 else node for node, w in enumerate(scaled, 2)]
-    heads = [node if w < 0 else SINK for node, w in enumerate(scaled, 2)]
-    capacities = [abs(w) for w in scaled]
+    cut): ``s -> i`` carries ``-w_i`` and ``i -> t`` carries ``w_i``, ints,
+    and each pair is an arc ``b -> a`` above the empty set's cut
+    ``sum(-w_i for w_i < 0)``, which no minimum cut can cross.  Only the
+    pairs join types, so Dinic searches the components holding a pair and
+    no other: a lone type has a source arc or a sink arc, not both."""
+    tails = [SOURCE if w < 0 else node for node, w in enumerate(weights, 2)]
+    heads = [node if w < 0 else SINK for node, w in enumerate(weights, 2)]
+    capacities = [abs(w) for w in weights]
     tails += [b + 2 for _, b in pairs]
     heads += [a + 2 for a, _ in pairs]
-    capacities += [1 - sum(w for w in scaled if w < 0)] * len(pairs)
-    groups = [[i for i in g if scaled[i] < 0] for g in claim_groups(len(scaled), pairs)]
-    reachable, _ = certified_cut(len(scaled) + 2, tails, heads, capacities, groups)
+    capacities += [1 - sum(w for w in weights if w < 0)] * len(pairs)
+    groups = [[i for i in g if weights[i] < 0] for g in claim_groups(len(weights), pairs)]
+    reachable, _ = certified_cut(len(weights) + 2, tails, heads, capacities, groups)
     inside = reachable[2:]
     if any(inside[b] and not inside[a] for a, b in pairs):
         raise SelfCheckError("a relation arc leaves the minimal closure")

@@ -179,6 +179,16 @@ class TestSolve:
             assert code == EXIT_SELF_CHECK
             assert "max flow reported" in err
 
+    @pytest.mark.parametrize("module, algo", [("mincut", "det"), ("envelope", "rand")])
+    def test_solver_truthfulness_check_exits_6(
+        self, capsys, instance_file, monkeypatch, module, algo
+    ):
+        # The solver's own check is the only truthfulness check on this path.
+        monkeypatch.setattr(getattr(mechdesign, module), "is_truthful", lambda mech, inst: False)
+        code, out, err = run(capsys, "solve", str(instance_file), "--algo", algo)
+        assert code == EXIT_SELF_CHECK, out
+        assert "truthful" in err
+
     def test_gap_infinite_exit(self, tmp_path, capsys):
         path = tmp_path / "gap.json"
         run(capsys, "generate", "gap", "--out", str(path))

@@ -12,6 +12,7 @@ from mechdesign import (
     Cost,
     CostMatrix,
     Instance,
+    MixturePair,
     OutcomeSpace,
     RandomizedMechanism,
     ReportingRelation,
@@ -196,6 +197,39 @@ class TestRecoverMixture:
         with pytest.raises(ValueError):
             recover_mixture(env, OUTCOMES, 1)
 
+    @staticmethod
+    def _linear_scan(env, outcomes, t, type_index):
+        """Reference: a ``Fraction`` scan over every hull vertex."""
+        utilities = outcomes.utilities
+        if t < utilities[0] or t > utilities[-1]:
+            raise ValueError(f"target {t} outside the outcome range")
+        below = [v for v in env.vertices if utilities[v] <= t]
+        above = [v for v in env.vertices if utilities[v] >= t]
+        if not below or not above:
+            raise ValueError(f"target {t} not covered by the envelope's finite range")
+        lower, upper = below[-1], above[0]
+        if lower == upper:
+            return MixturePair(type_index, lower, upper, Fraction(1))
+        alpha = (utilities[upper] - t) / (utilities[upper] - utilities[lower])
+        return MixturePair(type_index, lower, upper, alpha)
+
+    @given(envelope_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_linear_scan(self, case, data):
+        outcomes, row = case
+        if not any(Cost(c).is_finite for c in row):
+            return
+        env = convex_envelope(row, outcomes)
+        on_grid = st.sampled_from(outcomes.utilities)
+        target = data.draw(st.one_of(on_grid, exact_fractions(11), st.integers(0, 11)))
+        try:
+            expected = self._linear_scan(env, outcomes, Fraction(target), 3)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                recover_mixture(env, outcomes, target, 3)
+            return
+        assert recover_mixture(env, outcomes, target, 3) == expected
+
 
 class TestSolveRandomized:
     def test_zero_cost_on_gap(self):
@@ -203,6 +237,25 @@ class TestSolveRandomized:
         assert sol.cost == Cost(0)
         assert sol.mechanism.rows[0] == (0, 1, 0)
         assert sol.mechanism.rows[1] == (Fraction(1, 2), 0, Fraction(1, 2))
+
+    def test_builds_few_fractions_per_type(self, monkeypatch):
+        base = random_instance(
+            seed=5, type_count=500, outcome_count=8, edge_density=0.004, infinity_rate=0.05
+        )
+        utilities = [0, Fraction(1, 3), Fraction(1, 2), 2, Fraction(7, 2), 4, 6, Fraction(13, 2)]
+        inst = Instance(OutcomeSpace(utilities), base.relation, base.costs)
+        built = []
+        original = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(cls)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        sol = solve_randomized(inst)
+        monkeypatch.undo()
+        assert sum(row.count(0) < inst.outcome_count - 1 for row in sol.mechanism.rows) > 100
+        assert len(built) <= 4 * inst.type_count
 
     def test_single_outcome_instance(self):
         inst = Instance(

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mechdesign import (
@@ -35,10 +35,12 @@ from mechdesign import (
     validate,
 )
 from mechdesign.instances import (
+    ROW_SUM_TOL,
     cost_from_json,
     cost_ratio_from_json,
     differs,
     exceeds,
+    expected_utilities,
     is_exact,
 )
 from mechdesign.oracle import _best_response_outcome
@@ -260,6 +262,82 @@ class TestComparisonRule:
         mech = RandomizedMechanism([[float("nan"), 1.0, 0.0], [0.0, 0.0, 1.0]])
         problems = mechanism_violations(mech, inst)
         assert any("row 0 sums to nan" in p for p in problems)
+
+
+TINY = Fraction(1, 2**64)
+
+
+@st.composite
+def lottery_rows(draw):
+    """Rows summing to 1 or missing it by 2**-64, with negative entries,
+    ints among ``Fraction``s, and some rows holding floats."""
+    m = draw(st.integers(1, 6))
+    denominators = st.sampled_from([1, 2, 3, 12, 2**61 - 1, 2**64 + 1])
+    row = [Fraction(draw(st.integers(0, 4)), draw(denominators)) for _ in range(m - 1)]
+    row.append(1 - sum(row))  # negative when the others exceed 1
+    row[draw(st.integers(0, m - 1))] += draw(st.sampled_from([0, 0, TINY, -TINY]))
+    row = [int(p) if p.denominator == 1 and draw(st.booleans()) else p for p in row]
+    if draw(st.integers(0, 3)) == 0:  # all floats, or some
+        every = draw(st.booleans())
+        row = [float(p) if every or draw(st.booleans()) else p for p in row]
+    return row
+
+
+class TestIntegerLotteries:
+    """Exact lottery rows are summed in integers; the answers must be those
+    of plain ``Fraction`` sums, and float rows keep their float path."""
+
+    @given(lottery_rows())
+    @settings(max_examples=300, deadline=None)
+    @example([Fraction(1, 2), Fraction(1, 2) + TINY])
+    @example([2, -1])
+    @example([1, Fraction(0), 0])
+    @example([Fraction(1, 4), 0.75])
+    @example([0.5, 0.5 + 1e-13])
+    def test_row_checks_match_sum(self, row):
+        m = len(row)
+        inst = Instance(
+            OutcomeSpace(range(m)), ReportingRelation.identity(1), CostMatrix([[0] * m])
+        )
+        total, expected = sum(row), []
+        if any(p < 0 for p in row):
+            expected.append("row 0 has a negative probability")
+        if differs(total, 1, is_exact(row), ROW_SUM_TOL):
+            expected.append(f"row 0 sums to {total}, expected 1")
+        assert mechanism_violations(RandomizedMechanism([row]), inst) == expected
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_expected_utilities_match_fraction_sums(self, data):
+        denominators = st.sampled_from([1, 3, 2**61 - 1, 2**64 + 1])
+        drawn = data.draw(st.sets(st.builds(Fraction, st.integers(0, 50), denominators),
+                                  min_size=1, max_size=6))
+        outcomes = OutcomeSpace(sorted(drawn))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            own = data.draw(st.integers(2**61, 2**64))  # this row's denominator
+            entries = st.one_of(
+                st.integers(-2, 3), st.builds(Fraction, st.integers(-own, own), st.just(own)),
+                st.builds(Fraction, st.integers(-9, 9), denominators),
+            )
+            rows.append(data.draw(st.lists(entries, min_size=outcomes.size,
+                                           max_size=outcomes.size)))
+        n = len(rows)
+        costs = CostMatrix([[0] * outcomes.size] * n)
+        inst = Instance(outcomes, ReportingRelation.identity(n), costs)
+        utilities = outcomes.utilities
+        assert expected_utilities(RandomizedMechanism(rows), inst) == [
+            sum((Fraction(p) * u for p, u in zip(row, utilities)), Fraction(0)) for row in rows
+        ]
+
+    def test_float_rows_keep_float_sums(self):
+        outcomes = OutcomeSpace([0, Fraction(1, 3), 2])
+        mech = RandomizedMechanism([[0.25, 0, 0.75], [Fraction(1, 2), 0.5, 0], [0.0, 1, 0]])
+        assert expected_utility(mech, outcomes, 0) == 0.75 * 2
+        assert expected_utility(mech, outcomes, 1) == Fraction(1, 2) * 0 + 0.5 * Fraction(1, 3)
+        assert isinstance(expected_utility(mech, outcomes, 1), float)
+        # A float zero carries no mass, as in a plain sum of the nonzero terms.
+        assert expected_utility(mech, outcomes, 2) == Fraction(1, 3)
 
 
 class TestBestResponseCost:

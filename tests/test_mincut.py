@@ -31,6 +31,7 @@ from mechdesign import (
     transitive_closure,
 )
 from mechdesign import mincut
+from mechdesign.instances import scale_to_integers
 from mechdesign.maxflow import FlowGraph
 from mechdesign.mincut import certified_cut, claim_groups, grid_node, minimal_closure
 
@@ -549,7 +550,7 @@ class TestSeededCut:
             density = rng.choice([0.1, 0.3, 0.8])
             pairs = [(a, b) for a in range(n) for b in range(n)
                      if a != b and rng.random() < density]
-            scaled, _ = mincut.scale_to_integers(weights)
+            scaled, _ = scale_to_integers(weights)
             tails = [0 if w < 0 else i for i, w in enumerate(scaled, 2)]
             heads = [i if w < 0 else 1 for i, w in enumerate(scaled, 2)]
             capacities = [abs(w) for w in scaled]
@@ -557,7 +558,7 @@ class TestSeededCut:
             heads += [a + 2 for a, _ in pairs]
             capacities += [1 - sum(w for w in scaled if w < 0)] * len(pairs)
             _, side = _networkx_minimal_side(n + 2, tails, heads, capacities)
-            assert minimal_closure(weights, pairs) == side[2:], f"case {k}"
+            assert minimal_closure(scaled, pairs) == side[2:], f"case {k}"
 
     def test_claim_groups(self):
         groups = claim_groups(6, [(4, 1), (1, 3), (5, 0)])
