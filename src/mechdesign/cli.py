@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
+import io
 import json
 import math
 import sys
 import time
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .envelope import solve_randomized
@@ -38,6 +39,7 @@ from .generators import (
 from .instances import (
     DeterministicMechanism,
     SelfCheckError,
+    _json_text,
     cost_best_response,
     cost_deterministic,
     cost_from_json,
@@ -45,6 +47,7 @@ from .instances import (
     dump_instance,
     expected_utilities,
     hard_violations,
+    is_exact,
     is_truthful,
     load_instance,
     mechanism_from_json,
@@ -82,8 +85,8 @@ class CliError(Exception):
         self.code = code
 
 
-def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def _number_text(x) -> str:
@@ -92,62 +95,21 @@ def _number_text(x) -> str:
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
-_FLOAT_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_text(x, newline: str = "\n") -> str:
-    """``json.dumps(x, indent=2)`` byte for byte, without the pure-Python
-    encoder that ``indent`` selects; raises ``TypeError`` on other types, as
-    that encoder does.  Strings and ints inside containers, most of every
-    report, are written inline."""
-    if not isinstance(x, (list, tuple, dict)):
-        return _json_scalar(x)
-    if not x:
-        return "{}" if isinstance(x, dict) else "[]"
-    inner, encode = newline + "  ", encode_basestring_ascii
-    if isinstance(x, dict):
-        texts = [
-            encode(k if isinstance(k, str) else _json_scalar(k)) + ": "
-            + (encode(v) if isinstance(v, str) else _json_text(v, inner))
-            for k, v in x.items()
-        ]
-        return "{" + inner + ("," + inner).join(texts) + newline + "}"
-    texts = [
-        encode(v) if isinstance(v, str)
-        else int.__repr__(v) if type(v) is int
-        else _json_text(v, inner)
-        for v in x
-    ]
-    return "[" + inner + ("," + inner).join(texts) + newline + "]"
-
-
-def _json_scalar(x) -> str:
-    """The JSON text of a string, number, boolean or None."""
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if x is None or isinstance(x, bool):
-        return "null" if x is None else "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        text = float.__repr__(x)
-        return _FLOAT_TEXT.get(text, text)
-    raise TypeError(f"{type(x).__name__} is not a JSON type")
-
-
 def _emit(report: dict) -> None:
     print(_json_text(report))
 
 
 def _load_valid_instance(path):
+    """The instance and meta in the file at ``path``, and the parsed bytes' digest."""
     try:
-        instance, meta = load_instance(path)
+        data = Path(path).read_bytes()
+        instance, meta = load_instance(io.BytesIO(data))
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"cannot read instance {path}: {exc}")
     problems = hard_violations(instance)
     if problems:
         raise CliError(f"invalid instance {path}: " + "; ".join(problems))
-    return instance, meta
+    return instance, meta, _digest(data)
 
 
 def _oracle_for(instance, meta):
@@ -192,9 +154,7 @@ def cmd_generate(args, argv) -> int:
                 raise CliError("--block-cost and --commit-cost come together")
             params = None
             if args.block_cost is not None:
-                params = ReductionParams(
-                    Fraction(args.block_cost), Fraction(args.commit_cost)
-                )
+                params = ReductionParams(Fraction(args.block_cost), Fraction(args.commit_cost))
                 bad = params.violations(formula)
                 if bad:
                     raise CliError("; ".join(bad))
@@ -225,10 +185,7 @@ def cmd_generate(args, argv) -> int:
             c0 = Fraction(args.overhead)
             if c0 < 0:
                 raise CliError("--overhead must be nonnegative")
-            meta["oracle"] = {
-                "kind": "additive_plus_overhead",
-                "c0": rational_to_json(c0),
-            }
+            meta["oracle"] = {"kind": "additive_plus_overhead", "c0": rational_to_json(c0)}
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown kind {kind!r}")
 
@@ -239,7 +196,7 @@ def cmd_generate(args, argv) -> int:
             "out": str(args.out),
             "types": instance.type_count,
             "outcomes": instance.outcome_count,
-            "instance_digest": _digest(args.out),
+            "instance_digest": _digest(Path(args.out).read_bytes()),
         }
     )
     return EXIT_OK
@@ -254,12 +211,9 @@ def _write_json(path, payload: dict) -> None:
 
 
 def cmd_solve(args, argv) -> int:
-    instance, meta = _load_valid_instance(args.instance)
+    instance, meta, digest = _load_valid_instance(args.instance)
     started = time.perf_counter()
-    report = {
-        "command": " ".join(argv),
-        "instance_digest": _digest(args.instance),
-    }
+    report = {"command": " ".join(argv), "instance_digest": digest}
 
     if args.dot and args.algo != "det":
         raise CliError("--dot only applies to --algo det")
@@ -269,9 +223,7 @@ def cmd_solve(args, argv) -> int:
             solution = solve_deterministic(instance)
             report["solver"] = "mincut-exact"
             if args.dot:
-                Path(args.dot).write_text(
-                    network_to_dot(solution.clamped, solution.cut)
-                )
+                Path(args.dot).write_text(network_to_dot(solution.clamped, solution.cut))
         else:
             solution = solve_randomized(instance)
             report["solver"] = "envelope-mincut-exact"
@@ -291,11 +243,7 @@ def cmd_solve(args, argv) -> int:
         backend = args.backend or "lovasz"
         if backend not in ("lovasz", "brute"):
             raise CliError(f"unknown sub-det backend {backend!r}")
-        solution = solve_deterministic_submodular(
-            oracle,
-            instance.relation,
-            backend=backend,
-        )
+        solution = solve_deterministic_submodular(oracle, instance.relation, backend=backend)
         mechanism = DeterministicMechanism(solution.point)
         if not in_truthful_lattice(solution.point, instance.relation):
             raise SelfCheckError("solver left the truthful lattice")
@@ -345,7 +293,7 @@ def cmd_solve(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args, argv) -> int:
-    instance, _ = _load_valid_instance(args.instance)
+    instance, _, digest = _load_valid_instance(args.instance)
     try:
         mechanism = mechanism_from_json(json.loads(Path(args.mechanism).read_text()))
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -356,24 +304,24 @@ def cmd_verify(args, argv) -> int:
 
     utilities = expected_utilities(mechanism, instance)
     violations = truthfulness_violations(mechanism, instance, utilities)
+    texts = [_number_text(u) for u in utilities]
+    names = [str(r) for r in range(instance.type_count)]
+    reports = instance.relation.reports_by_reporter
     report_utilities = [
-        {
-            "type": i,
-            "reports": {
-                str(r): _number_text(utilities[r])
-                for r in instance.relation.allowed_reports(i)
-            },
-        }
+        {"type": i, "reports": {names[r]: texts[r] for r in reports[i]}}
         for i in range(instance.type_count)
     ]
     if isinstance(mechanism, DeterministicMechanism):
         truthful_cost = cost_deterministic(mechanism, instance)
     else:
         truthful_cost = cost_randomized(mechanism, instance)
-    br_cost = cost_best_response(mechanism, instance, utilities)
+    # The relation is reflexive: when no claim beats honesty exactly, every
+    # type's best report is its own, and the types play the mechanism itself.
+    searched = violations or not is_exact(utilities)
+    br_cost = cost_best_response(mechanism, instance, utilities) if searched else truthful_cost
     report = {
         "command": " ".join(argv),
-        "instance_digest": _digest(args.instance),
+        "instance_digest": digest,
         "truthful": not violations,
         "violating_pairs": [list(v) for v in violations[:10]],
         "cost_truthful": _number_text(truthful_cost),
@@ -389,13 +337,9 @@ def cmd_verify(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_oracle(args, argv) -> int:
-    instance, meta = _load_valid_instance(args.instance)
+    instance, meta, digest = _load_valid_instance(args.instance)
     which = args.which
-    report = {
-        "command": " ".join(argv),
-        "instance_digest": _digest(args.instance),
-        "which": which,
-    }
+    report = {"command": " ".join(argv), "instance_digest": digest, "which": which}
     if which == "det":
         solver_cost = solve_deterministic(instance).cost
         brute_cost, _ = brute_force_deterministic_opt(instance, budget=args.budget)
@@ -418,9 +362,7 @@ def cmd_oracle(args, argv) -> int:
         report["tolerance"] = "exact"
     elif which == "sub-rand":
         if meta.get("oracle", {"kind": "additive"}).get("kind", "additive") != "additive":
-            raise CliError(
-                "sub-rand oracle comparison is defined for additive oracles only"
-            )
+            raise CliError("sub-rand oracle comparison is defined for additive oracles only")
         oracle = _oracle_for(instance, meta)
         solver_cost = solve_randomized_submodular(
             oracle, instance.outcomes, instance.relation, eps=args.eps
@@ -519,7 +461,9 @@ def cmd_bench(args, argv) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="mechdesign",
         description="Optimal verification mechanisms: generate, solve, verify, bench.",
@@ -527,9 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write an instance file")
-    gen.add_argument(
-        "kind", choices=["gap", "minsat1", "minsat2", "random", "overhead"]
-    )
+    gen.add_argument("kind", choices=["gap", "minsat1", "minsat2", "random", "overhead"])
     gen.add_argument("--out", required=True)
     gen.add_argument("--cnf", help="DIMACS file for the reduction kinds")
     gen.add_argument("--block-cost", help="penalty entry for the wide reduction")
@@ -576,8 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command in ("solve", "oracle") and not 0 < args.eps < math.inf:
             raise CliError(f"--eps must be finite and positive, got {args.eps!r}")

@@ -153,23 +153,23 @@ def is_convex_cost(instance: Instance) -> tuple[bool, list[bool]]:
 def _lower_hull(xs: tuple[int, ...], ys, scale: int) -> EnvelopeRow:
     """The envelope of the finite points ``(xs[j], ys[j])``, ``ys[j]`` being
     ``None`` where the cost is infinite."""
-    hull: list[tuple[int, int, int]] = []
+    hx, hy, hj = [], [], []  # the hull stack: one int list per coordinate
     for j, y in enumerate(ys):
         if y is None:
             continue
         x = xs[j]
-        while len(hull) >= 2:
-            x1, y1, _ = hull[-2]
-            x2, y2, _ = hull[-1]
-            # Pop the middle point unless the slope strictly increases there.
-            if (y2 - y1) * (x - x2) >= (y - y2) * (x2 - x1):
-                hull.pop()
-            else:
+        while len(hj) > 1:
+            x2, y2 = hx[-1], hy[-1]
+            # Pop the top point unless the slope strictly increases there.
+            if (y2 - hy[-2]) * (x - x2) < (y - y2) * (x2 - hx[-2]):
                 break
-        hull.append((x, y, j))
-    if not hull:
+            del hx[-1], hy[-1], hj[-1]
+        hx.append(x)
+        hy.append(y)
+        hj.append(j)
+    if not hj:
         raise ValueError("cost row has no finite entries")
-    return EnvelopeRow(tuple(j for _, _, j in hull), xs, tuple(y for _, y, _ in hull), scale)
+    return EnvelopeRow(tuple(hj), xs, tuple(hy), scale)
 
 
 def convex_envelope(cost_row, outcomes: OutcomeSpace) -> EnvelopeRow:
@@ -316,9 +316,7 @@ def solve_randomized(instance: Instance) -> RandomizedSolution:
         / instance.costs.scale
     )
     if cost != optimum:
-        raise SelfCheckError(
-            f"mixture cost {cost} disagrees with envelope optimum {optimum}"
-        )
+        raise SelfCheckError(f"mixture cost {cost} disagrees with envelope optimum {optimum}")
     return RandomizedSolution(mech, cost, pairs)
 
 
@@ -367,15 +365,11 @@ def consolidate_two_consecutive(
             raise SelfCheckError(f"consolidation changed type {i}'s expected utility")
     after_cost = cost_randomized(result, instance)
     if after_cost > before_cost:
-        raise SelfCheckError(
-            f"consolidation raised cost from {before_cost} to {after_cost}"
-        )
+        raise SelfCheckError(f"consolidation raised cost from {before_cost} to {after_cost}")
     return result
 
 
-def threshold_round(
-    mech: RandomizedMechanism, instance: Instance
-) -> list[tuple]:
+def threshold_round(mech: RandomizedMechanism, instance: Instance) -> list[tuple]:
     """Decompose a two-consecutive-outcome lottery profile into weighted
     truthful deterministic mechanisms.
 
@@ -396,9 +390,7 @@ def threshold_round(
         if not support:
             raise ValueError(f"row {i} has no mass")
         if support[-1] - support[0] > 1:
-            raise ValueError(
-                f"row {i} is supported on non-consecutive outcomes {support}"
-            )
+            raise ValueError(f"row {i} is supported on non-consecutive outcomes {support}")
         bottoms.append(support[0])
         alpha = row[support[0] + 1] if support[0] + 1 < m else Fraction(0)
         upper_mass.append(alpha)
@@ -424,7 +416,5 @@ def threshold_round(
     for member, weight in members:
         expected = expected + cost_deterministic(member, instance).scaled(weight)
     if expected != cost_randomized(mech, instance):
-        raise SelfCheckError(
-            "threshold rounding does not reproduce the lottery profile's cost"
-        )
+        raise SelfCheckError("threshold rounding does not reproduce the lottery profile's cost")
     return members

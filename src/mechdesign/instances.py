@@ -26,6 +26,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Union
 
 # Absolute slack used for truthfulness comparisons when a mechanism's expected
@@ -198,9 +199,7 @@ class OutcomeSpace:
     utilities: tuple[Fraction, ...]
 
     def __init__(self, utilities: Iterable):
-        object.__setattr__(
-            self, "utilities", tuple(Fraction(u) for u in utilities)
-        )
+        object.__setattr__(self, "utilities", tuple(Fraction(u) for u in utilities))
 
     @property
     def size(self) -> int:
@@ -221,9 +220,7 @@ class ReportingRelation:
 
     def __init__(self, type_count: int, pairs: Iterable):
         object.__setattr__(self, "type_count", int(type_count))
-        object.__setattr__(
-            self, "pairs", frozenset((int(a), int(b)) for a, b in pairs)
-        )
+        object.__setattr__(self, "pairs", frozenset((int(a), int(b)) for a, b in pairs))
 
     @classmethod
     def full(cls, type_count: int) -> "ReportingRelation":
@@ -235,7 +232,8 @@ class ReportingRelation:
         return cls(type_count, [(i, i) for i in range(type_count)])
 
     @cached_property
-    def _reports_by_reporter(self) -> dict[int, list[int]]:
+    def reports_by_reporter(self) -> dict[int, list[int]]:
+        """Each reporter's sorted claimable types, shared: do not modify them."""
         reports: dict[int, list[int]] = {}
         for a, b in self.pairs:
             reports.setdefault(a, []).append(b)
@@ -249,7 +247,7 @@ class ReportingRelation:
         return sorted((a, b) for a, b in self.pairs if a != b)
 
     def allowed_reports(self, reporter: int) -> list[int]:
-        return list(self._reports_by_reporter.get(reporter, ()))
+        return list(self.reports_by_reporter.get(reporter, ()))
 
 
 @dataclass(frozen=True)
@@ -266,28 +264,23 @@ class CostMatrix:
     scale: int
 
     def __init__(self, rows: Iterable[Iterable]):
-        values = [[Cost(entry).value for entry in row] for row in rows]
-        self._set_ratios(
-            [[None if v is None else v.as_integer_ratio() for v in row] for row in values]
-        )
-
-    def _set_ratios(self, rows) -> None:
-        """Fill the fields from a list of rows of ``(numerator, denominator)``
-        pairs in lowest terms, ``None`` for infinity."""
-        scale = math.lcm(*{r[1] for row in rows for r in row if r is not None})
-        scaled = tuple(
-            tuple(None if r is None else r[0] * (scale // r[1]) for r in row)
+        ratios = [
+            [None if c.value is None else c.value.as_integer_ratio() for c in map(Cost, row)]
             for row in rows
-        )
-        object.__setattr__(self, "scaled", scaled)
+        ]
+        scale = math.lcm(*{r[1] for row in ratios for r in row if r is not None})
+        object.__setattr__(self, "scaled", tuple(
+            tuple(None if r is None else r[0] * (scale // r[1]) for r in row)
+            for row in ratios
+        ))
         object.__setattr__(self, "scale", scale)
 
     @classmethod
-    def from_ratios(cls, rows) -> "CostMatrix":
-        """A matrix read straight from ``(numerator, denominator)`` pairs in
-        lowest terms (``None`` for infinity), building no ``Cost``."""
+    def from_scaled(cls, scaled: tuple, scale: int) -> "CostMatrix":
+        """A matrix with the given fields, building no ``Cost``."""
         matrix = object.__new__(cls)
-        matrix._set_ratios(rows)
+        object.__setattr__(matrix, "scaled", scaled)
+        object.__setattr__(matrix, "scale", scale)
         return matrix
 
     @cached_property
@@ -366,9 +359,7 @@ def validate(instance: Instance, include_degenerate: bool = True) -> list[str]:
             problems.append(f"outcome {j} has negative utility {u}")
     for j in range(1, m):
         if outs[j] <= outs[j - 1]:
-            problems.append(
-                f"outcome utilities not strictly increasing at position {j}"
-            )
+            problems.append(f"outcome utilities not strictly increasing at position {j}")
 
     if n < 1:
         problems.append("no types")
@@ -386,9 +377,7 @@ def validate(instance: Instance, include_degenerate: bool = True) -> list[str]:
 
     for i, row in enumerate(instance.costs.scaled):
         if len(row) != m:
-            problems.append(
-                f"cost row {i} has {len(row)} entries, expected {m}"
-            )
+            problems.append(f"cost row {i} has {len(row)} entries, expected {m}")
         elif include_degenerate and m >= 1 and row.count(None) == m:
             problems.append(f"degenerate: cost row {i} is entirely infinite")
     return problems
@@ -405,9 +394,7 @@ def mechanism_violations(mech: Mechanism, instance: Instance) -> list[str]:
     n, m = instance.type_count, instance.outcome_count
     if isinstance(mech, DeterministicMechanism):
         if len(mech.assignment) != n:
-            problems.append(
-                f"assignment covers {len(mech.assignment)} types, expected {n}"
-            )
+            problems.append(f"assignment covers {len(mech.assignment)} types, expected {n}")
         for i, j in enumerate(mech.assignment):
             if not (0 <= j < m):
                 problems.append(f"type {i} assigned out-of-range outcome {j}")
@@ -558,9 +545,7 @@ def ratio_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
     by_denominator: dict[int, int] = {}
     for num, den in terms:
         by_denominator[den] = by_denominator.get(den, 0) + num
-    return sum(
-        (Fraction(num, den) for den, num in by_denominator.items()), Fraction(0)
-    )
+    return sum((Fraction(num, den) for den, num in by_denominator.items()), Fraction(0))
 
 
 def cost_deterministic(mech: DeterministicMechanism, instance: Instance) -> Cost:
@@ -596,10 +581,8 @@ def cost_best_response(
     must be ``expected_utilities(mech, instance)``."""
     if utilities is None:
         utilities = expected_utilities(mech, instance)
-    played = [
-        _best_report(i, instance.relation.allowed_reports(i), utilities)
-        for i in range(instance.type_count)
-    ]
+    reports = instance.relation.reports_by_reporter
+    played = [_best_report(i, reports.get(i, ()), utilities) for i in range(instance.type_count)]
     if isinstance(mech, DeterministicMechanism):
         return cost_deterministic(
             DeterministicMechanism(mech.assignment[r] for r in played), instance
@@ -610,6 +593,54 @@ def cost_best_response(
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
+
+_FLOAT_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(x, newline: str = "\n") -> str:
+    """``json.dumps(x, indent=2)`` byte for byte, without the pure-Python
+    encoder that ``indent`` selects; raises ``TypeError`` on other types, as
+    that encoder does.  It writes every JSON text the package emits: CLI
+    reports, ``--out`` files and instance files.  Strings and ints inside
+    containers are written inline."""
+    if not isinstance(x, (list, tuple, dict)):
+        return _json_scalar(x)
+    if not x:
+        return "{}" if isinstance(x, dict) else "[]"
+    inner, encode = newline + "  ", encode_basestring_ascii
+    if isinstance(x, dict):
+        texts = [
+            encode(k if isinstance(k, str) else _json_scalar(k)) + ": "
+            + (
+                encode(v) if isinstance(v, str)
+                else int.__repr__(v) if type(v) is int
+                else _json_text(v, inner)
+            )
+            for k, v in x.items()
+        ]
+        return "{" + inner + ("," + inner).join(texts) + newline + "}"
+    texts = [
+        encode(v) if isinstance(v, str)
+        else int.__repr__(v) if type(v) is int
+        else _json_text(v, inner)
+        for v in x
+    ]
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def _json_scalar(x) -> str:
+    """The JSON text of a string, number, boolean or None."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _FLOAT_TEXT.get(text, text)
+    raise TypeError(f"{type(x).__name__} is not a JSON type")
+
 
 def rational_to_json(x: Fraction):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
@@ -680,13 +711,48 @@ def cost_ratio_from_json(value) -> tuple[int, int] | None:
     return None if cost.value is None else cost.value.as_integer_ratio()
 
 
+def _costs_from_json(rows) -> CostMatrix:
+    """The cost rows read in one pass: nonnegative ints are taken as they are,
+    any other value goes through ``cost_ratio_from_json`` (once per distinct
+    string), with its errors.  Only a denominator above 1 rescales the rows."""
+    denominators, known = set(), {}
+
+    def entry(value):
+        if type(value) is str and value in known:
+            return known[value]
+        ratio = cost_ratio_from_json(value)
+        if ratio is not None and ratio[1] > 1:
+            denominators.add(ratio[1])
+        elif ratio is not None:
+            ratio = ratio[0]
+        if type(value) is str:
+            known[value] = ratio
+        return ratio
+
+    read = [[v if type(v) is int and v >= 0 else entry(v) for v in row] for row in rows]
+    scale = math.lcm(*denominators)
+    if scale > 1:  # ints and (numerator, denominator) pairs onto one scale; None stays
+        read = [[e * scale if type(e) is int else e and e[0] * (scale // e[1]) for e in row]
+                for row in read]
+    return CostMatrix.from_scaled(tuple(map(tuple, read)), scale)
+
+
+def _relation_from_json(type_count: int, pairs) -> ReportingRelation:
+    """The ``[a, b]`` pairs, checked as JSON integer indices and frozen in one pass."""
+    checked = set()
+    for a, b in pairs:
+        if type(a) is not int or type(b) is not int:
+            raise ValueError(f"not an index: {b if type(a) is int else a!r}")
+        checked.add((a, b))
+    relation = ReportingRelation(type_count, ())
+    object.__setattr__(relation, "pairs", frozenset(checked))
+    return relation
+
+
 def instance_from_json(data: dict) -> tuple[Instance, dict]:
     outcomes = OutcomeSpace(rational_from_json(u) for u in data["outcomes"])
-    costs = CostMatrix.from_ratios(
-        [[cost_ratio_from_json(v) for v in row] for row in data["costs"]]
-    )
-    _check_indices(index for pair in data["relation"] for index in pair)
-    relation = ReportingRelation(len(costs.scaled), data["relation"])
+    costs = _costs_from_json(data["costs"])
+    relation = _relation_from_json(len(costs.scaled), data["relation"])
     meta = data.get("meta", {})
     if not isinstance(meta, dict) or not isinstance(meta.get("oracle", {}), dict):
         raise ValueError("meta and its oracle must be JSON objects")
@@ -721,17 +787,20 @@ def mechanism_from_json(data: dict) -> Mechanism:
         return DeterministicMechanism(data["assignment"])
     if kind == "randomized":
         return RandomizedMechanism(
-            [probability_from_json(p) for p in row] for row in data["rows"]
+            [p if type(p) is int else probability_from_json(p) for p in row]
+            for row in data["rows"]
         )
     raise ValueError(f"unknown mechanism kind {kind!r}")
 
 
-def load_instance(path) -> tuple[Instance, dict]:
-    with open(path) as fh:
+def load_instance(source) -> tuple[Instance, dict]:
+    """The instance in a file, given by its path or as a binary file object."""
+    if hasattr(source, "read"):
+        return instance_from_json(json.load(source))
+    with open(source, "rb") as fh:
         return instance_from_json(json.load(fh))
 
 
 def dump_instance(instance: Instance, path, meta: dict | None = None) -> None:
     with open(path, "w") as fh:
-        json.dump(instance_to_json(instance, meta), fh, indent=2)
-        fh.write("\n")
+        fh.write(_json_text(instance_to_json(instance, meta)) + "\n")

@@ -1,6 +1,7 @@
 """Command-line interface: full command round trips and exit codes."""
 
 import csv
+import hashlib
 import importlib.util
 import json
 import os
@@ -19,14 +20,18 @@ import mechdesign
 from mechdesign import (
     Cost,
     CostMatrix,
+    DeterministicMechanism,
     Instance,
+    OutcomeSpace,
     RandomizedMechanism,
+    ReportingRelation,
     brute_force_deterministic_opt,
     brute_force_envelope_opt,
     cost_best_response,
     dump_instance,
     expected_utility,
     instance_from_json,
+    mechanism_to_json,
     random_instance,
     solve_deterministic,
     solve_randomized,
@@ -42,6 +47,7 @@ from mechdesign.cli import (
     _json_text,
     main,
 )
+from mechdesign.instances import FLOAT_UTILITY_TOL
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "mdbench" / "reference.py"
@@ -755,6 +761,151 @@ class TestVerifyUtilities:
         )
         assert report["violating_pairs"] == [list(p) for p in bad[:10]]
         assert code == (EXIT_OK if not bad else EXIT_UNTRUTHFUL)
+
+
+def _as_lotteries(mech):
+    """A deterministic mechanism as 0/1 lottery rows (``_naive_best_response_cost`` reads rows)."""
+    if isinstance(mech, RandomizedMechanism):
+        return mech
+    m = 1 + max(mech.assignment)
+    return RandomizedMechanism([[int(j == a) for j in range(m)] for a in mech.assignment])
+
+
+class TestVerifyBestResponse:
+    """``verify`` reports a truthful mechanism with exact utilities at its
+    truthful cost without a best-response search; every other mechanism
+    (a violated pair, or any float utility) is still searched."""
+
+    def _verify(self, tmp_path, capsys, monkeypatch, instance, mech):
+        searched = []
+
+        def counting(*args, **kwargs):
+            searched.append(1)
+            return cost_best_response(*args, **kwargs)
+
+        monkeypatch.setattr(mechdesign.cli, "cost_best_response", counting)
+        inst_path = tmp_path / "inst.json"
+        dump_instance(instance, inst_path)
+        mech_path = write_json(tmp_path / "mech.json", mechanism_to_json(mech))
+        code, out, _ = run(capsys, "verify", str(inst_path), mech_path)
+        report = last_json(out)
+        loaded, _ = instance_from_json(json.loads(inst_path.read_text()))
+        naive = _naive_best_response_cost(_as_lotteries(mech), loaded)
+        assert report["cost_best_response"] == str(naive)
+        return code, report, bool(searched)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_truthful_reports_truthful_cost(self, tmp_path, capsys, monkeypatch, seed):
+        instance = random_instance(
+            seed=seed, type_count=3 + seed, outcome_count=1 + seed % 4, edge_density=0.5,
+            infinity_rate=0.1 if seed % 2 else 0.0,
+        )
+        solution = (solve_randomized if seed % 2 else solve_deterministic)(instance)
+        if solution.mechanism is None:
+            pytest.skip("no finite-cost truthful mechanism")
+        code, report, searched = self._verify(
+            tmp_path, capsys, monkeypatch, instance, solution.mechanism
+        )
+        assert code == EXIT_OK and report["truthful"] is True
+        assert report["cost_best_response"] == report["cost_truthful"]
+        assert not searched
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_untruthful_is_searched(self, tmp_path, capsys, monkeypatch, seed):
+        rng = random.Random(seed)
+        n, m = 3 + seed, 2 + seed % 3
+        instance = random_instance(seed=seed, type_count=n, outcome_count=m, edge_density=0.6)
+        assert instance.relation.claims
+        i, j = instance.relation.claims[0]
+        if seed % 2:
+            mech = _seeded_lotteries(rng, n, m)
+            rows = [list(row) for row in mech.rows]
+            rows[j], rows[i] = [0] * (m - 1) + [1], [1] + [0] * (m - 1)
+            mech = RandomizedMechanism(rows)
+        else:
+            assignment = [rng.randrange(m) for _ in range(n)]
+            assignment[i], assignment[j] = 0, m - 1
+            mech = DeterministicMechanism(assignment)
+        code, report, searched = self._verify(tmp_path, capsys, monkeypatch, instance, mech)
+        assert code == EXIT_UNTRUTHFUL and [i, j] in report["violating_pairs"]
+        assert searched
+
+    def test_float_tie_within_tolerance_is_searched(self, tmp_path, capsys, monkeypatch):
+        # Type 0 may claim type 1, whose lottery is worth 2**-50 more: below
+        # FLOAT_UTILITY_TOL, so not a violation, yet the exact best report.
+        tiny = 2.0**-50
+        assert tiny < FLOAT_UTILITY_TOL
+        instance = Instance(
+            OutcomeSpace([0, 1]),
+            ReportingRelation(2, [(0, 0), (1, 1), (0, 1)]),
+            CostMatrix([[0, 10], [3, 3]]),
+        )
+        mech = RandomizedMechanism([[0.5, 0.5], [0.5 - tiny, 0.5 + tiny]])
+        code, report, searched = self._verify(tmp_path, capsys, monkeypatch, instance, mech)
+        assert code == EXIT_OK and report["truthful"] is True
+        assert report["cost_truthful"] == "8"
+        assert report["cost_best_response"] != report["cost_truthful"]
+        assert searched
+
+
+class TestInstanceReadOnce:
+    def test_digest_names_the_parsed_bytes(self, tmp_path, capsys, monkeypatch, instance_file):
+        mech = tmp_path / "mech.json"
+        read = []
+        original = Path.read_bytes
+
+        def counting(path):
+            read.append(str(path))
+            return original(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        digest = hashlib.sha256(original(instance_file)).hexdigest()[:16]
+        for argv in (
+            ["solve", str(instance_file), "--algo", "det", "--out", str(mech)],
+            ["verify", str(instance_file), str(mech)],
+            ["oracle", str(instance_file), "--which", "det"],
+        ):
+            read.clear()
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            assert last_json(out)["instance_digest"] == digest
+            assert read.count(str(instance_file)) == 1, argv
+
+
+class TestParserBuiltOnce:
+    COMMANDS = [
+        ["solve", "{inst}", "--algo", "det", "--out", "{tmp}/a.json"],
+        ["verify", "{inst}", "{tmp}/a.json"],
+        ["solve", "{inst}", "--algo", "sub-rand", "--eps", "0.05", "--out", "{tmp}/c.json"],
+        ["solve", "{inst}", "--algo", "sub-rand", "--out", "{tmp}/d.json"],
+        ["solve", "{inst}", "--algo", "sub-det", "--backend", "brute"],
+        ["solve", "{inst}", "--algo", "sub-det"],
+        ["oracle", "{inst}", "--which", "det", "--budget", "100000"],
+        ["oracle", "{inst}", "--which", "rand"],
+        ["generate", "random", "--out", "{tmp}/g.json", "--seed", "3", "--close"],
+        ["generate", "random", "--out", "{tmp}/g.json"],
+    ]
+
+    def test_same_reports_as_a_fresh_parser(self, tmp_path, capsys, instance_file):
+        from mechdesign.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+        commands = [
+            [a.format(inst=instance_file, tmp=tmp_path) for a in argv] for argv in self.COMMANDS
+        ]
+
+        def report(argv):
+            code, text, err = run(capsys, *argv)
+            report = last_json(text)
+            report.pop("wall_ms", None)
+            return code, report, err, vars(_build_parser().parse_args(argv))
+
+        cached = [report(argv) for argv in commands]
+        fresh = []
+        for argv in commands:
+            _build_parser.cache_clear()
+            fresh.append(report(argv))
+        assert cached == fresh
 
 
 class TestOracleCommand:

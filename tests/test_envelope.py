@@ -33,7 +33,7 @@ from mechdesign import (
     threshold_round,
 )
 from mechdesign import mincut
-from mechdesign.envelope import envelope_table, threshold_assignment
+from mechdesign.envelope import EnvelopeRow, _lower_hull, envelope_table, threshold_assignment
 
 OUTCOMES = OutcomeSpace([1, 2, 3])
 UNEVEN = OutcomeSpace([0, Fraction(1, 3), Fraction(1, 2), 2, Fraction(7, 2)])
@@ -174,6 +174,60 @@ class TestConvexEnvelope:
         vertices, values = fraction_envelope(row, outcomes)
         assert env.vertices == vertices
         assert [c.value for c in env.values] == [c.value for c in values]
+
+
+def brute_lower_hull(xs, ys, scale):
+    """Reference: a finite point is a vertex when it is an end of the finite
+    range or lies strictly below every chord between finite points around it."""
+    finite = [j for j, y in enumerate(ys) if y is not None]
+    if not finite:
+        raise ValueError("cost row has no finite entries")
+
+    def below_chords(k):
+        return all(
+            (ys[k] - ys[a]) * (xs[b] - xs[a]) < (ys[b] - ys[a]) * (xs[k] - xs[a])
+            for a in finite if a < k for b in finite if b > k
+        )
+
+    vertices = tuple(k for k in finite if k in (finite[0], finite[-1]) or below_chords(k))
+    return EnvelopeRow(vertices, xs, tuple(ys[k] for k in vertices), scale)
+
+
+@st.composite
+def integer_hull_rows(draw):
+    """Strictly increasing ``xs`` and a row of ints and ``None``s; many
+    points lie on one line, so collinear runs are common."""
+    xs = tuple(sorted(draw(st.sets(st.integers(0, 60), min_size=1, max_size=8))))
+    base, slope = draw(st.integers(0, 200)), draw(st.integers(-3, 3))
+    kinds = st.sampled_from(["none", "line", "line", "free"])
+    ys = []
+    for x in xs:
+        kind = draw(kinds)
+        ys.append(
+            None if kind == "none"
+            else base + slope * x if kind == "line" and base + slope * x >= 0
+            else draw(st.integers(0, 200))
+        )
+    return xs, ys
+
+
+class TestLowerHull:
+    @given(integer_hull_rows(), st.sampled_from([1, 12]))
+    @settings(max_examples=400, deadline=None)
+    @example(((5,), [7]), 1)  # m = 1
+    @example(((5,), [None]), 1)
+    @example(((0, 1, 2, 3), [1, 2, 3, 4]), 1)  # all collinear
+    @example(((0, 1, 2, 3), [None, 2, None, 4]), 1)
+    @example(((0, 2, 3, 9), [4, 0, 0, 4]), 1)  # a flat bottom
+    def test_matches_brute_force(self, row, scale):
+        xs, ys = row
+        try:
+            expected = brute_lower_hull(xs, ys, scale)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _lower_hull(xs, ys, scale)
+            return
+        assert _lower_hull(xs, ys, scale) == expected
 
 
 class TestRecoverMixture:

@@ -1,6 +1,7 @@
 """Core data types: exact costs, relations, mechanisms, serialization."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -20,12 +21,14 @@ from mechdesign import (
     cost_best_response,
     cost_deterministic,
     cost_randomized,
+    dump_instance,
     expected_utility,
     hard_violations,
     instance_from_json,
     instance_to_json,
     is_transitive,
     is_truthful,
+    load_instance,
     mechanism_from_json,
     mechanism_to_json,
     mechanism_violations,
@@ -385,6 +388,17 @@ class TestBestResponseCost:
 
 
 class TestSerialization:
+    def test_dump_writes_the_json_dumps_text(self, tmp_path):
+        inst = random_instance(1, 5, 3, edge_density=0.4, infinity_rate=0.2)
+        meta = {"family": "random", "oracle": {"c0": "3/2"}, "x": [0.1, None, True, "\u2603"]}
+        path = tmp_path / "inst.json"
+        dump_instance(inst, path, meta)
+        assert path.read_text() == json.dumps(instance_to_json(inst, meta), indent=2) + "\n"
+        with open(path, "rb") as fh:
+            from_file = load_instance(fh)
+        assert from_file == load_instance(path) == instance_from_json(json.loads(path.read_text()))
+        assert from_file[1] == meta
+
     def test_instance_round_trip_with_infinities(self):
         inst = Instance(
             outcomes=OutcomeSpace([Fraction(1, 2), 2, 3]),
@@ -480,3 +494,101 @@ class TestFastCostParse:
         assert matrix.scale == 12
         assert matrix.scaled == ((3, None, 10), (24, 4, 0))
         assert CostMatrix([[Cost.infinite()]]).scale == 1
+
+
+def _error_or_value(parse, value):
+    """What ``parse(value)`` gives: its value, or its exception's type and text."""
+    try:
+        return "value", parse(value)
+    except Exception as exc:  # the exception is the observable
+        return "error", type(exc), str(exc)
+
+
+def _costs_per_entry(rows):
+    """The reference reader: ``cost_ratio_from_json`` on every entry, then
+    every finite entry over the lcm of the denominators."""
+    ratios = [[cost_ratio_from_json(v) for v in row] for row in rows]
+    scale = math.lcm(*{r[1] for row in ratios for r in row if r is not None})
+    scaled = tuple(
+        tuple(None if r is None else r[0] * (scale // r[1]) for r in row) for row in ratios
+    )
+    return scaled, scale
+
+
+def _costs_read(rows):
+    costs = instance_from_json({"outcomes": [1], "relation": [], "costs": rows})[0].costs
+    return costs.scaled, costs.scale
+
+
+def _relation_read(pairs):
+    return instance_from_json({"outcomes": [1], "relation": pairs, "costs": [[0]] * 4})[0].relation
+
+
+_SCALE_ONE_ROWS = st.lists(st.one_of(st.integers(0, 2**70), st.just("inf")), max_size=4)
+_MIXED_ROWS = st.lists(
+    st.one_of(
+        st.integers(0, 99),
+        st.builds("{}/{}".format, st.integers(0, 99), st.integers(1, 12)),
+        _JSON_COSTS,
+    ),
+    max_size=4,
+)
+
+
+class TestOnePassReader:
+    """``instance_from_json`` reads the cost rows and the relation in one pass."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(_SCALE_ONE_ROWS, _MIXED_ROWS), max_size=5))
+    @example([[True, 1], [0, 2]])
+    @example([[0.5, 1], [3, 2]])
+    @example([[1, -1]])
+    @example([["inf", " Infinity ", 7]])
+    @example([[3, "1/0"]])
+    @example([[3, "-1/2"]])
+    @example([["1e3", 2]])
+    @example([["٣/٤", "²"], [1, 2]])
+    @example([[4, 2, "inf"], ["1/3", "5/6", 0], [7, 7, 7]])
+    @example([[4, 2, "inf"], [1, "inf", 0]])
+    @example([[2**80, "2/4"]])
+    def test_costs_match_per_entry_reference(self, rows):
+        assert _error_or_value(_costs_read, rows) == _error_or_value(_costs_per_entry, rows)
+
+    def test_scale_one_rows_are_not_rescaled(self):
+        rows = [[4, 2, "inf"], [1, "6/2", 0]]
+        assert _costs_read(rows) == (((4, 2, None), (1, 3, 0)), 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.one_of(st.integers(0, 3), st.booleans(), st.floats(0, 3)), max_size=3),
+            max_size=6,
+        )
+    )
+    @example([[0, 0], [0, 1, 2]])
+    @example([[0, 0], [1]])
+    @example([[0, 1.0]])
+    @example([[False, 0]])
+    def test_relation_matches_checked_pairs(self, pairs):
+        valid = all(len(p) == 2 and all(type(x) is int for x in p) for p in pairs)
+        if not valid:
+            with pytest.raises(ValueError):
+                _relation_read(pairs)
+            return
+        relation = _relation_read(pairs)
+        assert relation == ReportingRelation(4, pairs)
+        assert hash(relation) == hash(ReportingRelation(4, pairs))
+
+    @pytest.mark.parametrize(
+        "pair", [[0, 1, 2], [1], [], [0, 1.0], [0.0, 1], [True, 0], [0, False], "01", 5]
+    )
+    def test_bad_relation_pairs_exit_2(self, tmp_path, capsys, pair):
+        from mechdesign.cli import EXIT_USAGE, main
+
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(
+            {"outcomes": [1, 2], "relation": [[0, 0], [1, 1], pair], "costs": [[1, 2], [3, 4]]}
+        ))
+        for argv in (["solve", str(path), "--algo", "det"], ["oracle", str(path), "--which", "det"]):
+            assert main(argv) == EXIT_USAGE
+            assert "cannot read instance" in capsys.readouterr().err
