@@ -32,7 +32,6 @@ from .generators import (
     gap_instance,
     minsat_reduction_nontransitive,
     minsat_reduction_single_peaked,
-    overhead_cost_oracle,
     parse_dimacs,
     random_convex_instance,
     random_instance,
@@ -96,6 +95,7 @@ from .submodular import (
     join,
     meet,
     objective_subgradient,
+    overhead_cost_oracle,
     solve_deterministic_submodular,
     solve_randomized_submodular,
     table_oracle,

@@ -65,7 +65,6 @@ from .oracle import (
 )
 from .submodular import (
     chain_to_json,
-    in_truthful_lattice,
     oracle_from_json,
     solve_deterministic_submodular,
     solve_randomized_submodular,
@@ -245,8 +244,6 @@ def cmd_solve(args, argv) -> int:
             raise CliError(f"unknown sub-det backend {backend!r}")
         solution = solve_deterministic_submodular(oracle, instance.relation, backend=backend)
         mechanism = DeterministicMechanism(solution.point)
-        if not in_truthful_lattice(solution.point, instance.relation):
-            raise SelfCheckError("solver left the truthful lattice")
         if not is_truthful(mechanism, instance):
             raise SelfCheckError("solver returned an untruthful mechanism")
         report["solver"] = f"lattice-{backend}"
@@ -269,7 +266,7 @@ def cmd_solve(args, argv) -> int:
             oracle, instance.outcomes, instance.relation, eps=args.eps
         )
         report["solver"] = f"profile-{solution.backend}"
-        report["cost"] = _number_text(solution.value)
+        report["cost"] = _number_text(float(solution.cost))
         report["checks"] = {
             "marginally_truthful": True,  # asserted inside the solver
             "converged": solution.converged,
@@ -364,9 +361,10 @@ def cmd_oracle(args, argv) -> int:
         if meta.get("oracle", {"kind": "additive"}).get("kind", "additive") != "additive":
             raise CliError("sub-rand oracle comparison is defined for additive oracles only")
         oracle = _oracle_for(instance, meta)
-        solver_cost = solve_randomized_submodular(
+        solution = solve_randomized_submodular(
             oracle, instance.outcomes, instance.relation, eps=args.eps
-        ).value
+        )
+        solver_cost = float(solution.cost)
         exact = solve_randomized(instance).cost
         brute_cost = exact
         match = exact.is_finite and abs(solver_cost - float(exact)) <= args.eps

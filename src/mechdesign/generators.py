@@ -4,7 +4,8 @@ The two MinSAT reductions build screening instances whose optimal cost
 tracks the minimum number of satisfiable clauses of a CNF formula — one by
 dropping transitivity of the misreport relation, one by giving each type its
 own (single-peaked) ranking of three outcomes.  Both are exercised against
-exhaustive MinSAT in the test suite.
+exhaustive MinSAT in the test suite.  Value-query cost oracles over these
+instances (additive, overhead, table) live in ``submodular``.
 """
 
 from __future__ import annotations
@@ -12,16 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .instances import (
     Cost,
     CostMatrix,
-    DeterministicMechanism,
     Instance,
     OutcomeSpace,
     ReportingRelation,
-    cost_deterministic,
     transitive_closure,
 )
 
@@ -400,23 +399,3 @@ def random_convex_instance(
         CostMatrix(rows),
     )
 
-
-def overhead_cost_oracle(instance: Instance, activation_cost) -> "CostOracle":
-    """Additive costs plus a flat charge whenever any type leaves the bottom
-    outcome — a minimal submodular-but-not-additive example."""
-    from .submodular import CostOracle
-
-    c0 = Cost(activation_cost)
-    n, m = instance.type_count, instance.outcome_count
-    if not all(c.is_finite for row in instance.costs.rows for c in row):
-        raise ValueError("overhead oracle needs finite cost entries")
-
-    def evaluate(point: Sequence[int]) -> Cost:
-        total = cost_deterministic(DeterministicMechanism(point), instance)
-        return total + c0 if any(point) else total
-
-    bound = (
-        sum(max(c.value for c in row) for row in instance.costs.rows)
-        + c0.value
-    )
-    return CostOracle(evaluate, n, m, bound)

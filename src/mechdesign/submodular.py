@@ -19,9 +19,11 @@ one exact double oracle (McMahan, Gordon & Blum 2003):
   vectors, so the cheapest one on the peel chains bounds the optimum from
   above.
 
-The chain-greedy extension evaluates a marginal profile by peeling: read
-each type at its highest remaining outcome, pay the smallest remaining mass
-for that vector, subtract, repeat.  The peel also yields the unique
+The chain-greedy extension evaluates a marginal profile by one walk down
+its maximal chain (``_chain``): from the top vector, lower one outcome at a
+time the type whose tail mass runs out first; each vector on the way
+carries the mass between two steps.  The walk gives the extension's value
+and greedy subgradient, and its vectors with positive mass are the unique
 non-crossing distribution with the given marginals, which ``uncross``
 reproduces from any distribution by repeated meet/join surgery.
 """
@@ -77,15 +79,14 @@ DEFAULT_ITERATION_CAP = 100_000
 class CostOracle:
     """Value-query access to a cost over outcome vectors.
 
-    ``bound`` is a declared upper bound on the finite values the oracle can
-    return.  ``query_count`` tracks usage so tests can pin query complexity.
+    ``fn`` maps an outcome vector (a tuple) to a ``Cost`` or a number.
+    ``query_count`` tracks usage so tests can pin query complexity.
     """
 
-    def __init__(self, fn: Callable, type_count: int, outcome_count: int, bound):
+    def __init__(self, fn: Callable, type_count: int, outcome_count: int):
         self._fn = fn
         self.type_count = int(type_count)
         self.outcome_count = int(outcome_count)
-        self.bound = Fraction(bound)
         self.query_count = 0
 
     def __call__(self, point: Sequence[int]) -> Cost:
@@ -96,15 +97,25 @@ class CostOracle:
 
 def additive_oracle(instance: Instance) -> CostOracle:
     """Sum of per-type entries; the bridge between matrix and query worlds."""
-    bound = Fraction(0)
-    for row in instance.costs.rows:
-        finite = [c.value for c in row if c.is_finite]
-        if finite:
-            bound += max(finite)
     return CostOracle(
         lambda point: cost_deterministic(DeterministicMechanism(point), instance),
-        instance.type_count, instance.outcome_count, bound,
+        instance.type_count, instance.outcome_count,
     )
+
+
+def overhead_cost_oracle(instance: Instance, activation_cost) -> CostOracle:
+    """Additive costs plus a flat charge whenever any type leaves the bottom
+    outcome — a minimal submodular-but-not-additive example."""
+    c0 = Cost(activation_cost)
+    n, m = instance.type_count, instance.outcome_count
+    if not all(c.is_finite for row in instance.costs.rows for c in row):
+        raise ValueError("overhead oracle needs finite cost entries")
+
+    def evaluate(point: Sequence[int]) -> Cost:
+        total = cost_deterministic(DeterministicMechanism(point), instance)
+        return total + c0 if any(point) else total
+
+    return CostOracle(evaluate, n, m)
 
 
 def lattice_index(point: Sequence[int], outcome_count: int) -> int:
@@ -126,13 +137,10 @@ def table_oracle(values: Sequence, type_count: int, outcome_count: int) -> CostO
     if len(values) != expected:
         raise ValueError(f"table needs {expected} entries, got {len(values)}")
     table = [v if isinstance(v, Cost) else Cost(v) for v in values]
-    finite = [c.value for c in table if c.is_finite]
-    bound = max(finite) if finite else Fraction(0)
     return CostOracle(
         lambda point: table[lattice_index(point, outcome_count)],
         type_count,
         outcome_count,
-        bound,
     )
 
 
@@ -147,7 +155,7 @@ def _memoized(oracle: CostOracle) -> CostOracle:
             cache[point] = got
         return got
 
-    return CostOracle(lookup, oracle.type_count, oracle.outcome_count, oracle.bound)
+    return CostOracle(lookup, oracle.type_count, oracle.outcome_count)
 
 
 def meet(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -286,72 +294,59 @@ def _validate_profile(rows) -> None:
             raise ValueError(f"row {i} sums to {total}, expected 1")
 
 
-def _peel(rows) -> list[tuple[tuple[int, ...], object]]:
-    """Greedy top-down peel of a marginal profile.
+def _chain(rows):
+    """The maximal chain through a profile: (points, leaders, masses).
 
-    Returns ``[(vector, mass), ...]`` from the top of the lattice downward.
-    Exact profiles peel exactly; float profiles use the positivity threshold
-    and renormalize the collected masses.
+    Every type starts at the top outcome.  Each step moves the type with the
+    smallest tail sum ``sum(row[k:])`` at its current outcome ``k`` (the
+    leader; ties go to the lowest index) down one outcome; after
+    ``n * (m - 1)`` steps all sit at the bottom.  Outcomes without mass are
+    walked too.  A point's mass is the leader's tail sum on leaving it minus
+    the one on reaching it (the bottom point closes at the smallest row sum),
+    so the points with positive mass are the quantile coupling of the rows
+    under one shared uniform draw.
     """
-    exact = is_exact(p for row in rows for p in row)
-    tol = 0 if exact else POSITIVITY_TOL
     n = len(rows)
     m = len(rows[0])
-    remaining = [list(row) for row in rows]
-
-    tops = []
-    for i in range(n):
-        top = max((j for j in range(m) if remaining[i][j] > tol), default=None)
-        if top is None:
-            raise ValueError(f"marginal row {i} has no positive mass")
-        tops.append(top)
-
-    out = []
-    steps = 0
-    while True:
-        steps += 1
-        if steps > n * m + 1:
-            raise SelfCheckError("marginal peel exceeded its iteration bound")
-        delta = None
-        for i in range(n):
-            mass = remaining[i][tops[i]]
-            if delta is None or mass < delta:
-                delta = mass
-        out.append((tuple(tops), delta))
-        done = False
-        for i in range(n):
-            remaining[i][tops[i]] -= delta
-            if remaining[i][tops[i]] <= tol:
-                nxt = max(
-                    (j for j in range(tops[i]) if remaining[i][j] > tol),
-                    default=None,
-                )
-                if nxt is None:
-                    done = True
-                else:
-                    tops[i] = nxt
-        if done:
-            break
-
-    if not exact:
-        total = sum(p for _, p in out)
-        out = [(pt, p / total) for pt, p in out if p > 0]
-    return out
+    tails = [list(itertools.accumulate(reversed(row)))[::-1] for row in rows]
+    tops = [m - 1] * n
+    points, leaders, masses = [tuple(tops)], [], []
+    reached = 0
+    for _ in range(n * (m - 1)):
+        leader = min(
+            (i for i in range(n) if tops[i]), key=lambda i: tails[i][tops[i]]
+        )
+        left = tails[leader][tops[leader]]
+        masses.append(left - reached)
+        reached = left
+        tops[leader] -= 1
+        leaders.append(leader)
+        points.append(tuple(tops))
+    masses.append(min(tail[0] for tail in tails) - reached)
+    return points, leaders, masses
 
 
 def interpret_marginals(profile) -> ChainDistribution:
     """The unique non-crossing distribution with the given marginals.
 
-    Peels the profile top-down, which realizes every type's marginal as the
-    quantile coupling under one shared uniform draw; the support is a chain
-    of at most ``n * m`` vectors.
+    Keeps the points of the profile's maximal chain that carry mass, which
+    realizes every type's marginal as the quantile coupling under one shared
+    uniform draw; the support is a chain of at most ``n * m`` vectors.
+    Exact profiles are kept exactly; float profiles drop masses at or below
+    the positivity threshold and renormalize the rest.
     """
     rows = [list(row) for row in profile]
     _validate_profile(rows)
-    peeled = _peel(rows)
-    peeled.reverse()
+    points, _, masses = _chain(rows)
+    exact = is_exact(p for row in rows for p in row)
+    tol = 0 if exact else POSITIVITY_TOL
+    kept = [(pt, p) for pt, p in zip(points, masses) if p > tol]
+    if not exact:
+        total = sum(p for _, p in kept)
+        kept = [(pt, p / total) for pt, p in kept]
+    kept.reverse()
     dist = ChainDistribution(
-        tuple(pt for pt, _ in peeled), tuple(p for _, p in peeled)
+        tuple(pt for pt, _ in kept), tuple(p for _, p in kept)
     )
     problems = chain_violations(dist)
     if problems:
@@ -396,41 +391,27 @@ def objective_subgradient(profile, oracle: CostOracle) -> list[list[Fraction]]:
 
 
 def _peel_with_gradient(rows, oracle: CostOracle):
-    """Exact peel along a full maximal chain: (value, gradient, chain points).
+    """Exact peel along the walk of ``_chain``: (value, gradient, chain points).
 
-    Every type starts at the top outcome.  Each step moves the type with the
-    smallest tail sum ``sum(row[k:])`` at its current outcome ``k`` (the
-    leader; ties go to the lowest index) down one outcome; after
-    ``n * (m - 1)`` steps all sit at the bottom.  Outcomes without mass are
-    walked too, so every coordinate ``(i, j)`` collects the marginals
-    ``f(x) - f(x - e_i)`` of all leader steps of type ``i`` at levels
-    ``1..j``: the greedy vertex ``g``, a subgradient of the extension
-    everywhere on the product of simplices, boundary included, with
-    ``g[i][0] == 0``.  Summing the chain by parts gives the value
-    ``f(bottom) + <g, rows>``; for a submodular cost ``f(bottom) + <g, q>``
-    bounds the extension at every profile ``q`` from below.
+    The chain walks outcomes without mass too, so every coordinate
+    ``(i, j)`` collects the marginals ``f(x) - f(x - e_i)`` of all leader
+    steps of type ``i`` at levels ``1..j``: the greedy vertex ``g``, a
+    subgradient of the extension everywhere on the product of simplices,
+    boundary included, with ``g[i][0] == 0``.  Summing the chain by parts
+    gives the value ``f(bottom) + <g, rows>``; for a submodular cost
+    ``f(bottom) + <g, q>`` bounds the extension at every profile ``q`` from
+    below.
     """
-    n = len(rows)
+    points, leaders, _ = _chain(rows)
     m = len(rows[0])
-    tails = [list(itertools.accumulate(reversed(row)))[::-1] for row in rows]
-    tops = [m - 1] * n
-    point = tuple(tops)
-    cost = _finite_value(oracle, point)
-    grad = [[Fraction(0)] * m for _ in range(n)]
-    points = [point]
-    for _ in range(n * (m - 1)):
-        leader = min(
-            (i for i in range(n) if tops[i]), key=lambda i: tails[i][tops[i]]
-        )
-        k = tops[leader]
-        tops[leader] = k - 1
-        point = tuple(tops)
-        lower_cost = _finite_value(oracle, point)
+    cost = _finite_value(oracle, points[0])
+    grad = [[Fraction(0)] * m for _ in rows]
+    for leader, point, lower in zip(leaders, points, points[1:]):
+        lower_cost = _finite_value(oracle, lower)
         row = grad[leader]
-        for j in range(k, m):
+        for j in range(point[leader], m):
             row[j] += cost - lower_cost
         cost = lower_cost
-        points.append(point)
     return cost + _inner(grad, rows), grad, points
 
 
@@ -602,7 +583,6 @@ def determinize_binary(
 class SubmodularDeterministicSolution:
     point: tuple[int, ...]
     cost: Cost
-    backend: str
     iterations: int = 0
     gap: Fraction = Fraction(0)  # cost minus a lower bound on the optimum
 
@@ -641,7 +621,7 @@ def solve_deterministic_submodular(
             if best_cost is None or c < best_cost:
                 best_cost, best = c, point
         assert best is not None  # constant vectors are always truthful
-        return SubmodularDeterministicSolution(best, best_cost, "brute")
+        return SubmodularDeterministicSolution(best, best_cost)
 
     if backend != "lovasz":
         raise ValueError(f"unknown backend {backend!r}")
@@ -667,7 +647,7 @@ def solve_deterministic_submodular(
 
     best, lower, iterations = _double_oracle(oracle, cut, upper, 0, max_iters)
     return SubmodularDeterministicSolution(
-        state["point"], Cost(best), "lovasz", iterations, best - lower
+        state["point"], Cost(best), iterations, best - lower
     )
 
 
@@ -678,7 +658,6 @@ def solve_deterministic_submodular(
 @dataclass(frozen=True)
 class SubmodularRandomizedSolution:
     chain: ChainDistribution
-    value: float
     cost: Cost
     converged: bool
     gap_estimate: Fraction
@@ -734,7 +713,7 @@ def solve_randomized_submodular(
         raise SelfCheckError(f"chain cost {cost} differs from its bound {best}")
     gap = best - lower
     return SubmodularRandomizedSolution(
-        chain, float(cost), cost, gap <= eps / 2, gap, iterations, "double-oracle"
+        chain, cost, gap <= eps / 2, gap, iterations, "double-oracle"
     )
 
 
@@ -881,8 +860,6 @@ def oracle_from_json(payload: dict, instance: Instance) -> CostOracle:
     if kind == "additive":
         return additive_oracle(instance)
     if kind == "additive_plus_overhead":
-        from .generators import overhead_cost_oracle
-
         return overhead_cost_oracle(instance, rational_from_json(payload["c0"]))
     if kind == "table":
         values = [cost_from_json(v) for v in payload["values"]]

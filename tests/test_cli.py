@@ -185,11 +185,14 @@ class TestSolve:
             assert code == EXIT_SELF_CHECK
             assert "max flow reported" in err
 
-    @pytest.mark.parametrize("module, algo", [("mincut", "det"), ("envelope", "rand")])
+    @pytest.mark.parametrize(
+        "module, algo", [("mincut", "det"), ("envelope", "rand"), ("cli", "sub-det")]
+    )
     def test_solver_truthfulness_check_exits_6(
         self, capsys, instance_file, monkeypatch, module, algo
     ):
-        # The solver's own check is the only truthfulness check on this path.
+        # Each path checks truthfulness once: det and rand in the solver,
+        # sub-det in the CLI (the instance's costs are all finite).
         monkeypatch.setattr(getattr(mechdesign, module), "is_truthful", lambda mech, inst: False)
         code, out, err = run(capsys, "solve", str(instance_file), "--algo", algo)
         assert code == EXIT_SELF_CHECK, out
