@@ -23,6 +23,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .envelope import solve_randomized
@@ -94,8 +95,41 @@ def _number_text(x) -> str:
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
-def _emit(report: dict) -> None:
-    print(_json_text(report))
+def _emit(report: dict, utility_table: tuple | None = None) -> None:
+    """Print ``report`` as ``json.dumps(report, indent=2)`` would.  A
+    ``verify`` report passes its ``(reports, texts)`` as ``utility_table``,
+    which is rendered here as the report's last key, ``expected_utilities``."""
+    text = _json_text(report)
+    if utility_table is not None:
+        table = _utility_table_text(*utility_table)
+        text = f'{text[:-2]},\n  "expected_utilities": {table}\n}}'
+    print(text)
+
+
+def _utility_table_text(reports: dict, texts: list[str]) -> str:
+    """The JSON text, one level deep, of the array holding
+    ``{"type": i, "reports": {str(r): <utility of r>}}`` for each type ``i``
+    and its sorted reports ``reports[i]``; ``texts[r]`` is the JSON string
+    literal of type ``r``'s utility.  One format per type and one join per
+    report list."""
+    entry = ['"%d": %s' % item for item in enumerate(texts)].__getitem__
+    return "[\n    " + ",\n    ".join([
+        '{\n      "type": %d,\n      "reports": {\n        %s\n      }\n    }'
+        % (i, ",\n        ".join(map(entry, reports[i])))
+        for i in range(len(texts))
+    ]) + "\n  ]"
+
+
+def _utility_texts(mechanism, instance, utilities) -> list[str]:
+    """Each type's utility as the JSON string literal of ``_number_text``.
+    A deterministic mechanism's utilities are the outcomes', each written
+    once; a lottery's are written per type, since finding a repeated
+    ``Fraction`` costs more than writing it."""
+    if isinstance(mechanism, DeterministicMechanism):
+        by_outcome = [encode_basestring_ascii(_number_text(u))
+                      for u in instance.outcomes.utilities]
+        return [by_outcome[j] for j in mechanism.assignment]
+    return [encode_basestring_ascii(_number_text(u)) for u in utilities]
 
 
 def _load_valid_instance(path):
@@ -301,13 +335,6 @@ def cmd_verify(args, argv) -> int:
 
     utilities = expected_utilities(mechanism, instance)
     violations = truthfulness_violations(mechanism, instance, utilities)
-    texts = [_number_text(u) for u in utilities]
-    names = [str(r) for r in range(instance.type_count)]
-    reports = instance.relation.reports_by_reporter
-    report_utilities = [
-        {"type": i, "reports": {names[r]: texts[r] for r in reports[i]}}
-        for i in range(instance.type_count)
-    ]
     if isinstance(mechanism, DeterministicMechanism):
         truthful_cost = cost_deterministic(mechanism, instance)
     else:
@@ -323,9 +350,9 @@ def cmd_verify(args, argv) -> int:
         "violating_pairs": [list(v) for v in violations[:10]],
         "cost_truthful": _number_text(truthful_cost),
         "cost_best_response": _number_text(br_cost),
-        "expected_utilities": report_utilities,
     }
-    _emit(report)
+    texts = _utility_texts(mechanism, instance, utilities)
+    _emit(report, (instance.relation.reports_by_reporter, texts))
     return EXIT_OK if not violations else EXIT_UNTRUTHFUL
 
 

@@ -406,10 +406,20 @@ def mechanism_violations(mech: Mechanism, instance: Instance) -> list[str]:
         if len(row) != m:
             problems.append(f"row {i} has {len(row)} entries, expected {m}")
             continue
-        exact = is_exact(row)
-        if exact:  # one integer pass: signs, then one sum per denominator
-            ratios = [p.as_integer_ratio() for p in row if p]
-            negative, total = any(r[0] < 0 for r in ratios), ratio_sum(ratios)
+        # A float anywhere, a zero too, makes the row a float row.
+        exact = all(issubclass(kind, (int, Fraction)) for kind in set(map(type, row)))
+        if exact:  # one integer pass over the nonzero entries, onto the row's lcm
+            num, den, negative = 0, 1, False
+            for p in row:
+                if p:
+                    a, b = p.as_integer_ratio()
+                    negative = negative or a < 0
+                    if b == den:
+                        num += a
+                    else:
+                        lcm = den * b // math.gcd(den, b)
+                        num, den = num * (lcm // den) + a * (lcm // b), lcm
+            total = 1 if num == den else Fraction(num, den)
         else:
             negative, total = any(p < 0 for p in row), sum(row)
         if negative:
@@ -600,9 +610,10 @@ _FLOAT_TEXT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _json_text(x, newline: str = "\n") -> str:
     """``json.dumps(x, indent=2)`` byte for byte, without the pure-Python
     encoder that ``indent`` selects; raises ``TypeError`` on other types, as
-    that encoder does.  It writes every JSON text the package emits: CLI
-    reports, ``--out`` files and instance files.  Strings and ints inside
-    containers are written inline."""
+    that encoder does.  It writes CLI reports, ``--out`` files and instance
+    files, all but one array: ``cli._utility_table_text`` renders a
+    ``verify`` report's ``expected_utilities`` in one flat pass beside it.
+    Strings and ints inside containers are written inline."""
     if not isinstance(x, (list, tuple, dict)):
         return _json_scalar(x)
     if not x:
@@ -781,15 +792,27 @@ def mechanism_to_json(mech: Mechanism) -> dict:
 
 
 def mechanism_from_json(data: dict) -> Mechanism:
+    """The mechanism in a ``mechanism_to_json`` object.  A lottery's
+    ``"a/b"`` strings are parsed once per distinct string."""
     kind = data.get("kind")
     if kind == "deterministic":
         _check_indices(data["assignment"])
         return DeterministicMechanism(data["assignment"])
     if kind == "randomized":
+        known: dict[str, Fraction] = {}
+
+        def probability(value):
+            if type(value) is not str:
+                return probability_from_json(value)
+            if value not in known:
+                known[value] = rational_from_json(value)
+            return known[value]
+
         return RandomizedMechanism(
-            [p if type(p) is int else probability_from_json(p) for p in row]
-            for row in data["rows"]
+            [p if type(p) is int else probability(p) for p in row] for row in data["rows"]
         )
+    if kind is None and "support" in data:
+        raise ValueError("this is a sub-rand chain file, which verify does not read yet")
     raise ValueError(f"unknown mechanism kind {kind!r}")
 
 

@@ -1,13 +1,16 @@
 """Command-line interface: full command round trips and exit codes."""
 
+import contextlib
 import csv
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -486,6 +489,91 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(instance_file), str(mech_path))
         assert code == EXIT_USAGE
         assert "does not fit" in err
+
+    def test_chain_file_is_named(self, tmp_path, capsys, instance_file):
+        chain = tmp_path / "chain.json"
+        code, _, _ = run(capsys, "solve", str(instance_file), "--algo", "sub-rand",
+                         "--eps", "1e-2", "--out", str(chain))
+        assert code == EXIT_OK
+        code, out, err = run(capsys, "verify", str(instance_file), str(chain))
+        assert code == EXIT_USAGE and out == ""
+        assert err == (f"error: cannot read mechanism {chain}: this is a sub-rand chain "
+                       "file, which verify does not read yet\n")
+
+
+def _number_text(x):
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
+
+
+_BIG_DENOMINATORS = [2**63 + 25, 2**64 + 13]
+
+
+@st.composite
+def _verify_cases(draw):
+    """An instance and a mechanism for it: deterministic, exact lotteries or
+    float lotteries, often untruthful; some cost denominators above 2**63."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    utilities = draw(st.sets(st.builds(Fraction, st.integers(0, 30), st.sampled_from([1, 2, 7])),
+                             min_size=m, max_size=m))
+    index = st.integers(0, n - 1)
+    claims = draw(st.lists(st.tuples(index, index), max_size=2 * n))
+    entry = st.one_of(
+        st.builds(Fraction, st.integers(0, 2**70), st.sampled_from([1, 3] + _BIG_DENOMINATORS)),
+        st.just(Cost.infinite()),
+    )
+    costs = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    instance = Instance(OutcomeSpace(sorted(utilities)),
+                        ReportingRelation(n, [(i, i) for i in range(n)] + claims),
+                        CostMatrix(costs))
+    kind = draw(st.sampled_from(["det", "exact", "float"]))
+    if kind == "det":
+        return instance, DeterministicMechanism(draw(st.lists(st.integers(0, m - 1),
+                                                              min_size=n, max_size=n)))
+    rows = []
+    for _ in range(n):
+        weights = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))
+        weights[draw(st.integers(0, m - 1))] += 1
+        row = [Fraction(w, sum(weights)) for w in weights]
+        rows.append([float(p) for p in row] if kind == "float" else row)
+    return instance, RandomizedMechanism(rows)
+
+
+class TestVerifyReportBytes:
+    """``verify`` writes its report in one pass; the bytes are those of
+    ``json.dumps`` on the report built with one dict per type."""
+
+    _TWO = Instance(OutcomeSpace([0, 1]), ReportingRelation(2, [(0, 0), (1, 1), (0, 1)]),
+                    CostMatrix([[1, 2], [3, Fraction(1, _BIG_DENOMINATORS[1])]]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_verify_cases())
+    @example((Instance(OutcomeSpace([3]), ReportingRelation.identity(1),
+                       CostMatrix([[Fraction(5, _BIG_DENOMINATORS[0])]])),
+              DeterministicMechanism([0])))
+    @example((_TWO, DeterministicMechanism([0, 1])))  # untruthful: exit 4
+    @example((_TWO, RandomizedMechanism([[0.1, 0.9], [0.7, 0.3]])))
+    @example((_TWO, RandomizedMechanism([[Fraction(1, 3), Fraction(2, 3)], [0, 1]])))
+    def test_stdout_equals_json_dumps_of_the_old_report(self, case):
+        instance, mech = case
+        with tempfile.TemporaryDirectory() as tmp:
+            inst_path, mech_path = Path(tmp) / "inst.json", Path(tmp) / "mech.json"
+            dump_instance(instance, inst_path)
+            mech_path.write_text(json.dumps(mechanism_to_json(mech)))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["verify", str(inst_path), str(mech_path)])
+            loaded, _ = instance_from_json(json.loads(inst_path.read_text()))
+        out = out.getvalue()
+        report = json.loads(out)
+        assert code == (EXIT_OK if report["truthful"] else EXIT_UNTRUTHFUL)
+        utilities = [expected_utility(mech, loaded.outcomes, r) for r in range(loaded.type_count)]
+        del report["expected_utilities"]
+        report["expected_utilities"] = [
+            {"type": i, "reports": {str(r): _number_text(utilities[r])
+                                    for r in loaded.relation.allowed_reports(i)}}
+            for i in range(loaded.type_count)
+        ]
+        assert out == json.dumps(report, indent=2) + "\n"
 
 
 BASE_INSTANCE = {

@@ -45,6 +45,7 @@ from mechdesign.instances import (
     exceeds,
     expected_utilities,
     is_exact,
+    ratio_sum,
 )
 from mechdesign.oracle import _best_response_outcome
 
@@ -592,3 +593,127 @@ class TestOnePassReader:
         for argv in (["solve", str(path), "--algo", "det"], ["oracle", str(path), "--which", "det"]):
             assert main(argv) == EXIT_USAGE
             assert "cannot read instance" in capsys.readouterr().err
+
+
+def _mechanism_violations_before(mech, instance):
+    """``mechanism_violations`` as it was before its one-pass row check:
+    exactness from every entry, one ``Fraction`` per denominator."""
+    problems = []
+    n, m = instance.type_count, instance.outcome_count
+    if len(mech.rows) != n:
+        problems.append(f"mechanism has {len(mech.rows)} rows, expected {n}")
+    for i, row in enumerate(mech.rows):
+        if len(row) != m:
+            problems.append(f"row {i} has {len(row)} entries, expected {m}")
+            continue
+        exact = is_exact(row)
+        if exact:
+            ratios = [p.as_integer_ratio() for p in row if p]
+            negative, total = any(r[0] < 0 for r in ratios), ratio_sum(ratios)
+        else:
+            negative, total = any(p < 0 for p in row), sum(row)
+        if negative:
+            problems.append(f"row {i} has a negative probability")
+        if differs(total, 1, exact, ROW_SUM_TOL):
+            problems.append(f"row {i} sums to {total}, expected 1")
+    return problems
+
+
+_BIG = 2**64 + 13
+
+ROW_TABLE = [
+    # exact rows
+    [1, 0, 0],
+    [Fraction(1, 3), Fraction(2, 3), 0],
+    [Fraction(1, 3), Fraction(1, 3), 0],
+    [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)],
+    [Fraction(1, _BIG), Fraction(_BIG - 1, _BIG), 0],
+    [Fraction(1, _BIG), Fraction(_BIG - 1, _BIG), Fraction(1, _BIG)],
+    [Fraction(0), 0, 0],
+    [True, 0, False],
+    # a float 0.0 makes the row a float row
+    [0.0, Fraction(1, 3), Fraction(2, 3)],
+    [0.0, Fraction(1, 3), Fraction(1, 3)],
+    [-0.0, 1, 0],
+    [0.0, Fraction(1, 2), Fraction(1, 2) + Fraction(1, 2**60)],
+    # sums to 1 within the float tolerance, or just outside it
+    [0.1, 0.2, 0.7],
+    [0.5, 0.5 + 1e-13, 0],
+    [0.5, 0.5 + 1e-11, 0],
+    [Fraction(1, 4), 0.75, 0],
+    # negative entries
+    [2, -1, 0],
+    [Fraction(3, 2), Fraction(-1, 2), 0],
+    [Fraction(-1, 3), Fraction(2, 3), Fraction(2, 3)],
+    [1.5, -0.5, 0.0],
+    [-1, 0, 0],
+    [float("nan"), 1.0, 0.0],
+    # wrong length
+    [1, 0],
+]
+
+
+class TestRowCheckAgainstBefore:
+    """The one-pass row check gives the same verdicts and messages as the
+    check it replaced."""
+
+    def test_table_of_rows(self):
+        n = len(ROW_TABLE)
+        inst = Instance(OutcomeSpace(range(3)), ReportingRelation.identity(n),
+                        CostMatrix([[0] * 3] * n))
+        mech = RandomizedMechanism(ROW_TABLE)
+        expected = _mechanism_violations_before(mech, inst)
+        assert mechanism_violations(mech, inst) == expected
+        for message in ("negative probability", "sums to", "entries, expected"):
+            assert any(message in p for p in expected)
+
+
+class TestLotteryReader:
+    """``mechanism_from_json`` parses each distinct probability string once."""
+
+    def test_repeated_strings_read_to_equal_fractions(self, monkeypatch):
+        import mechdesign.instances as instances
+
+        parsed = []
+        original = instances.rational_from_json
+
+        def counting(value):
+            parsed.append(value)
+            return original(value)
+
+        monkeypatch.setattr(instances, "rational_from_json", counting)
+        rows = [["1/3", "2/3", 0], [0, "2/3", "1/3"], ["1/3", "1/3", "1/3"], [0.25, "3/4", 0]]
+        mech = mechanism_from_json({"kind": "randomized", "rows": rows})
+        third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+        assert mech.rows == (
+            (third, two_thirds, 0), (0, two_thirds, third), (third, third, third),
+            (0.25, Fraction(3, 4), 0),
+        )
+        assert [type(p) for p in mech.rows[3]] == [float, Fraction, int]
+        assert sorted(parsed) == ["1/3", "2/3", "3/4"]
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("1/0", "cannot read mechanism {mech}: zero denominator in '1/0'"),
+            ("x", "cannot read mechanism {mech}: Invalid literal for Fraction: 'x'"),
+            (True, "cannot read mechanism {mech}: not a rational: True"),
+            ("-1/2", "mechanism does not fit the instance: row 1 has a negative probability; "
+                     "row 1 sums to 0, expected 1"),
+            (-1, "mechanism does not fit the instance: row 1 has a negative probability; "
+                 "row 1 sums to -1/2, expected 1"),
+        ],
+    )
+    def test_bad_probabilities_exit_2(self, tmp_path, capsys, value, message):
+        from mechdesign.cli import EXIT_USAGE, main
+
+        inst, mech = tmp_path / "inst.json", tmp_path / "mech.json"
+        inst.write_text(json.dumps({
+            "outcomes": [1, 2, 3], "relation": [[0, 0], [1, 1], [2, 2], [0, 1]],
+            "costs": [[4, 2, 7], [1, 5, 3], [2, "inf", 6]],
+        }))
+        # the bad value's row repeats a string read in the row before
+        rows = [["1/2", "1/2", 0], ["1/2", value, 0], [0, 0, 1]]
+        mech.write_text(json.dumps({"kind": "randomized", "rows": rows}))
+        assert main(["verify", str(inst), str(mech)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: " + message.format(mech=mech) + "\n"
