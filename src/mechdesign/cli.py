@@ -334,14 +334,15 @@ def cmd_verify(args, argv) -> int:
         raise CliError(f"mechanism does not fit the instance: " + "; ".join(problems))
 
     utilities = expected_utilities(mechanism, instance)
-    violations = truthfulness_violations(mechanism, instance, utilities)
+    exact = is_exact(utilities)
+    violations = truthfulness_violations(mechanism, instance, utilities, exact)
     if isinstance(mechanism, DeterministicMechanism):
         truthful_cost = cost_deterministic(mechanism, instance)
     else:
         truthful_cost = cost_randomized(mechanism, instance)
     # The relation is reflexive: when no claim beats honesty exactly, every
     # type's best report is its own, and the types play the mechanism itself.
-    searched = violations or not is_exact(utilities)
+    searched = violations or not exact
     br_cost = cost_best_response(mechanism, instance, utilities) if searched else truthful_cost
     report = {
         "command": " ".join(argv),

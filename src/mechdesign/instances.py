@@ -312,6 +312,11 @@ class Instance:
     def outcome_count(self) -> int:
         return self.outcomes.size
 
+    @cached_property
+    def hard_problems(self) -> tuple[str, ...]:
+        """``hard_violations``' findings, computed once per instance."""
+        return tuple(validate(self, include_degenerate=False))
+
 
 @dataclass(frozen=True)
 class DeterministicMechanism:
@@ -385,7 +390,7 @@ def validate(instance: Instance, include_degenerate: bool = True) -> list[str]:
 
 def hard_violations(instance: Instance) -> list[str]:
     """Violations that make an instance unsolvable (degenerate rows excluded)."""
-    return validate(instance, include_degenerate=False)
+    return list(instance.hard_problems)
 
 
 def mechanism_violations(mech: Mechanism, instance: Instance) -> list[str]:
@@ -505,19 +510,21 @@ def expected_utilities(mech: Mechanism, instance: Instance) -> list:
 
 
 def truthfulness_violations(
-    mech: Mechanism, instance: Instance, utilities: list | None = None
+    mech: Mechanism, instance: Instance, utilities: list | None = None, exact: bool | None = None
 ) -> list[tuple[int, int]]:
     """Pairs (truth, claim) where claiming strictly beats honesty.
 
     Exact utilities are compared exactly; float utilities must exceed by
     more than ``FLOAT_UTILITY_TOL`` so solver round-off is not reported as
-    manipulation.  ``utilities``, when given, must be
-    ``expected_utilities(mech, instance)``.
+    manipulation.  ``utilities`` and ``exact``, when given, must be
+    ``expected_utilities(mech, instance)`` and its ``is_exact``.
     """
     if utilities is None:
         utilities = expected_utilities(mech, instance)
+    if exact is None:
+        exact = is_exact(utilities)
     pairs = instance.relation.claims
-    if is_exact(utilities):
+    if exact:
         return [(a, b) for a, b in pairs if utilities[b] > utilities[a]]
     return [
         (a, b) for a, b in pairs

@@ -33,15 +33,21 @@ first ``n*(m+1)`` is an imitation arc, ``m`` per sorted pair ``(a, b)`` with
 first, an arc's kind follows from its position alone and is not stored.
 
 Flow.  Each type's chain is a source-to-sink path of its own, so the flow
-starts with every chain saturated at its cheapest arc, and Dinic runs only on
-the relation's components that hold a claim (``claim_groups``); a lone
-chain carries no more.  Every maximum flow leaves the same residual source
-side, so neither the seed nor the split changes the cut (``maxflow.py``).
+starts with every chain saturated at its first cheapest arc (the entry arc
+of an all-infinite row), which leaves the levels below that arc reachable.
+Where every claim ``(a, b)`` leaves ``a`` reaching at least as high as ``b``,
+the imitation arcs out of the reach land inside it and the seed is a maximum
+flow, so lone types and such claim components (``claim_groups``) are settled
+at their row minima.  Only the other components enter the ``FlowGraph``, by
+their global node numbers, for Dinic.  Every maximum flow leaves the same
+residual source side, so neither the seed nor the split changes the cut
+(``maxflow.py``); the checks of ``solve_deterministic`` cover every type.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import compress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -81,13 +87,10 @@ class Arc(NamedTuple):
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """The cut network as arrays over the instance's cost matrix (layout in
-    the module docstring)."""
+    """The cut network (layout in the module docstring), arrays built on first read."""
 
     type_count: int
     outcome_count: int
-    tails: list[int]
-    heads: list[int]
     costs: CostMatrix
     claims: list[tuple[int, int]]  # the pairs behind the imitation arcs
 
@@ -98,6 +101,14 @@ class FlowNetwork:
     @property
     def chain_arc_count(self) -> int:
         return self.type_count * (self.outcome_count + 1)
+
+    @cached_property
+    def tails(self) -> list[int]:
+        return arc_arrays(range(self.type_count), self.claims, self.outcome_count)[0]
+
+    @cached_property
+    def heads(self) -> list[int]:
+        return arc_arrays(range(self.type_count), self.claims, self.outcome_count)[1]
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
@@ -117,8 +128,13 @@ class ClampedNetwork:
     network: FlowNetwork
     budget: Fraction
     clamp_value: Fraction
-    capacities: list[int]
     scale: int
+
+    @cached_property
+    def capacities(self) -> list[int]:
+        """Every arc's integer capacity, built on first read."""
+        net, clamp = self.network, int(self.clamp_value * self.scale)
+        return arc_capacities(net.costs.scaled, len(net.claims), net.outcome_count, clamp)
 
 
 @dataclass(frozen=True)
@@ -137,30 +153,41 @@ class DeterministicSolution:
 
 
 def build_network(instance: Instance) -> FlowNetwork:
-    """Assemble the cut network for an instance, over its relation as given
-    (see the module docstring for why the closure is not needed)."""
+    """The cut network for an instance, over its relation as given (see the
+    module docstring for why the closure is not needed)."""
     problems = hard_violations(instance)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
+    return FlowNetwork(
+        instance.type_count, instance.outcome_count, instance.costs, instance.relation.claims
+    )
 
-    n, m = instance.type_count, instance.outcome_count
-    tails: list[int] = []
-    heads: list[int] = []
-    for bottom in range(grid_node(0, 0, m), grid_node(n, 0, m), m):
+
+def arc_arrays(types, claims: list[tuple[int, int]], m: int) -> tuple[list[int], list[int]]:
+    """Tails and heads of the chains of ``types``, in order, then of the
+    imitation arcs of ``claims``, over the global node numbers."""
+    tails, heads = [], []
+    for i in types:
+        bottom = grid_node(i, 0, m)
         tails += [SOURCE, *range(bottom, bottom + m)]
         heads += [*range(bottom, bottom + m), SINK]
-    claims = instance.relation.claims
     for a, b in claims:
         # "a can claim b": a's chain must reach at least as high as b's,
         # enforced by unbounded arcs from b's chain into a's at each level.
         tails.extend(range(grid_node(b, 0, m), grid_node(b, m, m)))
         heads.extend(range(grid_node(a, 0, m), grid_node(a, m, m)))
-    return FlowNetwork(n, m, tails, heads, instance.costs, claims)
+    return tails, heads
+
+
+def arc_capacities(rows, claim_count: int, m: int, clamp: int) -> list[int]:
+    """``arc_arrays``' capacities, every infinite one clamped to ``clamp``."""
+    chains = [clamp if c is None else c for row in rows for c in (clamp, *row)]
+    return chains + [clamp] * (claim_count * m)
 
 
 def clamp_capacities(network: FlowNetwork) -> ClampedNetwork:
-    """Take the capacities from the cost matrix's integer rows, over its
-    ``scale``, and replace infinite capacities by ``B + 1``.
+    """Clamp the network's infinite capacities to ``B + 1``, over the cost
+    matrix's ``scale``.
 
     ``B`` is the sum of every finite cost entry plus ``n`` times the largest
     finite entry, which dominates the cost of any finite-cost truthful
@@ -170,15 +197,7 @@ def clamp_capacities(network: FlowNetwork) -> ClampedNetwork:
     rows, scale = network.costs.scaled, network.costs.scale
     finite = [c for row in rows for c in row if c is not None]
     budget = sum(finite) + network.type_count * max(finite, default=0)
-    clamp = budget + scale
-    capacities = []
-    for row in rows:
-        capacities.append(clamp)  # the entry arc
-        capacities += [clamp if c is None else c for c in row]
-    capacities += [clamp] * (len(network.tails) - len(capacities))
-    return ClampedNetwork(
-        network, Fraction(budget, scale), Fraction(clamp, scale), capacities, scale
-    )
+    return ClampedNetwork(network, Fraction(budget, scale), Fraction(budget + scale, scale), scale)
 
 
 def claim_groups(count: int, claims: list[tuple[int, int]]) -> list[list[int]]:
@@ -247,18 +266,42 @@ def certified_cut(
     return reachable, flow
 
 
+def conflicted_groups(count: int, claims: list, tops: list[int]) -> tuple[list[bool], list]:
+    """Which types the seeded chains settle, and the claim components with a
+    claim ``(a, b)`` they violate, ``tops[a] < tops[b]``; a type that a claim
+    touches but no component holds is not settled."""
+    touched = {i for pair in claims for i in pair}
+    violated = {a for a, b in claims if tops[a] < tops[b]}
+    groups = claim_groups(count, claims)
+    free = {i for group in groups if violated.isdisjoint(group) for i in group}
+    settled = [i not in touched or i in free for i in range(count)]
+    return settled, [group for group in groups if not violated.isdisjoint(group)]
+
+
 def min_cut(clamped: ClampedNetwork) -> CutResult:
     """The certified minimum cut of the clamped network: the type chains
-    seed the flow, and Dinic searches from the entry arcs of each claim
-    component (module docstring)."""
-    network = clamped.network
-    n, chain = network.type_count, network.outcome_count + 1
-    groups = [[i * chain for i in types] for types in claim_groups(n, network.claims)]
-    reachable, value = certified_cut(
-        network.node_count, network.tails, network.heads, clamped.capacities,
-        groups, (n, chain),
-    )
-    return CutResult(reachable, Fraction(value, clamped.scale), clamped.scale)
+    seed the flow and settle every conflict-free claim component, and Dinic
+    searches the rest from their entry arcs (module docstring)."""
+    network, scale = clamped.network, clamped.scale
+    n, m, rows = network.type_count, network.outcome_count, network.costs.scaled
+    clamp = int(clamped.clamp_value * scale)
+    lows = [min([c for c in row if c is not None], default=clamp) for row in rows]
+    tops = [-1 if low == clamp else row.index(low) for row, low in zip(rows, lows)]
+    settled, groups = conflicted_groups(n, network.claims, tops)
+    kept = [i for i in range(n) if not settled[i]]
+    reachable, value = [True] + [False] * (network.node_count - 1), 0
+    if kept:
+        entry = {i: k * (m + 1) for k, i in enumerate(kept)}
+        claims = [(a, b) for a, b in network.claims if not settled[a]]
+        reachable, value = certified_cut(
+            network.node_count, *arc_arrays(kept, claims, m),
+            arc_capacities([rows[i] for i in kept], len(claims), m, clamp),
+            [[entry[i] for i in group] for group in groups], (len(kept), m + 1),
+        )
+    for i in compress(range(n), settled):
+        bottom = grid_node(i, 0, m)
+        reachable[bottom : bottom + tops[i] + 1] = [True] * (tops[i] + 1)
+    return CutResult(reachable, Fraction(value + sum(compress(lows, settled)), scale), scale)
 
 
 def minimal_closure(weights: list[int], pairs: list[tuple[int, int]]) -> list[bool]:
@@ -313,11 +356,10 @@ def _check_cut_shape(cut: CutResult, clamped: ClampedNetwork) -> None:
         rises = list(map(operator.gt, above, below))
         if True in rises:
             raise SelfCheckError(f"source side not downward closed on chain {rises.index(True)}")
-    network, side = clamped.network, cut.reachable
-    chain = network.chain_arc_count
-    for tail, head in zip(network.tails[chain:], network.heads[chain:]):
-        if side[tail] and not side[head]:
-            raise SelfCheckError("an imitation arc crosses the returned cut")
+    # On downward-closed chains, claim (a, b)'s arcs cross iff b reaches above a.
+    heights = list(map(sum, zip(*columns)))
+    if any(heights[b] > heights[a] for a, b in clamped.network.claims):
+        raise SelfCheckError("an imitation arc crosses the returned cut")
 
 
 def solve_deterministic(instance: Instance) -> DeterministicSolution:

@@ -176,17 +176,40 @@ class TestSolve:
         data = json.loads(mech_path.read_text())
         assert data["kind"] == "deterministic"
 
-    def test_infeasible_flow_exits_6(self, capsys, instance_file, monkeypatch):
+    def test_infeasible_flow_exits_6(self, capsys, tmp_path, monkeypatch):
         from mechdesign.maxflow import FlowGraph
 
+        # Seed 6 has a claim that the seeded chains violate, so det reaches
+        # the flow graph; the seeded chains settle every claim of seed 5.
+        path = tmp_path / "conflicted.json"
+        run(capsys, "generate", "random", "--out", str(path), "--seed", "6",
+            "--types", "4", "--outcomes", "3", "--density", "0.5")
         original = FlowGraph.max_flow
         monkeypatch.setattr(
             FlowGraph, "max_flow", lambda graph, s, t: original(graph, s, t) + 1
         )
         for algo in ("det", "rand"):
-            code, _, err = run(capsys, "solve", str(instance_file), "--algo", algo)
+            code, _, err = run(capsys, "solve", str(path), "--algo", algo)
             assert code == EXIT_SELF_CHECK
             assert "max flow reported" in err
+
+    @pytest.mark.parametrize("algo", ["det", "rand"])
+    def test_instance_is_validated_once(self, capsys, instance_file, monkeypatch, algo):
+        original, calls = mechdesign.instances.validate, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mechdesign.instances, "validate", counted)
+        code, _, _ = run(capsys, "solve", str(instance_file), "--algo", algo)
+        assert code == EXIT_OK and len(calls) == 1
+
+    def test_library_solvers_refuse_invalid_instances_every_time(self):
+        bad = Instance(OutcomeSpace([2, 1]), ReportingRelation.identity(1), CostMatrix([[1, 1]]))
+        for solve in (solve_deterministic, solve_randomized, solve_deterministic):
+            with pytest.raises(ValueError, match="not strictly increasing"):
+                solve(bad)
 
     @pytest.mark.parametrize(
         "module, algo", [("mincut", "det"), ("envelope", "rand"), ("cli", "sub-det")]
@@ -937,6 +960,21 @@ class TestVerifyBestResponse:
         assert report["cost_truthful"] == "8"
         assert report["cost_best_response"] != report["cost_truthful"]
         assert searched
+
+    def test_utilities_are_scanned_for_exactness_once(self, tmp_path, capsys, monkeypatch):
+        instance = random_instance(seed=3, type_count=6, outcome_count=3, edge_density=0.5)
+        mech = solve_deterministic(instance).mechanism
+        original, scans = mechdesign.instances.is_exact, []
+
+        def counting(values):
+            scans.append(values)
+            return original(values)
+
+        for module in (mechdesign.cli, mechdesign.instances):
+            monkeypatch.setattr(module, "is_exact", counting)
+        code, report, searched = self._verify(tmp_path, capsys, monkeypatch, instance, mech)
+        assert code == EXIT_OK and not searched
+        assert sum(isinstance(v, list) and len(v) == 6 for v in scans) == 1
 
 
 class TestInstanceReadOnce:

@@ -45,6 +45,16 @@ def chain_instance():
     )
 
 
+def conflicted_instance():
+    """Two types, type 0 can claim type 1, and both would rather sit apart:
+    the seeded chains violate the claim, so the cut reaches Dinic."""
+    return Instance(
+        outcomes=OutcomeSpace([1, 2, 3]),
+        relation=ReportingRelation(2, [(0, 0), (1, 1), (0, 1)]),
+        costs=CostMatrix([[1, 9, 9], [9, 9, 1]]),
+    )
+
+
 class TestNetworkBuild:
     def test_grid_node_layout(self):
         assert grid_node(0, 0, 3) == 2
@@ -467,7 +477,7 @@ class TestFlowCertificate:
             return tamper(graph, original(graph, source, sink))
 
         monkeypatch.setattr(FlowGraph, "max_flow", tampered_max_flow)
-        clamped = clamp_capacities(build_network(chain_instance()))
+        clamped = clamp_capacities(build_network(conflicted_instance()))
         with pytest.raises(SelfCheckError, match=message):
             min_cut(clamped)
 
@@ -576,7 +586,7 @@ class TestSeededCut:
             return total + count
 
         monkeypatch.setattr(FlowGraph, "seed_chains", overseed)
-        clamped = clamp_capacities(build_network(chain_instance()))
+        clamped = clamp_capacities(build_network(conflicted_instance()))
         with pytest.raises(SelfCheckError, match="infeasible"):
             min_cut(clamped)
 
@@ -597,6 +607,111 @@ class TestSeededCut:
         )
         with pytest.raises(SelfCheckError, match="sink is reachable"):
             min_cut(clamped)
+
+
+def _seed_tops(rows):
+    """Each seeded chain's top level: its row's lowest argmin, or -1 for an
+    all-infinite row."""
+    tops = []
+    for row in rows:
+        finite = [c for c in row if c is not None]
+        tops.append(row.index(min(finite)) if finite else -1)
+    return tops
+
+
+def _settling_instance(rng):
+    """Types in blocks of one to three: lone types, blocks whose claims all
+    hold at the seeded chains and blocks with a claim that does not.  Row
+    entries tie often, some rows are entirely infinite, and some seeds use
+    cost denominators above 2**63."""
+    n, m = rng.randint(1, 9), rng.randint(1, 4)
+    denominators = [1, 2] if rng.random() < 0.7 else [2**63 + 1, 2**64 - 3]
+    rows = []
+    for _ in range(n):
+        dead = rng.random() < 0.15
+        rows.append([
+            None if dead or rng.random() < 0.15
+            else Fraction(rng.randint(0, 3), rng.choice(denominators))
+            for _ in range(m)
+        ])
+    tops = _seed_tops(rows)
+    pairs = [(i, i) for i in range(n)]
+    start = 0
+    while start < n:
+        block = range(start, min(n, start + rng.randint(1, 3)))
+        kind = rng.choice(["lone", "free", "any"])
+        claims = [(a, b) for a in block for b in block if a != b and rng.random() < 0.6]
+        if kind == "free":
+            claims = [(a, b) for a, b in claims if tops[a] >= tops[b]]
+        if kind != "lone":
+            pairs += claims
+        start = block.stop
+    costs = CostMatrix([[Cost.infinite() if c is None else c for c in row] for row in rows])
+    return Instance(OutcomeSpace(range(1, m + 1)), ReportingRelation(n, pairs), costs)
+
+
+class TestSettledComponents:
+    """Types the seeded chains settle never reach the flow graph, and the
+    cut is still the one a maximum flow of the whole network leaves."""
+
+    def test_against_networkx(self):
+        seen = {"lone": 0, "free": 0, "conflicted": 0, "dead": set(), "n1": 0, "m1": 0}
+        for seed in range(300):
+            inst = _settling_instance(random.Random(seed))
+            clamped = clamp_capacities(build_network(inst))
+            network = clamped.network
+            value, side = _networkx_minimal_side(
+                network.node_count, network.tails, network.heads, clamped.capacities
+            )
+            cut = min_cut(clamped)
+            assert (cut.value, cut.reachable) == (Fraction(value, clamped.scale), side), seed
+            rows, claims = inst.costs.scaled, inst.relation.claims
+            settled, _ = mincut.conflicted_groups(len(rows), claims, _seed_tops(rows))
+            touched = {i for pair in claims for i in pair}
+            kinds = {}
+            for group in claim_groups(len(rows), claims):
+                kind = "free" if settled[group[0]] else "conflicted"
+                seen[kind] += 1
+                kinds.update(dict.fromkeys(group, kind))
+            for i, row in enumerate(rows):
+                seen["lone"] += i not in touched
+                if row.count(None) == len(row):
+                    seen["dead"].add(kinds.get(i, "lone"))
+            seen["n1"] += len(rows) == 1
+            seen["m1"] += inst.outcome_count == 1
+        assert min(seen["lone"], seen["free"], seen["conflicted"], seen["n1"], seen["m1"]) > 0
+        assert seen["dead"] == {"lone", "free", "conflicted"}
+
+    def test_settled_instance_never_reaches_the_flow_graph(self, monkeypatch):
+        def refuse(graph, source, sink):
+            raise AssertionError("max_flow called on a settled instance")
+
+        monkeypatch.setattr(FlowGraph, "max_flow", refuse)
+        cut = min_cut(clamp_capacities(build_network(chain_instance())))
+        # Type 0 keeps levels 0-1 and type 1 level 0: the cut of cost 2 + 1.
+        side = [True, False, True, True, False, True, False, False]
+        assert cut == mincut.CutResult(side, Fraction(3), 1)
+
+    def test_settled_violated_claim_is_refused(self, monkeypatch):
+        # Both components violate their claim at the seed; the patched
+        # decision settles the first one anyway.
+        instance = Instance(
+            outcomes=OutcomeSpace([1, 2, 3]),
+            relation=ReportingRelation(4, [(i, i) for i in range(4)] + [(0, 1), (2, 3)]),
+            costs=CostMatrix([[1, 9, 9], [9, 9, 1], [1, 9, 9], [9, 9, 1]]),
+        )
+        assert solve_deterministic(instance).cost == Cost(20)
+        original = mincut.conflicted_groups
+
+        def skip_first(count, claims, tops):
+            settled, groups = original(count, claims, tops)
+            for i in groups[0]:
+                settled[i] = True
+            return settled, groups[1:]
+
+        monkeypatch.setattr(mincut, "conflicted_groups", skip_first)
+        with pytest.raises(SelfCheckError, match="imitation arc crosses"):
+            solve_deterministic(instance)
 
 
 class TestCutMaskChecks:
