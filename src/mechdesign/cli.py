@@ -250,6 +250,8 @@ def cmd_solve(args, argv) -> int:
 
     if args.dot and args.algo != "det":
         raise CliError("--dot only applies to --algo det")
+    if args.backend is not None and args.algo in ("det", "rand"):
+        raise CliError(f"--backend does not apply to --algo {args.algo}")
 
     if args.algo in ("det", "rand"):
         if args.algo == "det":

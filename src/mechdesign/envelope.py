@@ -131,22 +131,14 @@ def pl_extension_value(cost_row, outcomes: OutcomeSpace, point) -> Cost:
     return Cost(left.value + (x - utilities[j]) * slope)
 
 
-def _row_convexity(row, utilities) -> bool:
-    finite = [j for j, c in enumerate(row) if c.is_finite]
-    if not finite:
-        return True  # identically infinite: vacuously convex
-    if finite[-1] - finite[0] + 1 != len(finite):
-        return False  # a finite-infinite-finite sandwich breaks convexity
-    slopes = []
-    for a, b in zip(finite, finite[1:]):
-        slopes.append((row[b].value - row[a].value) / (utilities[b] - utilities[a]))
-    return all(s1 <= s2 for s1, s2 in zip(slopes, slopes[1:]))
-
-
 def is_convex_cost(instance: Instance) -> tuple[bool, list[bool]]:
-    """Whether each row's piecewise-linear extension is convex (and all)."""
-    utilities = instance.outcomes.utilities
-    per_type = [_row_convexity(row, utilities) for row in instance.costs.rows]
+    """Whether each row's piecewise-linear extension is convex (and all):
+    a row is exactly when it is all-infinite or equals its envelope."""
+    outcomes = instance.outcomes
+    per_type = [
+        not any(c.is_finite for c in row) or convex_envelope(row, outcomes).values == row
+        for row in instance.costs.rows
+    ]
     return all(per_type), per_type
 
 

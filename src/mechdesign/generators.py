@@ -24,10 +24,6 @@ from .instances import (
     transitive_closure,
 )
 
-# Recorded in generated-instance metadata so runs are reproducible: the
-# random families draw from Python's seeded Mersenne Twister.
-RANDOM_GENERATOR_META = {"prng": "python-random-mt19937", "version": 1}
-
 
 # ---------------------------------------------------------------------------
 # CNF formulas

@@ -10,10 +10,10 @@ Then Dinic runs per weakly connected component of the graph without source
 and sink: a simple augmenting path lies in one component and changes
 residual capacities only there, so saturating each in turn (phases that
 leave the source through its edges only) leaves no augmenting path at all.
-The caller knows the components (the cut networks read them off the
-reporting relation) and lists in ``source_groups`` those that can still
-carry flow; a seeded chain that meets no other cannot.  The result is a
-maximum flow like any other, and every maximum flow leaves the same
+The caller knows the components (the ``det`` cut reads them off the
+relation) and lists in ``source_groups`` those that can still carry flow
+(a seeded chain that meets no other cannot), or none to search every
+source edge in one pass.  Either way every maximum flow leaves the same
 residual-reachable set, the inclusion-minimal minimum-cut source side; a
 component wrongly left out would leave the sink reachable.
 """

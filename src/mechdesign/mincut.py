@@ -103,12 +103,11 @@ class FlowNetwork:
         return self.type_count * (self.outcome_count + 1)
 
     @cached_property
-    def tails(self) -> list[int]:
-        return arc_arrays(range(self.type_count), self.claims, self.outcome_count)[0]
+    def _arrays(self) -> tuple[list[int], list[int]]:
+        return arc_arrays(range(self.type_count), self.claims, self.outcome_count)
 
-    @cached_property
-    def heads(self) -> list[int]:
-        return arc_arrays(range(self.type_count), self.claims, self.outcome_count)[1]
+    tails = property(lambda self: self._arrays[0])
+    heads = property(lambda self: self._arrays[1])
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
@@ -224,18 +223,20 @@ def claim_groups(count: int, claims: list[tuple[int, int]]) -> list[list[int]]:
 
 def certified_cut(
     node_count: int, tails: list[int], heads: list[int], capacities: list[int],
-    groups: list[list[int]], chains: tuple[int, int] = (0, 0),
+    groups: list[list[int]] | None = None, chains: tuple[int, int] = (0, 0),
 ) -> tuple[list[bool], int]:
     """Exact minimum ``SOURCE``-``SINK`` cut of integer arc arrays: seed the
     first ``count * length`` arcs, ``chains = (count, length)``, as that many
     source-to-sink paths, augment by Dinic from each group of source arcs
-    (a component with none has no augmenting path), and take the
-    residual-reachable (inclusion-minimal) source side, returned as a node
-    mask with the cut value.  The final flow and the cut, summed in
-    integers, certify each other."""
+    (a component with none has no augmenting path), or from all of them in
+    one pass without ``groups``, and take the residual-reachable
+    (inclusion-minimal) source side, returned as a node mask with the cut
+    value.  The final flow and the cut, summed in integers, certify each
+    other."""
     graph = FlowGraph(node_count)
     graph.add_edges(tails, heads, capacities)
-    graph.source_groups = [[2 * k for k in group] for group in groups]
+    if groups is not None:
+        graph.source_groups = [[2 * k for k in group] for group in groups]
     flow = graph.seed_chains(*chains)
     flow += graph.max_flow(SOURCE, SINK)
     # Arc k is edge 2k and carries the reverse edge's residual capacity: it
@@ -309,17 +310,15 @@ def minimal_closure(weights: list[int], pairs: list[tuple[int, int]]) -> list[bo
     of ``pairs`` with ``b`` in ``S`` has ``a`` in ``S`` (Picard's closure
     cut): ``s -> i`` carries ``-w_i`` and ``i -> t`` carries ``w_i``, ints,
     and each pair is an arc ``b -> a`` above the empty set's cut
-    ``sum(-w_i for w_i < 0)``, which no minimum cut can cross.  Only the
-    pairs join types, so Dinic searches the components holding a pair and
-    no other: a lone type has a source arc or a sink arc, not both."""
+    ``sum(-w_i for w_i < 0)``, which no minimum cut can cross.  Dinic
+    searches every source arc in one pass."""
     tails = [SOURCE if w < 0 else node for node, w in enumerate(weights, 2)]
     heads = [node if w < 0 else SINK for node, w in enumerate(weights, 2)]
     capacities = [abs(w) for w in weights]
     tails += [b + 2 for _, b in pairs]
     heads += [a + 2 for a, _ in pairs]
     capacities += [1 - sum(w for w in weights if w < 0)] * len(pairs)
-    groups = [[i for i in g if weights[i] < 0] for g in claim_groups(len(weights), pairs)]
-    reachable, _ = certified_cut(len(weights) + 2, tails, heads, capacities, groups)
+    reachable, _ = certified_cut(len(weights) + 2, tails, heads, capacities)
     inside = reachable[2:]
     if any(inside[b] and not inside[a] for a, b in pairs):
         raise SelfCheckError("a relation arc leaves the minimal closure")

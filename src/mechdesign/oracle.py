@@ -144,24 +144,14 @@ def brute_force_envelope_opt(
     """
     from .envelope import convex_envelope
 
-    m = instance.outcome_count
     rows = []
     for row in instance.costs.rows:
         if not any(c.is_finite for c in row):
             return Cost.infinite(), None
         rows.append(convex_envelope(row, instance.outcomes).values)
-
-    best_cost: Cost | None = None
-    best: tuple[int, ...] | None = None
-    for assignment in enumerate_truthful_deterministic(m, instance.relation, budget):
-        total: Cost = ZERO_COST
-        for i, j in enumerate(assignment):
-            total = total + rows[i][j]
-        if best_cost is None or total < best_cost:
-            best_cost, best = total, assignment
-    if best_cost is None:
-        return Cost.infinite(), None
-    return best_cost, best
+    return brute_force_deterministic_opt(
+        instance, lambda a: sum((rows[i][j] for i, j in enumerate(a)), ZERO_COST), budget=budget
+    )
 
 
 def _best_response_outcome(

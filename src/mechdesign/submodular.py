@@ -57,7 +57,11 @@ from .instances import (
     rational_from_json,
 )
 from .mincut import solve_deterministic
-from .oracle import BudgetExceededError, DEFAULT_ENUMERATION_BUDGET
+from .oracle import (
+    BudgetExceededError,
+    DEFAULT_ENUMERATION_BUDGET,
+    enumerate_truthful_deterministic,
+)
 
 # Marginal entries at or below this are treated as exhausted in float mode;
 # exact (rational) profiles use strict positivity instead.
@@ -596,7 +600,8 @@ def solve_deterministic_submodular(
 ) -> SubmodularDeterministicSolution:
     """Cheapest truthful outcome vector for a (submodular) oracle cost.
 
-    ``brute`` scans the whole lattice (exact for any oracle, exponential).
+    ``brute`` queries every truthful vector of ``oracle.py``'s enumerator
+    (exact for any oracle, exponential).
     ``lovasz`` minimizes the threshold extension of the cost over the order
     polytope with the double oracle of ``_double_oracle``, whose linear
     oracle is ``solve_deterministic`` on the outcome ladder ``range(m)``.
@@ -605,22 +610,13 @@ def solve_deterministic_submodular(
     submodular oracle is at most the optimum.  The search stops at
     ``gap <= 0``, which proves the returned vector optimal.
     """
-    n, m = oracle.type_count, oracle.outcome_count
+    m = oracle.outcome_count
     if backend == "brute":
-        total = m**n
-        if total > budget:
-            raise BudgetExceededError(
-                f"brute lattice scan needs {total} states, budget is {budget}"
-            )
-        best = None
-        best_cost = None
-        for point in lattice_points(n, m):
-            if not in_truthful_lattice(point, relation):
-                continue
+        best = best_cost = None  # the constant vectors are always truthful
+        for point in enumerate_truthful_deterministic(m, relation, budget):
             c = oracle(point)
             if best_cost is None or c < best_cost:
                 best_cost, best = c, point
-        assert best is not None  # constant vectors are always truthful
         return SubmodularDeterministicSolution(best, best_cost)
 
     if backend != "lovasz":

@@ -258,6 +258,16 @@ class TestSolve:
         assert code == EXIT_OK
         assert dot.read_text().startswith("digraph")
 
+    @pytest.mark.parametrize("algo", ["det", "rand"])
+    @pytest.mark.parametrize("backend", ["nonsense", "brute"])
+    def test_backend_only_for_query_model(self, capsys, instance_file, algo, backend):
+        code, out, err = run(
+            capsys, "solve", str(instance_file), "--algo", algo, "--backend", backend
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"--backend does not apply to --algo {algo}" in err
+
     def test_sub_det_backends(self, tmp_path, capsys, instance_file):
         reports = {}
         for backend in ("lovasz", "brute"):

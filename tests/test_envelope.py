@@ -32,7 +32,7 @@ from mechdesign import (
     solve_randomized,
     threshold_round,
 )
-from mechdesign import mincut
+from mechdesign import envelope, mincut
 from mechdesign.envelope import EnvelopeRow, _lower_hull, envelope_table, threshold_assignment
 
 OUTCOMES = OutcomeSpace([1, 2, 3])
@@ -285,12 +285,95 @@ class TestRecoverMixture:
         assert recover_mixture(env, outcomes, target, 3) == expected
 
 
+def slope_rule_convex(row, utilities) -> bool:
+    """Convexity by the slope rule: finite entries contiguous, slopes between
+    consecutive finite points nondecreasing."""
+    finite = [j for j, c in enumerate(row) if c.is_finite]
+    if not finite:
+        return True
+    if finite[-1] - finite[0] + 1 != len(finite):
+        return False
+    slopes = [
+        (row[b].value - row[a].value) / (utilities[b] - utilities[a])
+        for a, b in zip(finite, finite[1:])
+    ]
+    return all(s1 <= s2 for s1, s2 in zip(slopes, slopes[1:]))
+
+
+class TestIsConvexCost:
+    @staticmethod
+    def seeded_row(rng, utilities):
+        """A random row or a convex one built from nondecreasing slopes
+        (repeated slopes give collinear points), with infinite entries
+        trimmed off either end or dropped into the middle."""
+        m = len(utilities)
+        if rng.random() < 0.5:
+            row = [Fraction(rng.randint(0, 12), rng.randint(1, 3)) for _ in range(m)]
+        else:
+            slopes = sorted(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(m - 1))
+            row = [Fraction(0)]
+            for slope, a, b in zip(slopes, utilities, utilities[1:]):
+                row.append(row[-1] + slope * (b - a))
+            low = min(row)
+            row = [c - low for c in row]
+        row = [Cost(c) for c in row]
+        shape = rng.randrange(5)
+        if shape == 1:  # infinite prefix and suffix
+            lo, hi = sorted(rng.sample(range(m + 1), 2))
+            row = [c if lo <= j < hi else INF for j, c in enumerate(row)]
+        elif shape == 2:  # a finite-infinite-finite sandwich, if it fits
+            row[rng.randrange(m)] = INF
+        elif shape == 3:  # all infinite
+            row = [INF] * m
+        return row
+
+    def test_matches_the_slope_rule(self):
+        rng = random.Random(2018)
+        verdicts = []
+        for _ in range(400):
+            m = rng.randint(1, 6)
+            utilities = sorted(rng.sample([Fraction(k, 6) for k in range(60)], m))
+            rows = [self.seeded_row(rng, utilities) for _ in range(rng.randint(1, 4))]
+            inst = Instance(
+                OutcomeSpace(utilities), ReportingRelation.identity(len(rows)), CostMatrix(rows)
+            )
+            expected = [slope_rule_convex(row, utilities) for row in rows]
+            assert is_convex_cost(inst) == (all(expected), expected)
+            verdicts += expected
+        assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+
 class TestSolveRandomized:
     def test_zero_cost_on_gap(self):
         sol = solve_randomized(gap_instance())
         assert sol.cost == Cost(0)
         assert sol.mechanism.rows[0] == (0, 1, 0)
         assert sol.mechanism.rows[1] == (Fraction(1, 2), 0, Fraction(1, 2))
+
+    def test_closure_cuts_need_no_claim_components(self, monkeypatch):
+        # The closure cuts search every source arc in one Dinic pass; only
+        # the det cut splits the relation into claim components.
+        inst = random_instance(
+            seed=18, type_count=80, outcome_count=6, edge_density=0.03, infinity_rate=0.05
+        )
+        expected = solve_randomized(inst)
+        closures = []
+
+        def counted(weights, pairs):
+            closures.append(len(pairs))
+            return mincut.minimal_closure(weights, pairs)
+
+        def refuse(count, claims):
+            raise AssertionError("claim_groups called")
+
+        monkeypatch.setattr(envelope, "minimal_closure", counted)
+        monkeypatch.setattr(mincut, "claim_groups", refuse)
+        solution = solve_randomized(inst)
+        assert closures and any(closures)
+        assert solution.cost == expected.cost
+        assert solution.mechanism.rows == expected.mechanism.rows
+        with pytest.raises(AssertionError, match="claim_groups called"):
+            mincut.solve_deterministic(inst)
 
     def test_builds_few_fractions_per_type(self, monkeypatch):
         base = random_instance(

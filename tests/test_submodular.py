@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from mechdesign import (
+    BudgetExceededError,
     ChainDistribution,
     Cost,
     CostMatrix,
@@ -530,6 +531,34 @@ class TestDeterministicSubmodular:
         assert in_truthful_lattice(fast.point, rel)
         assert abs(float(fast.cost) - float(brute.cost)) <= 1e-6
         assert float(fast.cost) - fast.gap - 1e-9 <= float(brute.cost)
+
+    def test_brute_matches_the_enumeration_oracle(self):
+        # Tables with infinite values and many ties: the brute backend keeps
+        # the first strict minimum in the enumerator's order and queries each
+        # truthful vector once, as ``brute_force_deterministic_opt`` does.
+        rng = random.Random(1818)
+        INF = Cost.infinite()
+        for k in range(600):
+            n, m = rng.randint(1, 4), rng.randint(1, 3)
+            values = [
+                INF if rng.random() < 0.1 else Fraction(rng.randint(0, 6), rng.randint(1, 2))
+                for _ in range(m**n)
+            ]
+            rel = random_relation(rng, n, (0.2, 0.5, 0.9)[k % 3])
+            inst = Instance(OutcomeSpace(range(m)), rel, CostMatrix([[0] * m] * n))
+            backend, reference = table_oracle(values, n, m), table_oracle(values, n, m)
+            sol = solve_deterministic_submodular(backend, rel, backend="brute")
+            cost, point = brute_force_deterministic_opt(inst, cost_oracle=reference)
+            assert (sol.point, sol.cost) == (point, cost)
+            assert backend.query_count == reference.query_count
+
+    def test_brute_over_budget(self):
+        oracle = table_oracle(list(range(27)), 3, 3)
+        with pytest.raises(BudgetExceededError, match="enumeration needs 27 states"):
+            solve_deterministic_submodular(
+                oracle, ReportingRelation.identity(3), backend="brute", budget=26
+            )
+        assert oracle.query_count == 0
 
     def test_unknown_backend_rejected(self):
         oracle = table_oracle([0, 1, 1, 2], 2, 2)
