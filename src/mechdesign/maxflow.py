@@ -5,17 +5,20 @@ exact and always terminates: every augmentation moves at least one unit.
 Callers holding rational capacities scale them to integers first.
 
 ``seed_chains`` first pushes along each of the caller's arc-disjoint
-source-to-sink chains its least capacity, a feasible flow to augment from.
-Then Dinic runs per weakly connected component of the graph without source
-and sink: a simple augmenting path lies in one component and changes
-residual capacities only there, so saturating each in turn (phases that
-leave the source through its edges only) leaves no augmenting path at all.
-The caller knows the components (the ``det`` cut reads them off the
-relation) and lists in ``source_groups`` those that can still carry flow
-(a seeded chain that meets no other cannot), or none to search every
-source edge in one pass.  Either way every maximum flow leaves the same
-residual-reachable set, the inclusion-minimal minimum-cut source side; a
-component wrongly left out would leave the sink reachable.
+source-to-sink chains its least capacity, a feasible flow to augment from;
+``seed_paths`` then pushes along each path the caller lists, in order, its
+least residual capacity, so the one-hop paths the caller can name need no
+search.  No seed proves the flow maximum, so Dinic still runs, mostly to
+prove that no augmenting path is left, per weakly connected component of
+the graph without source and sink: a simple augmenting path lies in one
+component and changes residual capacities only there, so saturating each
+in turn (phases that leave the source through its edges only) leaves no
+augmenting path at all.  The caller knows the components (the ``det`` cut
+reads them off the relation) and lists in ``source_groups`` those that can
+still carry flow (a seeded chain that meets no other cannot), or none to
+search every source edge in one pass.  Either way every maximum flow leaves
+the same residual-reachable set, the inclusion-minimal minimum-cut source
+side; a component wrongly left out would leave the sink reachable.
 """
 
 from __future__ import annotations
@@ -66,6 +69,19 @@ class FlowGraph:
             cap[2 * p : stop : step] = map(operator.sub, column, lows)
             cap[2 * p + 1 : stop : step] = map(operator.add, cap[2 * p + 1 : stop : step], lows)
         return sum(lows)
+
+    def seed_paths(self, paths) -> int:
+        """Push along each path (forward edge ids, source to sink) in turn its
+        least residual capacity; returns the value pushed."""
+        cap, total = self.cap, 0
+        for path in paths:
+            low = min(map(cap.__getitem__, path))
+            if low:
+                for eid in path:
+                    cap[eid] -= low
+                    cap[eid ^ 1] += low
+                total += low
+        return total
 
     def _levels(
         self, source: int, sink: int, group: list[int], level: list[int]

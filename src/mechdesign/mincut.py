@@ -39,8 +39,12 @@ Where every claim ``(a, b)`` leaves ``a`` reaching at least as high as ``b``,
 the imitation arcs out of the reach land inside it and the seed is a maximum
 flow, so lone types and such claim components (``claim_groups``) are settled
 at their row minima.  Only the other components enter the ``FlowGraph``, by
-their global node numbers, for Dinic.  Every maximum flow leaves the same
-residual source side, so neither the seed nor the split changes the cut
+their global node numbers.  There a claim ``(a, b)`` with ``a`` below ``b``
+seeds, for each level ``j`` above ``a``'s reach up to ``b``'s, the path up
+``b``'s chain to ``j``, across the imitation arc and up ``a``'s chain to the
+sink.  Dinic, per component, finishes the longer paths and proves that none
+is left, which no seed can.  Every maximum flow leaves the same residual
+source side, so neither the seeds nor the split changes the cut
 (``maxflow.py``); the checks of ``solve_deterministic`` cover every type.
 """
 
@@ -224,10 +228,12 @@ def claim_groups(count: int, claims: list[tuple[int, int]]) -> list[list[int]]:
 def certified_cut(
     node_count: int, tails: list[int], heads: list[int], capacities: list[int],
     groups: list[list[int]] | None = None, chains: tuple[int, int] = (0, 0),
+    paths=(),
 ) -> tuple[list[bool], int]:
     """Exact minimum ``SOURCE``-``SINK`` cut of integer arc arrays: seed the
     first ``count * length`` arcs, ``chains = (count, length)``, as that many
-    source-to-sink paths, augment by Dinic from each group of source arcs
+    source-to-sink paths, then the ``paths`` of edge ids (arc ``k`` is edge
+    ``2k``), augment by Dinic from each group of source arcs
     (a component with none has no augmenting path), or from all of them in
     one pass without ``groups``, and take the residual-reachable
     (inclusion-minimal) source side, returned as a node mask with the cut
@@ -237,7 +243,7 @@ def certified_cut(
     graph.add_edges(tails, heads, capacities)
     if groups is not None:
         graph.source_groups = [[2 * k for k in group] for group in groups]
-    flow = graph.seed_chains(*chains)
+    flow = graph.seed_chains(*chains) + graph.seed_paths(paths)
     flow += graph.max_flow(SOURCE, SINK)
     # Arc k is edge 2k and carries the reverse edge's residual capacity: it
     # must fit its capacity and be conserved at every node but s and t.
@@ -281,8 +287,8 @@ def conflicted_groups(count: int, claims: list, tops: list[int]) -> tuple[list[b
 
 def min_cut(clamped: ClampedNetwork) -> CutResult:
     """The certified minimum cut of the clamped network: the type chains
-    seed the flow and settle every conflict-free claim component, and Dinic
-    searches the rest from their entry arcs (module docstring)."""
+    settle every conflict-free claim component, and Dinic searches the rest
+    from their entry arcs after the one-hop seeds (module docstring)."""
     network, scale = clamped.network, clamped.scale
     n, m, rows = network.type_count, network.outcome_count, network.costs.scaled
     clamp = int(clamped.clamp_value * scale)
@@ -294,10 +300,18 @@ def min_cut(clamped: ClampedNetwork) -> CutResult:
     if kept:
         entry = {i: k * (m + 1) for k, i in enumerate(kept)}
         claims = [(a, b) for a, b in network.claims if not settled[a]]
+        paths, imitation = [], 2 * len(kept) * (m + 1)
+        for a, b in claims:
+            if tops[a] < tops[b]:
+                ea, eb = 2 * entry[a], 2 * entry[b]
+                paths += [(*range(eb, eb + 2 * j + 1, 2), imitation + 2 * j,
+                           *range(ea + 2 * j + 2, ea + 2 * m + 1, 2))
+                          for j in range(tops[a] + 1, tops[b] + 1)]
+            imitation += 2 * m
         reachable, value = certified_cut(
             network.node_count, *arc_arrays(kept, claims, m),
             arc_capacities([rows[i] for i in kept], len(claims), m, clamp),
-            [[entry[i] for i in group] for group in groups], (len(kept), m + 1),
+            [[entry[i] for i in group] for group in groups], (len(kept), m + 1), paths,
         )
     for i in compress(range(n), settled):
         bottom = grid_node(i, 0, m)
@@ -310,15 +324,18 @@ def minimal_closure(weights: list[int], pairs: list[tuple[int, int]]) -> list[bo
     of ``pairs`` with ``b`` in ``S`` has ``a`` in ``S`` (Picard's closure
     cut): ``s -> i`` carries ``-w_i`` and ``i -> t`` carries ``w_i``, ints,
     and each pair is an arc ``b -> a`` above the empty set's cut
-    ``sum(-w_i for w_i < 0)``, which no minimum cut can cross.  Dinic
-    searches every source arc in one pass."""
+    ``sum(-w_i for w_i < 0)``, which no minimum cut can cross.  The paths
+    ``s -> b -> a -> t`` of the pairs with ``w_b < 0 < w_a`` seed the flow,
+    and Dinic searches every source arc in one pass."""
     tails = [SOURCE if w < 0 else node for node, w in enumerate(weights, 2)]
     heads = [node if w < 0 else SINK for node, w in enumerate(weights, 2)]
     capacities = [abs(w) for w in weights]
     tails += [b + 2 for _, b in pairs]
     heads += [a + 2 for a, _ in pairs]
     capacities += [1 - sum(w for w in weights if w < 0)] * len(pairs)
-    reachable, _ = certified_cut(len(weights) + 2, tails, heads, capacities)
+    paths = [(2 * b, 2 * k, 2 * a) for k, (a, b) in enumerate(pairs, len(weights))
+             if weights[b] < 0 < weights[a]]
+    reachable, _ = certified_cut(len(weights) + 2, tails, heads, capacities, paths=paths)
     inside = reachable[2:]
     if any(inside[b] and not inside[a] for a, b in pairs):
         raise SelfCheckError("a relation arc leaves the minimal closure")

@@ -241,8 +241,9 @@ def is_submodular(
 
 
 def in_truthful_lattice(point: Sequence[int], relation: ReportingRelation) -> bool:
-    """Whoever can claim to be another must sit at least as high."""
-    return all(point[a] >= point[b] for a, b in relation.pairs)
+    """Whoever can claim to be another must sit at least as high (a
+    reflexive pair always holds, so only the claims are read)."""
+    return all(point[a] >= point[b] for a, b in relation.claims)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,29 @@ def test_array_fill_matches_add_edge(seed):
     assert filled.cap == one_by_one.cap
 
 
+def test_seed_paths_pushes_each_bottleneck_in_order():
+    huge = 2**64
+    graph = FlowGraph(4)
+    graph.add_edges(
+        [SOURCE, 2, 2, 3, SOURCE], [2, SINK, 3, SINK, 3],
+        [huge + 5, huge + 2, huge, 3 * huge, 0],
+    )
+    paths = [
+        (0, 2),  # s -> 2 -> t: bottleneck 2 -> t, huge + 2
+        (0, 4, 6),  # s -> 2 -> 3 -> t: the 3 left on s -> 2
+        (8, 6),  # s -> 3 -> t over a zero-capacity arc: nothing
+        (0, 2),  # both arcs saturated now: nothing
+    ]
+    assert graph.seed_paths(paths) == huge + 5
+    assert graph.cap == [0, huge + 5, 0, huge + 2, huge - 3, 3, 3 * huge - 3, 3, 0, 0]
+    assert graph.max_flow(SOURCE, SINK) == 0
+    # The other order pushes other amounts along the same two paths.
+    graph = FlowGraph(4)
+    graph.add_edges([SOURCE, 2, 2, 3], [2, SINK, 3, SINK], [huge + 5, huge + 2, huge, 3 * huge])
+    assert graph.seed_paths([(0, 4, 6), (0, 2)]) == huge + 5
+    assert graph.cap == [0, huge + 5, huge - 3, 5, 0, huge, 2 * huge, huge]
+
+
 def test_negative_capacity_rejected():
     graph = FlowGraph(3)
     with pytest.raises(ValueError):

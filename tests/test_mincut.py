@@ -28,6 +28,7 @@ from mechdesign import (
     random_convex_instance,
     random_instance,
     solve_deterministic,
+    solve_randomized,
     transitive_closure,
 )
 from mechdesign import mincut
@@ -590,23 +591,90 @@ class TestSeededCut:
         with pytest.raises(SelfCheckError, match="infeasible"):
             min_cut(clamped)
 
+    def test_overfull_claim_path_seed_is_refused(self, monkeypatch):
+        original = FlowGraph.seed_paths
+
+        def overseed(graph, paths):
+            total = original(graph, paths)
+            for eid in paths[0]:  # one unit past the first path's bottleneck
+                graph.cap[eid] -= 1
+                graph.cap[eid ^ 1] += 1
+            return total + 1
+
+        monkeypatch.setattr(FlowGraph, "seed_paths", overseed)
+        clamped = clamp_capacities(build_network(conflicted_instance()))
+        with pytest.raises(SelfCheckError, match="infeasible"):
+            min_cut(clamped)
+
     def test_wrongly_skipped_component_is_caught(self, monkeypatch):
-        # Type 0 may claim type 1, and both would rather sit apart, so the
-        # seed leaves an augmenting path through the imitation arcs.  Types
-        # 2 and 3 form a second component with a claim.
+        # Type 1 may claim type 2 and type 0 type 1.  The seeds leave an
+        # augmenting path across two imitation arcs, from type 2's chain
+        # through type 1's into type 0's, which only Dinic finds.  Types 3
+        # and 4 form a second component with a claim.
         instance = Instance(
             outcomes=OutcomeSpace([1, 2, 3]),
-            relation=ReportingRelation(4, [(i, i) for i in range(4)] + [(0, 1), (2, 3)]),
-            costs=CostMatrix([[1, 9, 9], [9, 9, 1], [4, 2, 7], [1, 5, 3]]),
+            relation=ReportingRelation(
+                5, [(i, i) for i in range(5)] + [(1, 2), (0, 1), (3, 4)]
+            ),
+            costs=CostMatrix([[1, 9, 9], [1, 1, 1], [9, 9, 1], [4, 2, 7], [1, 5, 3]]),
         )
         clamped = clamp_capacities(build_network(instance))
-        assert min_cut(clamped).value == 10 + 3
+        assert min_cut(clamped).value == 11 + 3
         original = mincut.claim_groups
         monkeypatch.setattr(
             mincut, "claim_groups", lambda count, claims: original(count, claims)[1:]
         )
         with pytest.raises(SelfCheckError, match="sink is reachable"):
             min_cut(clamped)
+
+
+def _block_instance(rng):
+    """Rational costs and a transitive block relation: each block of up to
+    six types is cyclic (every member claims every other) or a chain (each
+    member claims every member before it)."""
+    n, m = rng.randint(1, 40), rng.randint(1, 8)
+    rows = []
+    for _ in range(n):
+        q = rng.randint(1, 12)
+        rows.append([Fraction(rng.randint(0, 20 * q), q) for _ in range(m)])
+    pairs = [(i, i) for i in range(n)]
+    start = 0
+    while start < n:
+        block = range(start, min(n, start + rng.randint(1, 6)))
+        cyclic = rng.random() < 0.25
+        pairs += [(a, b) for a in block for b in block if a != b and (cyclic or b < a)]
+        start = block.stop
+    return Instance(OutcomeSpace(range(m)), ReportingRelation(n, pairs), CostMatrix(rows))
+
+
+class TestOneHopSeeds:
+    """Where the one-hop paths already make the flow maximum, Dinic only
+    proves it: one level search per group and no blocking-flow phase."""
+
+    @pytest.fixture
+    def no_phase(self, monkeypatch):
+        def refuse(graph, *args):
+            raise AssertionError("a blocking-flow phase ran")
+
+        monkeypatch.setattr(FlowGraph, "_blocking_flow", refuse)
+
+    def test_two_type_component(self, no_phase):
+        assert min_cut(clamp_capacities(build_network(conflicted_instance()))).value == 10
+        for seed in range(200):
+            rng = random.Random(seed)
+            m = rng.randint(1, 6)
+            rows = [[Cost.infinite() if rng.random() < 0.15 else rng.randint(0, 9)
+                     for _ in range(m)] for _ in range(2)]
+            instance = Instance(
+                OutcomeSpace(range(m)),
+                ReportingRelation(2, [(0, 0), (1, 1), (0, 1)]),
+                CostMatrix(rows),
+            )
+            solve_deterministic(instance)  # every certificate still checked
+
+    def test_closure_cuts_of_transitive_blocks(self, no_phase):
+        for seed in range(60):
+            assert solve_randomized(_block_instance(random.Random(seed))).mechanism is not None
 
 
 def _seed_tops(rows):

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mechdesign import (
     BudgetExceededError,
@@ -77,6 +79,22 @@ class TestLattice:
         assert in_truthful_lattice((1, 0), rel)
         assert in_truthful_lattice((1, 1), rel)
         assert not in_truthful_lattice((0, 1), rel)
+
+    @given(
+        n=st.integers(1, 5),
+        extra=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=10),
+        point=st.lists(st.integers(0, 3), min_size=5, max_size=5),
+    )
+    @example(n=1, extra=[], point=[0, 0, 0, 0, 0])
+    @example(n=3, extra=[(0, 1), (1, 2), (2, 0)], point=[1, 1, 1, 0, 0])
+    @example(n=3, extra=[(0, 1), (1, 2), (2, 0)], point=[2, 1, 1, 0, 0])
+    @settings(max_examples=150, deadline=None)
+    def test_in_truthful_lattice_follows_every_pair(self, n, extra, point):
+        # Reflexive pairs, cycles and, for n=1, no claim at all.
+        rel = ReportingRelation(n, [(i, i) for i in range(n)] + [(a % n, b % n) for a, b in extra])
+        point = tuple(point[:n])
+        expected = all(point[a] >= point[b] for a, b in rel.pairs)
+        assert in_truthful_lattice(point, rel) == expected
 
 
 class TestOracles:
