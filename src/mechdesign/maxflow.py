@@ -137,9 +137,9 @@ class FlowGraph:
                 continue
             advanced = False
             edges = group if u == source else head[u]
-            i = iter_index[u]
+            i, stop = iter_index[u], len(edges)  # no edge is added in a phase
             next_level = level[u] + 1
-            while i < len(edges):
+            while i < stop:
                 eid = edges[i]
                 v = to[eid]
                 if cap[eid] > 0 and level[v] == next_level:

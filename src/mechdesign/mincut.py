@@ -39,11 +39,12 @@ Where every claim ``(a, b)`` leaves ``a`` reaching at least as high as ``b``,
 the imitation arcs out of the reach land inside it and the seed is a maximum
 flow, so lone types and such claim components (``claim_groups``) are settled
 at their row minima.  Only the other components enter the ``FlowGraph``, by
-their global node numbers.  There a claim ``(a, b)`` with ``a`` below ``b``
-seeds, for each level ``j`` above ``a``'s reach up to ``b``'s, the path up
-``b``'s chain to ``j``, across the imitation arc and up ``a``'s chain to the
-sink.  Dinic, per component, finishes the longer paths and proves that none
-is left, which no seed can.  Every maximum flow leaves the same residual
+their global node numbers.  There a claim ``(a, b)`` seeds, for each level
+``j`` up to ``b``'s reach above the last one at ``a``'s row minimum (whose
+arc the chain seed saturated; every level of an all-infinite row), the path
+up ``b``'s chain to ``j``, across the imitation arc and up ``a``'s chain to
+the sink.  Dinic, per component, finishes the longer paths and proves that
+none is left, which no seed can.  Every maximum flow leaves the same residual
 source side, so neither the seeds nor the split changes the cut
 (``maxflow.py``); the checks of ``solve_deterministic`` cover every type.
 """
@@ -294,6 +295,8 @@ def min_cut(clamped: ClampedNetwork) -> CutResult:
     clamp = int(clamped.clamp_value * scale)
     lows = [min([c for c in row if c is not None], default=clamp) for row in rows]
     tops = [-1 if low == clamp else row.index(low) for row, low in zip(rows, lows)]
+    lasts = [m - 1 if low == clamp else m - 1 - row[::-1].index(low)
+             for row, low in zip(rows, lows)]
     settled, groups = conflicted_groups(n, network.claims, tops)
     kept = [i for i in range(n) if not settled[i]]
     reachable, value = [True] + [False] * (network.node_count - 1), 0
@@ -302,11 +305,11 @@ def min_cut(clamped: ClampedNetwork) -> CutResult:
         claims = [(a, b) for a, b in network.claims if not settled[a]]
         paths, imitation = [], 2 * len(kept) * (m + 1)
         for a, b in claims:
-            if tops[a] < tops[b]:
+            if lasts[a] < tops[b]:
                 ea, eb = 2 * entry[a], 2 * entry[b]
                 paths += [(*range(eb, eb + 2 * j + 1, 2), imitation + 2 * j,
                            *range(ea + 2 * j + 2, ea + 2 * m + 1, 2))
-                          for j in range(tops[a] + 1, tops[b] + 1)]
+                          for j in range(lasts[a] + 1, tops[b] + 1)]
             imitation += 2 * m
         reachable, value = certified_cut(
             network.node_count, *arc_arrays(kept, claims, m),

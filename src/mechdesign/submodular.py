@@ -26,10 +26,16 @@ carries the mass between two steps.  The walk gives the extension's value
 and greedy subgradient, and its vectors with positive mass are the unique
 non-crossing distribution with the given marginals, which ``uncross``
 reproduces from any distribution by repeated meet/join surgery.
+
+The double oracle runs in integers: every profile, gradient and vertex is
+int rows over one denominator (``_integral``), the walk takes its leaders
+off a heap, a count of violated claims marks its truthful points, and the
+master game is pivoted fraction-free (Bareiss 1968).
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -305,26 +311,26 @@ def _chain(rows):
     Every type starts at the top outcome.  Each step moves the type with the
     smallest tail sum ``sum(row[k:])`` at its current outcome ``k`` (the
     leader; ties go to the lowest index) down one outcome; after
-    ``n * (m - 1)`` steps all sit at the bottom.  Outcomes without mass are
-    walked too.  A point's mass is the leader's tail sum on leaving it minus
-    the one on reaching it (the bottom point closes at the smallest row sum),
-    so the points with positive mass are the quantile coupling of the rows
-    under one shared uniform draw.
+    ``n * (m - 1)`` steps all sit at the bottom.  A heap of ``(tail sum,
+    type)`` finds the leaders in O(n·m log n); a type at the bottom waits at
+    infinity.  Outcomes without mass are walked too.  A point's mass is the
+    leader's tail sum on leaving it minus the one on reaching it (the bottom
+    point closes at the smallest row sum), so the points with positive mass
+    are the quantile coupling of the rows under one shared uniform draw.
     """
-    n = len(rows)
-    m = len(rows[0])
+    n, m = len(rows), len(rows[0])
     tails = [list(itertools.accumulate(reversed(row)))[::-1] for row in rows]
     tops = [m - 1] * n
+    heap = sorted((tail[-1], i) for i, tail in enumerate(tails))
     points, leaders, masses = [tuple(tops)], [], []
     reached = 0
     for _ in range(n * (m - 1)):
-        leader = min(
-            (i for i in range(n) if tops[i]), key=lambda i: tails[i][tops[i]]
-        )
-        left = tails[leader][tops[leader]]
+        left, leader = heap[0]
         masses.append(left - reached)
         reached = left
         tops[leader] -= 1
+        tail = tails[leader][tops[leader]] if tops[leader] else math.inf
+        heapq.heapreplace(heap, (tail, leader))
         leaders.append(leader)
         points.append(tuple(tops))
     masses.append(min(tail[0] for tail in tails) - reached)
@@ -389,35 +395,33 @@ def objective_subgradient(profile, oracle: CostOracle) -> list[list[Fraction]]:
     """
     rows = [list(row) for row in profile]
     _validate_profile(rows)
-    _, grad, _ = _peel_with_gradient(
-        [[Fraction(p) for p in row] for row in rows], _memoized(oracle)
-    )
-    return grad
+    exact = _integral([[Fraction(p) for p in row] for row in rows])
+    grad, den = _peel_with_gradient(exact, _memoized(oracle))[1]
+    return [[Fraction(x, den) for x in row] for row in grad]
 
 
-def _peel_with_gradient(rows, oracle: CostOracle):
-    """Exact peel along the walk of ``_chain``: (value, gradient, chain points).
+def _peel_with_gradient(profile, oracle: CostOracle):
+    """Exact peel along the walk of ``_chain``: (value, gradient, walk, the
+    oracle's values on the walk), profile and gradient as ``_integral`` pairs.
 
     The chain walks outcomes without mass too, so every coordinate
     ``(i, j)`` collects the marginals ``f(x) - f(x - e_i)`` of all leader
-    steps of type ``i`` at levels ``1..j``: the greedy vertex ``g``, a
-    subgradient of the extension everywhere on the product of simplices,
-    boundary included, with ``g[i][0] == 0``.  Summing the chain by parts
-    gives the value ``f(bottom) + <g, rows>``; for a submodular cost
-    ``f(bottom) + <g, q>`` bounds the extension at every profile ``q`` from
-    below.
+    steps of type ``i`` at levels ``1..j`` (one prefix sum per row, over the
+    values' lcm): the greedy vertex ``g``, a subgradient of the extension
+    everywhere on the product of simplices, boundary included, with
+    ``g[i][0] == 0``.  Summing the chain by parts gives the value
+    ``f(bottom) + <g, rows>``; for a submodular cost ``f(bottom) + <g, q>``
+    bounds the extension at every profile ``q`` from below.
     """
-    points, leaders, _ = _chain(rows)
-    m = len(rows[0])
-    cost = _finite_value(oracle, points[0])
-    grad = [[Fraction(0)] * m for _ in rows]
-    for leader, point, lower in zip(leaders, points, points[1:]):
-        lower_cost = _finite_value(oracle, lower)
-        row = grad[leader]
-        for j in range(point[leader], m):
-            row[j] += cost - lower_cost
-        cost = lower_cost
-    return cost + _inner(grad, rows), grad, points
+    points, leaders, _ = walk = _chain(profile[0])
+    costs = [_finite_value(oracle, point) for point in points]
+    den = math.lcm(*(c.denominator for c in costs))
+    nums = [c.numerator * (den // c.denominator) for c in costs]
+    steps = [[0] * len(row) for row in profile[0]]
+    for leader, point, high, low in zip(leaders, points, nums, nums[1:]):
+        steps[leader][point[leader]] = high - low
+    grad = _integral([list(itertools.accumulate(row)) for row in steps], den)
+    return costs[-1] + _inner(grad, profile), grad, walk, costs
 
 
 def _finite_value(oracle: CostOracle, point) -> Fraction:
@@ -428,9 +432,35 @@ def _finite_value(oracle: CostOracle, point) -> Fraction:
     return value
 
 
-def _inner(a, b):
-    """``<a, b>`` for two profiles given as rows."""
-    return sum(x * y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+def _integral(rows, den=1):
+    """Rational rows over ``den`` as ``(int rows, denominator)`` in lowest terms."""
+    lcm = math.lcm(*(x.denominator for row in rows for x in row))
+    rows = [[x.numerator * (lcm // x.denominator) for x in row] for row in rows]
+    g = math.gcd(den * lcm, *(x for row in rows for x in row))
+    return tuple(tuple(x // g for x in row) for row in rows), den * lcm // g
+
+
+def _inner(a, b) -> Fraction:
+    """``<a, b>`` for two ``_integral`` pairs."""
+    return Fraction(sum(x * y for u, v in zip(a[0], b[0]) for x, y in zip(u, v)), a[1] * b[1])
+
+
+def _truthful_flags(points, leaders, relation: ReportingRelation) -> list[bool]:
+    """``in_truthful_lattice`` at each point of a walk of ``_chain``, from a
+    count of violated claims: none at the top, and the step lowering type
+    ``i`` from ``k`` breaks each claim ``(i, b)`` with ``b`` at ``k`` and
+    mends each ``(a, i)`` with ``a`` at ``k - 1``."""
+    claimed, claimants = [[] for _ in points[0]], [[] for _ in points[0]]
+    for a, b in relation.claims:
+        claimed[a].append(b)
+        claimants[b].append(a)
+    violated, flags = 0, [True]
+    for i, point in zip(leaders, points):
+        k = point[i]
+        violated += sum(point[b] == k for b in claimed[i])
+        violated -= sum(point[a] == k - 1 for a in claimants[i])
+        flags.append(not violated)
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +489,9 @@ def uncross(dist, oracle: CostOracle | None = None, max_steps: int = 100_000) ->
     exact = is_exact(masses.values())
     before_cost = chain_cost(list(masses.items()), oracle) if oracle else None
 
-    def spread(point) -> int:
-        return sum(point)
-
     steps = 0
     while True:
-        support = sorted(masses, key=lambda pt: (spread(pt), pt), reverse=True)
+        support = sorted(masses, key=lambda pt: (sum(pt), pt), reverse=True)
         pair = None
         for x in range(len(support)):
             for y in range(x + 1, len(support)):
@@ -483,7 +510,7 @@ def uncross(dist, oracle: CostOracle | None = None, max_steps: int = 100_000) ->
         a, b = pair
         q = min(masses[a], masses[b])
         lo, hi = meet(a, b), join(a, b)
-        gain = q * (spread(lo) ** 2 + spread(hi) ** 2 - spread(a) ** 2 - spread(b) ** 2)
+        gain = q * (sum(lo) ** 2 + sum(hi) ** 2 - sum(a) ** 2 - sum(b) ** 2)
         if not gain > 0:
             raise SelfCheckError("uncrossing step failed to increase the potential")
         for pt in (a, b):
@@ -493,7 +520,7 @@ def uncross(dist, oracle: CostOracle | None = None, max_steps: int = 100_000) ->
         for pt in (lo, hi):
             masses[pt] = masses.get(pt, 0) + q
 
-    ordered = sorted(masses.items(), key=lambda kv: (spread(kv[0]), kv[0]))
+    ordered = sorted(masses.items(), key=lambda kv: (sum(kv[0]), kv[0]))
     result = ChainDistribution(
         tuple(pt for pt, _ in ordered), tuple(p for _, p in ordered)
     )
@@ -611,7 +638,7 @@ def solve_deterministic_submodular(
     submodular oracle is at most the optimum.  The search stops at
     ``gap <= 0``, which proves the returned vector optimal.
     """
-    m = oracle.outcome_count
+    n, m = oracle.type_count, oracle.outcome_count
     if backend == "brute":
         best = best_cost = None  # the constant vectors are always truthful
         for point in enumerate_truthful_deterministic(m, relation, budget):
@@ -625,17 +652,17 @@ def solve_deterministic_submodular(
 
     oracle = _memoized(oracle)
     state = {"point": None, "cost": None}
+    reflexive = ReportingRelation(n, relation.pairs | {(i, i) for i in range(n)})
 
-    def upper(profile, value, points):
-        for point in points:
-            if in_truthful_lattice(point, relation):
-                c = oracle(point).value
-                if state["cost"] is None or c < state["cost"]:
-                    state["point"], state["cost"] = point, c
+    def upper(profile, value, walk, costs):
+        points, leaders, _ = walk
+        for point, c, truthful in zip(points, costs, _truthful_flags(points, leaders, relation)):
+            if truthful and (state["cost"] is None or c < state["cost"]):
+                state["point"], state["cost"] = point, c
         return state["cost"]
 
     def cut(grad):
-        instance, shift = _linear_instance(OutcomeSpace(range(m)), relation, grad)
+        instance, shift = _linear_instance(OutcomeSpace(range(m)), reflexive, grad)
         solution = solve_deterministic(instance)
         rows = tuple(
             tuple(int(j == x) for j in range(m)) for x in solution.mechanism.assignment
@@ -686,20 +713,23 @@ def solve_randomized_submodular(
         raise ValueError("outcome ladder does not match the oracle's width")
     oracle = _memoized(oracle)
     state = {"profile": None, "value": None}
+    n = oracle.type_count
+    reflexive = ReportingRelation(n, relation.pairs | {(i, i) for i in range(n)})
 
-    def upper(profile, value, points):
+    def upper(profile, value, walk, costs):
         if state["value"] is None or value < state["value"]:
             state["profile"], state["value"] = profile, value
         return state["value"]
 
     def cut(grad):
-        instance, shift = _linear_instance(outcomes, relation, grad)
+        instance, shift = _linear_instance(outcomes, reflexive, grad)
         solution = solve_randomized(instance)
         return solution.mechanism.rows, shift + solution.cost.value
 
     best, lower, iterations = _double_oracle(oracle, cut, upper, eps / 2, max_iters)
 
-    profile = state["profile"]
+    rows, den = state["profile"]
+    profile = [[Fraction(x, den) for x in row] for row in rows]
     means = [sum(p * u for p, u in zip(row, outcomes.utilities)) for row in profile]
     for a, b in relation.pairs:
         if means[b] > means[a]:
@@ -717,15 +747,15 @@ def solve_randomized_submodular(
 def _linear_instance(outcomes: OutcomeSpace, relation: ReportingRelation, grad):
     """The cut instance minimizing ``<grad, q>`` over lotteries ``q``.
 
-    Each row of ``grad`` is shifted by its minimum so that the costs are
-    nonnegative; a lottery's rows sum to one, so ``<grad, q>`` is the cut's
-    cost plus the returned total shift.
+    Each row of ``grad`` (an ``_integral`` pair) is shifted by its minimum
+    so that the costs are nonnegative; a lottery's rows sum to one, so
+    ``<grad, q>`` is the cut's cost plus the returned total shift.
     """
-    shifts = [min(row) for row in grad]
-    costs = CostMatrix([[x - s for x in row] for row, s in zip(grad, shifts)])
-    reflexive = relation.pairs | {(i, i) for i in range(len(grad))}
-    instance = Instance(outcomes, ReportingRelation(len(grad), reflexive), costs)
-    return instance, sum(shifts)
+    rows, den = grad
+    shifts = [min(row) for row in rows]
+    shifted, scale = _integral([[x - s for x in row] for row, s in zip(rows, shifts)], den)
+    instance = Instance(outcomes, relation, CostMatrix.from_scaled(shifted, scale))
+    return instance, Fraction(sum(shifts), den)
 
 
 def _double_oracle(oracle: CostOracle, cut: Callable, upper: Callable, tol, max_iters: int):
@@ -738,23 +768,22 @@ def _double_oracle(oracle: CostOracle, cut: Callable, upper: Callable, tol, max_
     the zero-sum game ``M[k][l] = <g_k, q_l>`` between them:
 
     * the peel at the column player's mix ``p̄`` of the ``q_l`` (a point of
-      ``P``) gives ``f̂(p̄)`` and a new ``g``; ``upper(p̄, f̂(p̄), chain)``
-      returns the best upper bound so far;
+      ``P``) gives ``f̂(p̄)`` and a new ``g``; ``upper(p̄, f̂(p̄), walk,
+      values)`` returns the best upper bound so far;
     * the cut at the row player's mix ``ḡ`` of the ``g_k`` gives a new ``q``
       and, for a submodular cost, the lower bound ``f(bottom) + <ḡ, q>``,
       since ``f̂ >= f(bottom) + <g_k, .>`` for every ``k``.
 
-    Both bounds hold for any mixes and are exact rationals.  When neither
-    oracle finds a new vertex the restricted game's value closes the gap, so
-    the loop stops at ``upper - lower <= tol`` after finitely many rounds;
-    ``max_iters`` caps them.  Returns ``(upper, lower, rounds)``.  A lower
-    bound above the upper one proves the cost not submodular and raises
-    ``SelfCheckError``.
+    Both bounds hold for any mixes and are exact; profiles, gradients and
+    vertices are ``_integral`` pairs.  When neither oracle finds a new
+    vertex the restricted game's value closes the gap, so the loop stops at
+    ``upper - lower <= tol`` after finitely many rounds; ``max_iters`` caps
+    them.  Returns ``(upper, lower, rounds)``.  A lower bound above the
+    upper one proves the cost not submodular and raises ``SelfCheckError``.
     """
     n, m = oracle.type_count, oracle.outcome_count
     bottom = _finite_value(oracle, (0,) * n)
-    uniform = tuple(tuple(Fraction(1, m) for _ in range(m)) for _ in range(n))
-    grads, points = [], [uniform]
+    grads, points = [], [(((1,) * m,) * n, m)]  # the uniform profile
     game = []  # game[k][l] = <grads[k], points[l]>
     mix = [Fraction(1)]
     best = lower = None
@@ -762,11 +791,10 @@ def _double_oracle(oracle: CostOracle, cut: Callable, upper: Callable, tol, max_
     while rounds < max_iters:
         rounds += 1
         profile = _mix(mix, points)
-        value, grad, chain = _peel_with_gradient(profile, oracle)
-        best = upper(profile, value, chain)
+        value, grad, walk, costs = _peel_with_gradient(profile, oracle)
+        best = upper(profile, value, walk, costs)
         if lower is not None and best - lower <= tol:
             break
-        grad = tuple(map(tuple, grad))
         if grad not in grads:
             grads.append(grad)
             game.append([_inner(grad, q) for q in points])
@@ -775,7 +803,7 @@ def _double_oracle(oracle: CostOracle, cut: Callable, upper: Callable, tol, max_
         lower = bottom + found if lower is None else max(lower, bottom + found)
         if best - lower <= tol:
             break
-        q = tuple(map(tuple, q))
+        q = _integral(q)
         if q not in points:
             points.append(q)
             for g, row in zip(grads, game):
@@ -789,14 +817,17 @@ def _double_oracle(oracle: CostOracle, cut: Callable, upper: Callable, tol, max_
 
 
 def _mix(weights, profiles):
-    """The convex combination ``sum(w * p)`` of equally shaped profiles."""
-    rows = [[0] * len(row) for row in profiles[0]]
-    for w, profile in zip(weights, profiles):
-        if w:
-            for out, row in zip(rows, profile):
-                for j, x in enumerate(row):
-                    out[j] += w * x
-    return rows
+    """The convex combination ``sum(w * p)`` of equally shaped ``_integral``
+    pairs with rational weights, as an ``_integral`` pair."""
+    terms = [(w, rows, den) for w, (rows, den) in zip(weights, profiles) if w]
+    den = math.lcm(*(w.denominator * d for w, _, d in terms))
+    out = [[0] * len(row) for row in profiles[0][0]]
+    for w, rows, d in terms:
+        w = w.numerator * (den // (w.denominator * d))
+        for total, row in zip(out, rows):
+            for j, x in enumerate(row):
+                total[j] += w * x
+    return _integral(out, den)
 
 
 def _solve_game(game):
@@ -805,41 +836,47 @@ def _solve_game(game):
     method with Bland's rule on ``max sum(y) s.t. A y <= 1, y >= 0``, where
     ``A`` is the game shifted to be positive.  The optimal ``y`` scaled to
     sum one is the column player's strategy, and the duals of the ``K``
-    constraints, scaled alike, the row player's."""
+    constraints, scaled alike, the row player's.  Each constraint is scaled
+    by the lcm ``s`` of the game's denominators, and the pivots are
+    fraction-free (Bareiss 1968): every update divides exactly by the last
+    pivot, and the ratio test cross-multiplies, so the pivots are those over
+    ``Fraction``s, with the duals divided by ``s``.
+    """
     K, L = len(game), len(game[0])
-    shift = 1 - min(min(row) for row in game)
-    tableau = [
-        [Fraction(x + shift) for x in row]
-        + [Fraction(r == k) for r in range(K)]
-        + [Fraction(1)]
-        for k, row in enumerate(game)
-    ]
-    objective = [Fraction(-1)] * L + [Fraction(0)] * (K + 1)
+    scale = math.lcm(*(x.denominator for row in game for x in row))
+    scaled = [[x.numerator * (scale // x.denominator) for x in row] for row in game]
+    shift = scale - min(map(min, scaled))
+    tableau = [[x + shift for x in row] + [int(r == k) for r in range(K)] + [scale]
+               for k, row in enumerate(scaled)]
+    objective = [-1] * L + [0] * (K + 1)
     basis = list(range(L, L + K))
+    last = 1
     while True:
         enter = next((j for j in range(L + K) if objective[j] < 0), None)
         if enter is None:
             break
         # A is positive, so the program is bounded and some row limits the
-        # entering column.
-        _, _, leave = min(
-            (tableau[r][-1] / tableau[r][enter], basis[r], r)
-            for r in range(K) if tableau[r][enter] > 0
-        )
+        # entering column; the least ratio wins, then the least basic index.
+        limits = [r for r in range(K) if tableau[r][enter] > 0]
+        leave = limits[0]
+        for r in limits[1:]:
+            ahead = tableau[r][-1] * tableau[leave][enter] - tableau[leave][-1] * tableau[r][enter]
+            if ahead < 0 or ahead == 0 and basis[r] < basis[leave]:
+                leave = r
         pivot_row = tableau[leave]
         pivot = pivot_row[enter]
-        pivot_row[:] = [x / pivot for x in pivot_row]
         for row in tableau + [objective]:
-            if row is not pivot_row and row[enter]:
+            if row is not pivot_row:
                 factor = row[enter]
-                row[:] = [x - factor * y for x, y in zip(row, pivot_row)]
+                row[:] = [(pivot * x - factor * y) // last for x, y in zip(row, pivot_row)]
         basis[leave] = enter
+        last = pivot
     total = objective[-1]
     columns = [Fraction(0)] * L
     for r, b in enumerate(basis):
         if b < L:
-            columns[b] = tableau[r][-1] / total
-    return [x / total for x in objective[L:L + K]], columns
+            columns[b] = Fraction(tableau[r][-1], total)
+    return [Fraction(scale * x, total) for x in objective[L:L + K]], columns
 
 
 # ---------------------------------------------------------------------------

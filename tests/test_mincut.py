@@ -677,6 +677,29 @@ class TestOneHopSeeds:
             assert solve_randomized(_block_instance(random.Random(seed))).mechanism is not None
 
 
+class TestClaimPathLevels:
+    """Right after the chain seeds, a claim path through a level at or below
+    the claimant's last row minimum (any level of an all-infinite row)
+    crosses an arc the seed saturated, and would push nothing."""
+
+    def test_no_claim_path_at_a_tied_level(self, monkeypatch):
+        original, built = FlowGraph.seed_paths, []
+
+        def checked(graph, paths):
+            assert all(graph.cap[eid] > 0 for path in paths for eid in path)
+            built.extend(paths)
+            return original(graph, paths)
+
+        monkeypatch.setattr(FlowGraph, "seed_paths", checked)
+        for seed in range(12):  # det-sparse's shape at n=200
+            instance = random_instance(
+                seed=seed, type_count=200, outcome_count=5, edge_density=0.0025,
+                infinity_rate=0.05,
+            )
+            solve_deterministic(instance)  # every certificate still checked
+        assert len(built) > 300
+
+
 def _seed_tops(rows):
     """Each seeded chain's top level: its row's lowest argmin, or -1 for an
     all-infinite row."""

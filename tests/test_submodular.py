@@ -39,9 +39,13 @@ from mechdesign import (
     uncross,
     determinize_binary,
 )
+from mechdesign import submodular
 from mechdesign.submodular import (
+    _chain,
+    _integral,
     _peel_with_gradient,
     _solve_game,
+    _truthful_flags,
     chain_from_json,
     chain_to_json,
     chain_violations,
@@ -274,7 +278,7 @@ class TestInterpretMarginals:
                     edge_density=0.0,
                 )
                 oracle = overhead_cost_oracle(inst, rng.randint(0, 10))
-            value, _, points = _peel_with_gradient(rows, oracle)
+            value, _, (points, _, _), _ = _peel_with_gradient(_integral(rows), oracle)
             dist = interpret_marginals(rows)
             assert value == chain_cost(dist, oracle).value
             assert all(p > 0 for p in dist.probs)
@@ -825,3 +829,147 @@ class TestDoubleOracle:
                     assert optimum <= sol.cost.value <= optimum + Fraction(eps) / 2
         assert cases == 400
 
+
+
+def _fraction_bland_game(game):
+    """The ``Fraction`` Bland simplex that ``_solve_game`` replaced, kept as
+    the reference for its pivot path; also counts the ratio-test ties."""
+    K, L = len(game), len(game[0])
+    shift = 1 - min(min(row) for row in game)
+    tableau = [
+        [Fraction(x + shift) for x in row] + [Fraction(r == k) for r in range(K)] + [Fraction(1)]
+        for k, row in enumerate(game)
+    ]
+    objective = [Fraction(-1)] * L + [Fraction(0)] * (K + 1)
+    basis = list(range(L, L + K))
+    ties = 0
+    while True:
+        enter = next((j for j in range(L + K) if objective[j] < 0), None)
+        if enter is None:
+            break
+        ratios = [(tableau[r][-1] / tableau[r][enter], basis[r], r)
+                  for r in range(K) if tableau[r][enter] > 0]
+        _, _, leave = min(ratios)
+        ties += [ratio for ratio, _, _ in ratios].count(min(ratios)[0]) > 1
+        pivot_row = tableau[leave]
+        pivot = pivot_row[enter]
+        pivot_row[:] = [x / pivot for x in pivot_row]
+        for row in tableau + [objective]:
+            if row is not pivot_row and row[enter]:
+                factor = row[enter]
+                row[:] = [x - factor * y for x, y in zip(row, pivot_row)]
+        basis[leave] = enter
+    total = objective[-1]
+    columns = [Fraction(0)] * L
+    for r, b in enumerate(basis):
+        if b < L:
+            columns[b] = tableau[r][-1] / total
+    return ([x / total for x in objective[L:L + K]], columns), ties
+
+
+def _min_walk(rows):
+    """The ``min``-based walk that ``_chain``'s heap replaced."""
+    n, m = len(rows), len(rows[0])
+    tails = [list(itertools.accumulate(reversed(row)))[::-1] for row in rows]
+    tops = [m - 1] * n
+    points, leaders, masses = [tuple(tops)], [], []
+    reached = 0
+    for _ in range(n * (m - 1)):
+        leader = min((i for i in range(n) if tops[i]), key=lambda i: tails[i][tops[i]])
+        left = tails[leader][tops[leader]]
+        masses.append(left - reached)
+        reached = left
+        tops[leader] -= 1
+        leaders.append(leader)
+        points.append(tuple(tops))
+    masses.append(min(tail[0] for tail in tails) - reached)
+    return points, leaders, masses
+
+
+@st.composite
+def _walk_rows(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    entries = draw(st.sampled_from([
+        st.integers(0, 3),  # ties and zero-mass outcomes
+        st.fractions(0, 2, max_denominator=6),
+        st.floats(-1e-12, 1) | st.sampled_from([0.0, 0.25, 0.5]),
+    ]))
+    return [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
+
+
+class TestIntegerDoubleOracle:
+    """The integer pieces of the double oracle against the ``Fraction`` code
+    they replaced: the same pivots, walks and truthful points."""
+
+    @staticmethod
+    def game(rng, k):
+        K, L = rng.randint(1, 8), rng.randint(1, 8)
+        big = [2**64 + 1, 2**64 + 13, 3 * 2**65 + 7]
+        entries = [
+            lambda: rng.randint(-5, 5),
+            lambda: Fraction(rng.randint(-9, 9) * rng.choice(big) + rng.randint(-3, 3),
+                             rng.choice(big)),  # denominators above 2**64
+            lambda: rng.choice([0, 1]),  # few values, so many ratios tie
+            lambda: rng.choice([0, Fraction(1, 2), 1, Fraction(2, 3)]),
+        ]
+        game = [[entries[k % 4]() for _ in range(L)] for _ in range(K)]
+        if k % 3 == 1:  # all-equal rows, or all-equal columns
+            game = [list(game[0]) for _ in range(K)] if k % 2 else [[row[0]] * L for row in game]
+        if k % 7 == 0:  # one value everywhere
+            game = [[game[0][0]] * L for _ in range(K)]
+        return game
+
+    def test_game_matches_the_fraction_simplex(self):
+        rng = random.Random(2001)
+        ties = sizes = 0
+        for k in range(1200):
+            game = self.game(rng, k)
+            expected, tied = _fraction_bland_game(game)
+            assert _solve_game(game) == expected, f"game {k}: {game}"
+            ties += tied
+            sizes |= 1 << (8 * (len(game) - 1) + len(game[0]) - 1)
+        assert ties > 200
+        assert sizes == 2**64 - 1  # every size from 1x1 to 8x8
+
+    @settings(max_examples=400, deadline=None)
+    @given(_walk_rows())
+    @example([[Fraction(1)]])
+    @example([[0, 0, 1]])
+    @example([[1, 0, 0], [0, 1, 0], [1, 0, 0]])
+    @example([[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]])
+    def test_heap_walk_matches_the_min_walk(self, rows):
+        assert _chain(rows) == _min_walk(rows)
+
+    @staticmethod
+    def relations(rng, n):
+        yield ReportingRelation.full(n)
+        yield ReportingRelation.identity(n)
+        cycle = [(i, (i + 1) % n) for i in range(n)]
+        yield ReportingRelation(n, cycle + [(i, i) for i in range(n)])
+        for density in (0.2, 0.5):
+            yield random_relation(rng, n, density)
+
+    def test_truthful_flags_follow_every_claim(self):
+        rng = random.Random(2002)
+        mixed = 0
+        for trial in range(150):
+            n, m = rng.randint(1, 6), rng.randint(1, 5)
+            rows = random_exact_profile(rng, n, m, grain=rng.choice([2, 3, 24]))
+            points, leaders, _ = _chain(rows)
+            for rel in self.relations(rng, n):
+                flags = _truthful_flags(points, leaders, rel)
+                assert flags == [in_truthful_lattice(p, rel) for p in points], (rows, rel)
+                mixed += 0 < sum(flags) < len(flags)
+        assert mixed > 100
+
+    def test_sub_det_never_scans_the_relation_per_point(self, monkeypatch):
+        inst = random_instance(seed=2003, type_count=300, outcome_count=3, edge_density=0.004)
+        assert len(inst.relation.claims) > 100
+
+        def refuse(point, relation):
+            raise AssertionError("in_truthful_lattice called")
+
+        monkeypatch.setattr(submodular, "in_truthful_lattice", refuse)
+        sol = solve_deterministic_submodular(additive_oracle(inst), inst.relation)
+        assert sol.gap == 0
+        assert sol.cost == solve_deterministic(inst).cost
