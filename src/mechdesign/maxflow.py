@@ -18,7 +18,10 @@ reads them off the relation) and lists in ``source_groups`` those that can
 still carry flow (a seeded chain that meets no other cannot), or none to
 search every source edge in one pass.  Either way every maximum flow leaves
 the same residual-reachable set, the inclusion-minimal minimum-cut source
-side; a component wrongly left out would leave the sink reachable.
+side.  Each component's last level search labels exactly its residual
+reach, which later components leave alone; ``max_flow`` keeps the labels,
+adds one search (no flow) from the source edges in no group, and leaves the
+mask in ``source_side``: a component wrongly left out shows the sink in it.
 """
 
 from __future__ import annotations
@@ -160,29 +163,30 @@ class FlowGraph:
 
     def max_flow(self, source: int, sink: int) -> int:
         """Augment the current flow to a maximum one, left in the residual
-        capacities, and return the value added; Dinic runs one source group
-        at a time (module docstring)."""
+        capacities, the source side in ``source_side``; returns the value
+        added.  Dinic runs one source group at a time (module docstring)."""
         level = [-1] * self.node_count
         iter_index = [0] * self.node_count
         total = 0
-        groups = self.source_groups
-        for group in [self.head[source]] if groups is None else groups:
-            reached = True
-            while reached:
+        edges, groups = self.head[source], self.source_groups
+        for group in [edges] if groups is None else groups:
+            while True:
                 touched = self._levels(source, sink, group, level)
-                reached = level[sink] >= 0
-                if reached:
-                    total += self._blocking_flow(
-                        source, sink, group, level, iter_index
-                    )
+                if level[sink] < 0:
+                    break  # the labels stay: the component's residual reach
+                total += self._blocking_flow(source, sink, group, level, iter_index)
                 for v in touched:
                     level[v] = -1
                     iter_index[v] = 0
+        if groups is not None and sum(map(len, groups)) != len(edges):
+            self._levels(source, sink, list(set(edges).difference(*groups)), level)
+        self.source_side = [label >= 0 for label in level]
         return total
 
     def residual_source_side(self, source: int) -> list[bool]:
         """Nodes reachable from the source in the residual graph: the
-        canonical (inclusion-minimal) minimum-cut source side."""
+        canonical (inclusion-minimal) minimum-cut source side, by a search
+        of its own (``max_flow`` leaves the same mask in ``source_side``)."""
         head, to, cap = self.head, self.to, self.cap
         seen = [False] * self.node_count
         seen[source] = True

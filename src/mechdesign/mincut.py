@@ -38,15 +38,17 @@ of an all-infinite row), which leaves the levels below that arc reachable.
 Where every claim ``(a, b)`` leaves ``a`` reaching at least as high as ``b``,
 the imitation arcs out of the reach land inside it and the seed is a maximum
 flow, so lone types and such claim components (``claim_groups``) are settled
-at their row minima.  Only the other components enter the ``FlowGraph``, by
-their global node numbers.  There a claim ``(a, b)`` seeds, for each level
-``j`` up to ``b``'s reach above the last one at ``a``'s row minimum (whose
-arc the chain seed saturated; every level of an all-infinite row), the path
-up ``b``'s chain to ``j``, across the imitation arc and up ``a``'s chain to
-the sink.  Dinic, per component, finishes the longer paths and proves that
-none is left, which no seed can.  Every maximum flow leaves the same residual
-source side, so neither the seeds nor the split changes the cut
-(``maxflow.py``); the checks of ``solve_deterministic`` cover every type.
+at their row minima.  Only the other components enter the ``FlowGraph``, the
+``k``-th kept type in type ``k``'s place of the layout (``2 + len(kept)*m``
+nodes).  There a claim ``(a, b)`` seeds, for each level ``j`` up to ``b``'s
+reach above the last one at ``a``'s row minimum (whose arc the chain seed
+saturated; every level of an all-infinite row), the path up ``b``'s chain to
+``j``, across the imitation arc and up ``a``'s chain to the sink.  Dinic, per
+component, finishes the longer paths and proves that none is left, which no
+seed can; its last search labels the source side, copied back once per kept
+chain.  Every maximum flow leaves the same residual source side, so neither
+the seeds nor the split changes the cut (``maxflow.py``); the checks of
+``solve_deterministic`` cover every type.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class FlowNetwork:
 
     @cached_property
     def _arrays(self) -> tuple[list[int], list[int]]:
-        return arc_arrays(range(self.type_count), self.claims, self.outcome_count)
+        return arc_arrays(self.type_count, self.claims, self.outcome_count)
 
     tails = property(lambda self: self._arrays[0])
     heads = property(lambda self: self._arrays[1])
@@ -167,19 +169,20 @@ def build_network(instance: Instance) -> FlowNetwork:
     )
 
 
-def arc_arrays(types, claims: list[tuple[int, int]], m: int) -> tuple[list[int], list[int]]:
-    """Tails and heads of the chains of ``types``, in order, then of the
-    imitation arcs of ``claims``, over the global node numbers."""
-    tails, heads = [], []
-    for i in types:
-        bottom = grid_node(i, 0, m)
-        tails += [SOURCE, *range(bottom, bottom + m)]
-        heads += [*range(bottom, bottom + m), SINK]
+def arc_arrays(count: int, claims: list[tuple[int, int]], m: int) -> tuple[list[int], list[int]]:
+    """Tails and heads of the chains of types ``0`` to ``count - 1`` (the
+    whole network's, or ``min_cut``'s kept types renumbered in order), then
+    of the imitation arcs of ``claims`` between them, with level ``j`` of
+    type ``i`` at node ``grid_node(i, j, m)``; the chain arcs are filled by
+    slice, one arc position at a time."""
+    tails, heads = [SOURCE] * (count * (m + 1)), [SINK] * (count * (m + 1))
+    for j in range(m):  # level j heads chain arc j and tails chain arc j + 1
+        heads[j :: m + 1] = tails[j + 1 :: m + 1] = range(2 + j, 2 + count * m, m)
     for a, b in claims:
         # "a can claim b": a's chain must reach at least as high as b's,
         # enforced by unbounded arcs from b's chain into a's at each level.
-        tails.extend(range(grid_node(b, 0, m), grid_node(b, m, m)))
-        heads.extend(range(grid_node(a, 0, m), grid_node(a, m, m)))
+        tails.extend(range(2 + b * m, 2 + b * m + m))
+        heads.extend(range(2 + a * m, 2 + a * m + m))
     return tails, heads
 
 
@@ -234,11 +237,12 @@ def certified_cut(
     """Exact minimum ``SOURCE``-``SINK`` cut of integer arc arrays: seed the
     first ``count * length`` arcs, ``chains = (count, length)``, as that many
     source-to-sink paths, then the ``paths`` of edge ids (arc ``k`` is edge
-    ``2k``), augment by Dinic from each group of source arcs
+    ``2k``), augment by Dinic from each component's group of source arcs
     (a component with none has no augmenting path), or from all of them in
     one pass without ``groups``, and take the residual-reachable
-    (inclusion-minimal) source side, returned as a node mask with the cut
-    value.  The final flow and the cut, summed in integers, certify each
+    (inclusion-minimal) source side that Dinic's last searches label, and a
+    search from arcs in no group (``FlowGraph.max_flow``), as a node mask
+    with the cut value.  Flow and cut, summed in integers, certify each
     other."""
     graph = FlowGraph(node_count)
     graph.add_edges(tails, heads, capacities)
@@ -248,20 +252,22 @@ def certified_cut(
     flow += graph.max_flow(SOURCE, SINK)
     # Arc k is edge 2k and carries the reverse edge's residual capacity: it
     # must fit its capacity and be conserved at every node but s and t.
-    cap, excess = graph.cap, [0] * node_count
-    arcs = zip(tails, heads, capacities, cap[0::2], cap[1::2])
-    for k, (tail, head, capacity, residual, carried) in enumerate(arcs):
-        if not 0 <= carried <= capacity or residual != capacity - carried:
-            raise SelfCheckError(f"arc {k} carries infeasible flow {carried}")
-        if carried:
+    residuals, flows = graph.cap[0::2], graph.cap[1::2]
+    if min(graph.cap, default=0) < 0 or list(map(operator.add, residuals, flows)) != capacities:
+        k = next(k for k, (c, r, f) in enumerate(zip(capacities, residuals, flows))
+                 if not 0 <= f <= c or r != c - f)
+        raise SelfCheckError(f"arc {k} carries infeasible flow {flows[k]}")
+    excess = [0] * node_count
+    for tail, head, carried in zip(tails, heads, flows):
+        if carried:  # only the carrying arcs move excess
             excess[tail] -= carried
             excess[head] += carried
     if -excess[SOURCE] != flow:
         raise SelfCheckError(f"source sends {-excess[SOURCE]} but max flow reported {flow}")
-    for node, surplus in enumerate(excess):
-        if surplus and node not in (SOURCE, SINK):
-            raise SelfCheckError(f"flow is not conserved at node {node}")
-    reachable = graph.residual_source_side(SOURCE)
+    if any(excess[2:]):
+        node = next(node for node, surplus in enumerate(excess) if surplus and node > SINK)
+        raise SelfCheckError(f"flow is not conserved at node {node}")
+    reachable = graph.source_side
     if reachable[SINK]:
         raise SelfCheckError("sink is reachable in the residual graph")
     cut_total = sum(
@@ -288,34 +294,39 @@ def conflicted_groups(count: int, claims: list, tops: list[int]) -> tuple[list[b
 
 def min_cut(clamped: ClampedNetwork) -> CutResult:
     """The certified minimum cut of the clamped network: the type chains
-    settle every conflict-free claim component, and Dinic searches the rest
-    from their entry arcs after the one-hop seeds (module docstring)."""
+    settle every conflict-free claim component, and Dinic searches the rest,
+    numbered compactly, from their entry arcs after the one-hop seeds."""
     network, scale = clamped.network, clamped.scale
     n, m, rows = network.type_count, network.outcome_count, network.costs.scaled
     clamp = int(clamped.clamp_value * scale)
-    lows = [min([c for c in row if c is not None], default=clamp) for row in rows]
-    tops = [-1 if low == clamp else row.index(low) for row, low in zip(rows, lows)]
-    lasts = [m - 1 if low == clamp else m - 1 - row[::-1].index(low)
-             for row, low in zip(rows, lows)]
+    lows, tops, lasts = [], [], []  # each row's minimum, and its first and last place
+    for row in rows:
+        low, top, last = clamp, -1, m - 1  # an all-infinite row's
+        for j, c in enumerate(row):
+            if c is not None and c <= low:
+                top, low, last = top if c == low else j, c, j
+        lows.append(low), tops.append(top), lasts.append(last)
     settled, groups = conflicted_groups(n, network.claims, tops)
     kept = [i for i in range(n) if not settled[i]]
     reachable, value = [True] + [False] * (network.node_count - 1), 0
     if kept:
-        entry = {i: k * (m + 1) for k, i in enumerate(kept)}
-        claims = [(a, b) for a, b in network.claims if not settled[a]]
+        index = {i: k for k, i in enumerate(kept)}
+        claims = [(index[a], index[b]) for a, b in network.claims if not settled[a]]
         paths, imitation = [], 2 * len(kept) * (m + 1)
         for a, b in claims:
-            if lasts[a] < tops[b]:
-                ea, eb = 2 * entry[a], 2 * entry[b]
+            if lasts[kept[a]] < tops[kept[b]]:
+                ea, eb = 2 * a * (m + 1), 2 * b * (m + 1)
                 paths += [(*range(eb, eb + 2 * j + 1, 2), imitation + 2 * j,
                            *range(ea + 2 * j + 2, ea + 2 * m + 1, 2))
-                          for j in range(lasts[a] + 1, tops[b] + 1)]
+                          for j in range(lasts[kept[a]] + 1, tops[kept[b]] + 1)]
             imitation += 2 * m
-        reachable, value = certified_cut(
-            network.node_count, *arc_arrays(kept, claims, m),
+        side, value = certified_cut(
+            2 + len(kept) * m, *arc_arrays(len(kept), claims, m),
             arc_capacities([rows[i] for i in kept], len(claims), m, clamp),
-            [[entry[i] for i in group] for group in groups], (len(kept), m + 1), paths,
+            [[index[i] * (m + 1) for i in group] for group in groups], (len(kept), m + 1), paths,
         )
+        for k, i in enumerate(kept):  # node 2 + k*m + j of the flow graph is grid_node(i, j, m)
+            reachable[2 + i * m : 2 + (i + 1) * m] = side[2 + k * m : 2 + (k + 1) * m]
     for i in compress(range(n), settled):
         bottom = grid_node(i, 0, m)
         reachable[bottom : bottom + tops[i] + 1] = [True] * (tops[i] + 1)

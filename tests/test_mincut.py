@@ -482,6 +482,39 @@ class TestFlowCertificate:
         with pytest.raises(SelfCheckError, match=message):
             min_cut(clamped)
 
+    def test_unbalanced_first_flow_node_is_refused(self, monkeypatch):
+        # s -> 2 -> t carries 3; handing a unit of 2 -> t back unbalances
+        # node 2 alone (the sink's balance is not checked).
+        original = FlowGraph.max_flow
+
+        def undersent(graph, source, sink):
+            value = original(graph, source, sink)
+            graph.cap[2] += 1
+            graph.cap[3] -= 1
+            return value
+
+        monkeypatch.setattr(FlowGraph, "max_flow", undersent)
+        with pytest.raises(SelfCheckError, match="not conserved at node 2"):
+            certified_cut(3, [0, 2], [2, 1], [5, 3])
+
+    def test_overdrawn_arc_with_the_right_sum_is_refused(self, monkeypatch):
+        # Residual below zero, carried flow above the capacity: each pair of
+        # edges still sums to its arc's capacity.
+        original = FlowGraph.max_flow
+
+        def overdrawn(graph, source, sink):
+            value = original(graph, source, sink)
+            eid = _carrying_level_edge(graph)
+            excess = graph.cap[eid] + 1
+            graph.cap[eid] -= excess
+            graph.cap[eid ^ 1] += excess
+            return value
+
+        monkeypatch.setattr(FlowGraph, "max_flow", overdrawn)
+        clamped = clamp_capacities(build_network(conflicted_instance()))
+        with pytest.raises(SelfCheckError, match="infeasible"):
+            min_cut(clamped)
+
 
 def _networkx_minimal_side(node_count, tails, heads, capacities):
     """Max-flow value and residual-reachable source side by networkx."""
@@ -803,6 +836,162 @@ class TestSettledComponents:
         monkeypatch.setattr(mincut, "conflicted_groups", skip_first)
         with pytest.raises(SelfCheckError, match="imitation arc crosses"):
             solve_deterministic(instance)
+
+
+def _recording(monkeypatch):
+    """Patch ``FlowGraph.max_flow`` to keep every graph it runs on."""
+    graphs, original = [], FlowGraph.max_flow
+
+    def recorded(graph, source, sink):
+        graphs.append(graph)
+        return original(graph, source, sink)
+
+    monkeypatch.setattr(FlowGraph, "max_flow", recorded)
+    return graphs
+
+
+class TestRecordedSourceSide:
+    """``certified_cut`` reads its mask off Dinic's last searches; it must be
+    the residual search's mask and networkx's minimal side, however the
+    source arcs are grouped."""
+
+    @pytest.mark.parametrize("grouping", ["none", "all", "linked"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_chain_networks(self, monkeypatch, seed, grouping):
+        rng = random.Random(7000 + seed)
+        count, length = rng.randint(1, 7), rng.randint(2, 5)
+        nodes, tails, heads, capacities, groups = _random_chain_network(rng, count, length)
+        if grouping == "none":
+            groups = None
+        elif grouping == "all":  # every seeded chain's entry arc in some group
+            grouped = {k for group in groups for k in group}
+            groups += [[c * length] for c in range(count) if c * length not in grouped]
+        graphs = _recording(monkeypatch)
+        reachable, value = certified_cut(
+            nodes, tails, heads, capacities, groups, (count, length)
+        )
+        (graph,) = graphs
+        assert reachable == graph.residual_source_side(mincut.SOURCE)
+        assert (value, reachable) == _networkx_minimal_side(nodes, tails, heads, capacities)
+
+    def test_min_cut_sizes_the_graph_by_the_kept_types(self, monkeypatch):
+        sizes = []
+        original = FlowGraph.__init__
+
+        def sized(graph, node_count):
+            sizes.append(node_count)
+            original(graph, node_count)
+
+        def refuse(graph, source):
+            raise AssertionError("min_cut ran a second residual search")
+
+        monkeypatch.setattr(FlowGraph, "__init__", sized)
+        monkeypatch.setattr(FlowGraph, "residual_source_side", refuse)
+        for seed in range(6):  # det-sparse's shape at n=200
+            instance = random_instance(
+                seed=seed, type_count=200, outcome_count=5, edge_density=0.0025,
+                infinity_rate=0.05,
+            )
+            kept = _kept_types(instance.costs.scaled, instance.relation.claims)
+            del sizes[:]
+            solve_deterministic(instance)  # every certificate still checked
+            assert 0 < len(kept) < 200
+            assert sizes == [2 + len(kept) * 5]
+
+
+def _seed_lasts(rows):
+    """Each row's last argmin, or its top level for an all-infinite row."""
+    lasts = []
+    for row in rows:
+        finite = [c for c in row if c is not None]
+        low = min(finite, default=None)
+        lasts.append(len(row) - 1 - row[::-1].index(low) if finite else len(row) - 1)
+    return lasts
+
+
+def _kept_types(rows, claims):
+    """The types of the claim components that hold a claim ``(a, b)`` the
+    seeded chains violate, ``tops[a] < tops[b]``, found by networkx."""
+    tops = _seed_tops(rows)
+    violated = {a for a, b in claims if tops[a] < tops[b]}
+    components = nx.connected_components(nx.Graph(claims))
+    return sorted(i for component in components if violated & component for i in component)
+
+
+def _minima_instance(rng):
+    """``det_sparse``'s shape, small: rows whose least entry sits first, in
+    the middle or last, often tied, some all-infinite; claim-free types and
+    two-way claims."""
+    n, m = rng.randint(1, 60), rng.randint(1, 6)
+    infinity_rate = rng.choice([0, 0.1, 0.3])
+    rows = []
+    for _ in range(n):
+        if rng.random() < 0.08:
+            rows.append([None] * m)
+            continue
+        row = [None if rng.random() < infinity_rate else rng.randint(1, 9) for _ in range(m)]
+        place = rng.choice([0, m // 2, m - 1])
+        low = rng.randint(0, 3)
+        row[place] = low
+        for j in range(m):  # a tie somewhere else, now and then
+            if j != place and row[j] is not None and rng.random() < 0.25:
+                row[j] = low
+            elif row[j] is not None and row[j] < low:
+                row[j] = low + 1
+        rows.append(row)
+    pairs = {(i, i) for i in range(n)}
+    for _ in range(round(0.5 * n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        pairs |= {(a, b), (b, a)} if rng.random() < 0.3 else {(a, b)}
+    costs = CostMatrix([[Cost.infinite() if c is None else c for c in row] for row in rows])
+    return Instance(OutcomeSpace(range(m)), ReportingRelation(n, sorted(pairs)), costs)
+
+
+class TestRowMinimaAndWriteBack:
+    """The one-pass row minima (least entry, first and last place) and the
+    write-back of the compact flow graph's mask onto the global nodes."""
+
+    def test_against_networkx(self, monkeypatch):
+        paths = []
+        original = FlowGraph.seed_paths
+
+        def counted(graph, batch):
+            paths.append(len(batch))
+            return original(graph, batch)
+
+        monkeypatch.setattr(FlowGraph, "seed_paths", counted)
+        seen = {"first": 0, "middle": 0, "last": 0, "tied": 0, "dead": 0,
+                "free types": 0, "two-way": 0, "m1": 0, "kept": 0}
+        for seed in range(150):
+            inst = _minima_instance(random.Random(seed))
+            clamped = clamp_capacities(build_network(inst))
+            network = clamped.network
+            value, side = _networkx_minimal_side(
+                network.node_count, network.tails, network.heads, clamped.capacities
+            )
+            del paths[:]
+            cut = min_cut(clamped)
+            assert (cut.value, cut.reachable) == (Fraction(value, clamped.scale), side), seed
+            # One claim path per level above the claimant's last row minimum
+            # up to the claimed type's first.
+            rows, claims = inst.costs.scaled, inst.relation.claims
+            kept = set(_kept_types(rows, claims))
+            tops, lasts = _seed_tops(rows), _seed_lasts(rows)
+            expected = sum(max(0, tops[b] - lasts[a]) for a, b in claims if a in kept)
+            assert sum(paths) == expected, seed
+            m = inst.outcome_count
+            for row, top, last in zip(rows, tops, lasts):
+                if top < 0:
+                    seen["dead"] += 1
+                else:
+                    seen[["first", "middle", "last"][(top > 0) + (top == m - 1 and m > 1)]] += 1
+                    seen["tied"] += last > top
+            touched = {i for pair in claims for i in pair}
+            seen["free types"] += len(rows) - len(touched)
+            seen["two-way"] += len(set(claims) & {(b, a) for a, b in claims})
+            seen["m1"] += m == 1
+            seen["kept"] += len(kept)
+        assert min(seen.values()) > 0, seen
 
 
 class TestCutMaskChecks:
