@@ -23,6 +23,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -41,6 +42,8 @@ from .instances import (
     DeterministicMechanism,
     SelfCheckError,
     _json_text,
+    _lottery_utility,
+    _probability_to_json,
     cost_best_response,
     cost_deterministic,
     cost_from_json,
@@ -90,8 +93,10 @@ def _digest(data: bytes) -> str:
 
 
 def _number_text(x) -> str:
-    """A float to 12 significant digits; an exact rational or a ``Cost``
-    (possibly 'inf') as it prints."""
+    """A float to 12 significant digits; an exact rational, also as a lowest
+    terms ``(numerator, denominator)`` pair, or a ``Cost`` as it prints."""
+    if type(x) is tuple:
+        return str(x[0]) if x[1] == 1 else "%d/%d" % x
     return f"{x:.12g}" if isinstance(x, float) else str(x)
 
 
@@ -121,10 +126,9 @@ def _utility_table_text(reports: dict, texts: list[str]) -> str:
 
 
 def _utility_texts(mechanism, instance, utilities) -> list[str]:
-    """Each type's utility as the JSON string literal of ``_number_text``.
-    A deterministic mechanism's utilities are the outcomes', each written
-    once; a lottery's are written per type, since finding a repeated
-    ``Fraction`` costs more than writing it."""
+    """Each type's utility as the JSON string literal of ``_number_text``: a
+    deterministic mechanism's from the outcomes', each written once, and a
+    lottery's per type, since finding a repeat costs more than writing it."""
     if isinstance(mechanism, DeterministicMechanism):
         by_outcome = [encode_basestring_ascii(_number_text(u))
                       for u in instance.outcomes.utilities]
@@ -239,8 +243,18 @@ def cmd_generate(args, argv) -> int:
 # solve
 # ---------------------------------------------------------------------------
 
-def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(_json_text(payload) + "\n")
+def _write_json(path, payload) -> None:
+    """Write ``_json_text(payload)``, a mechanism as its ``mechanism_to_json``
+    object, and a newline.  A lottery of ints and ``Fraction``s (equal ones
+    write alike) formats each distinct probability once, each row joined in C."""
+    rows = getattr(payload, "rows", None)
+    if rows and all(rows) and {int, Fraction}.issuperset(map(type, chain.from_iterable(rows))):
+        text = {p: _json_text(_probability_to_json(p)) for p in set(chain.from_iterable(rows))}
+        rows = "\n    ],\n    [\n      ".join([",\n      ".join(map(text.get, r)) for r in rows])
+        text = '{\n  "kind": "randomized",\n  "rows": [\n    [\n      ' + rows + "\n    ]\n  ]\n}"
+    else:
+        text = _json_text(payload if isinstance(payload, dict) else mechanism_to_json(payload))
+    Path(path).write_text(text + "\n")
 
 
 def cmd_solve(args, argv) -> int:
@@ -271,7 +285,7 @@ def cmd_solve(args, argv) -> int:
         report["cost"] = _number_text(solution.cost)
         report["checks"] = {"truthful": True, "self_check": "ok"}
         if args.out:
-            _write_json(args.out, mechanism_to_json(solution.mechanism))
+            _write_json(args.out, solution.mechanism)
 
     elif args.algo == "sub-det":
         oracle = _oracle_for(instance, meta)
@@ -291,7 +305,7 @@ def cmd_solve(args, argv) -> int:
             "oracle_queries": oracle.query_count,
         }
         if args.out:
-            _write_json(args.out, mechanism_to_json(mechanism))
+            _write_json(args.out, mechanism)
 
     elif args.algo == "sub-rand":
         oracle = _oracle_for(instance, meta)
@@ -335,16 +349,20 @@ def cmd_verify(args, argv) -> int:
     if problems:
         raise CliError(f"mechanism does not fit the instance: " + "; ".join(problems))
 
-    utilities = expected_utilities(mechanism, instance)
-    exact = is_exact(utilities)
-    violations = truthfulness_violations(mechanism, instance, utilities, exact)
     if isinstance(mechanism, DeterministicMechanism):
+        utilities = expected_utilities(mechanism, instance)
         truthful_cost = cost_deterministic(mechanism, instance)
-    else:
+    else:  # exact utilities as (numerator, denominator) pairs: no Fraction per type
+        utilities = [_lottery_utility(row, instance.outcomes) for row in mechanism.rows]
         truthful_cost = cost_randomized(mechanism, instance)
+    exact = is_exact(utilities) or all(type(u) is tuple for u in utilities)
+    violations = truthfulness_violations(mechanism, instance, utilities, exact)
+    texts = _utility_texts(mechanism, instance, utilities)
     # The relation is reflexive: when no claim beats honesty exactly, every
     # type's best report is its own, and the types play the mechanism itself.
     searched = violations or not exact
+    if searched:  # best responses compare Fractions
+        utilities = [Fraction(*u) if type(u) is tuple else u for u in utilities]
     br_cost = cost_best_response(mechanism, instance, utilities) if searched else truthful_cost
     report = {
         "command": " ".join(argv),
@@ -354,7 +372,6 @@ def cmd_verify(args, argv) -> int:
         "cost_truthful": _number_text(truthful_cost),
         "cost_best_response": _number_text(br_cost),
     }
-    texts = _utility_texts(mechanism, instance, utilities)
     _emit(report, (instance.relation.reports_by_reporter, texts))
     return EXIT_OK if not violations else EXIT_UNTRUTHFUL
 

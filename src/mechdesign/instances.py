@@ -26,6 +26,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Union
 
@@ -487,13 +488,10 @@ def transitive_closure(relation: ReportingRelation) -> ReportingRelation:
 # Utilities, truthfulness, costs
 # ---------------------------------------------------------------------------
 
-def expected_utility(mech: Mechanism, outcomes: OutcomeSpace, type_index: int):
-    """Expected common utility the given type receives under the mechanism.
-    An exact lottery is summed in one integer pass over ``outcomes.scaled``
-    that builds one ``Fraction``; one with a nonzero float, as floats."""
-    if isinstance(mech, DeterministicMechanism):
-        return outcomes.utilities[mech.assignment[type_index]]
-    row = mech.rows[type_index]
+def _lottery_utility(row, outcomes: OutcomeSpace):
+    """An exact lottery's expected utility as a lowest-terms int pair
+    ``(numerator, denominator)``, summed in one integer pass over
+    ``outcomes.scaled``; one with a nonzero float, as a float sum."""
     (xs, scale), num, den = outcomes.scaled, 0, 1
     for p, x in zip(row, xs):
         if p:
@@ -501,7 +499,16 @@ def expected_utility(mech: Mechanism, outcomes: OutcomeSpace, type_index: int):
                 return sum(p * u for p, u in zip(row, outcomes.utilities) if p)
             a, b = p.as_integer_ratio()
             num, den = (num + a * x, den) if b == den else (num * b + a * x * den, den * b)
-    return Fraction(num, den * scale)
+    g = math.gcd(num, den * scale)
+    return num // g, den * scale // g
+
+
+def expected_utility(mech: Mechanism, outcomes: OutcomeSpace, type_index: int):
+    """Expected common utility the given type receives under the mechanism."""
+    if isinstance(mech, DeterministicMechanism):
+        return outcomes.utilities[mech.assignment[type_index]]
+    u = _lottery_utility(mech.rows[type_index], outcomes)
+    return Fraction(*u) if type(u) is tuple else u
 
 
 def expected_utilities(mech: Mechanism, instance: Instance) -> list:
@@ -514,22 +521,28 @@ def truthfulness_violations(
 ) -> list[tuple[int, int]]:
     """Pairs (truth, claim) where claiming strictly beats honesty.
 
-    Exact utilities are compared exactly; float utilities must exceed by
-    more than ``FLOAT_UTILITY_TOL`` so solver round-off is not reported as
-    manipulation.  ``utilities`` and ``exact``, when given, must be
-    ``expected_utilities(mech, instance)`` and its ``is_exact``.
+    Exact utilities are compared in integers: a deterministic mechanism's as
+    ``outcomes.scaled`` ints, a lottery's by cross-products of ``(numerator,
+    denominator)`` pairs.  Float utilities must exceed by more than
+    ``FLOAT_UTILITY_TOL`` so solver round-off is not reported as
+    manipulation.  ``utilities``, when given, must be ``expected_utilities(mech,
+    instance)``, exact ones possibly as pairs; ``exact``, whether all are exact.
     """
-    if utilities is None:
-        utilities = expected_utilities(mech, instance)
-    if exact is None:
-        exact = is_exact(utilities)
     pairs = instance.relation.claims
+    if isinstance(mech, DeterministicMechanism):
+        x = list(map(instance.outcomes.scaled[0].__getitem__, mech.assignment))
+        return [(a, b) for a, b in pairs if x[b] > x[a]]
+    if utilities is None:
+        utilities = [_lottery_utility(row, instance.outcomes) for row in mech.rows]
+    if exact is None:
+        exact = is_exact(u for u in utilities if type(u) is not tuple)
     if exact:
-        return [(a, b) for a, b in pairs if utilities[b] > utilities[a]]
-    return [
-        (a, b) for a, b in pairs
-        if exceeds(utilities[b], utilities[a], False, FLOAT_UTILITY_TOL)
-    ]
+        ratios = [u if type(u) is tuple else u.as_integer_ratio() for u in utilities]
+        num, den = [u[0] for u in ratios], [u[1] for u in ratios]
+        return [(a, b) for a, b in pairs if num[b] * den[a] > num[a] * den[b]]
+    # exceeds compares as floats, and n / d is float(Fraction(n, d)), both correctly rounded
+    u = [v[0] / v[1] if type(v) is tuple else v for v in utilities]
+    return [(a, b) for a, b in pairs if exceeds(u[b], u[a], False, FLOAT_UTILITY_TOL)]
 
 
 def is_truthful(mech: Mechanism, instance: Instance) -> bool:
@@ -730,29 +743,19 @@ def cost_ratio_from_json(value) -> tuple[int, int] | None:
 
 
 def _costs_from_json(rows) -> CostMatrix:
-    """The cost rows read in one pass: nonnegative ints are taken as they are,
-    any other value goes through ``cost_ratio_from_json`` (once per distinct
-    string), with its errors.  Only a denominator above 1 rescales the rows."""
-    denominators, known = set(), {}
-
-    def entry(value):
-        if type(value) is str and value in known:
-            return known[value]
-        ratio = cost_ratio_from_json(value)
-        if ratio is not None and ratio[1] > 1:
-            denominators.add(ratio[1])
-        elif ratio is not None:
-            ratio = ratio[0]
-        if type(value) is str:
-            known[value] = ratio
-        return ratio
-
-    read = [[v if type(v) is int and v >= 0 else entry(v) for v in row] for row in rows]
-    scale = math.lcm(*denominators)
-    if scale > 1:  # ints and (numerator, denominator) pairs onto one scale; None stays
-        read = [[e * scale if type(e) is int else e and e[0] * (scale // e[1]) for e in row]
-                for row in read]
-    return CostMatrix.from_scaled(tuple(map(tuple, read)), scale)
+    """The cost rows read by ``cost_ratio_from_json``, with its errors: once
+    per distinct literal if all are ints or strings (no two of which hash
+    alike yet read apart), else entry by entry, then each row mapped in C."""
+    try:
+        if not {int, str}.issuperset(map(type, chain.from_iterable(rows))):
+            raise TypeError
+        keys, ratios = rows, {v: cost_ratio_from_json(v) for v in set(chain.from_iterable(rows))}
+    except (TypeError, ValueError):  # so that the first bad entry names the error
+        keys = [[cost_ratio_from_json(v) for v in row] for row in rows]
+        ratios = {r: r for r in chain.from_iterable(keys)}
+    scale = math.lcm(*{r[1] for r in ratios.values() if r is not None})
+    scaled = {k: r and r[0] * (scale // r[1]) for k, r in ratios.items()}.__getitem__
+    return CostMatrix.from_scaled(tuple(tuple(map(scaled, row)) for row in keys), scale)
 
 
 def _relation_from_json(type_count: int, pairs) -> ReportingRelation:

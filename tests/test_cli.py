@@ -48,9 +48,10 @@ from mechdesign.cli import (
     EXIT_UNTRUTHFUL,
     EXIT_USAGE,
     _json_text,
+    _write_json,
     main,
 )
-from mechdesign.instances import FLOAT_UTILITY_TOL
+from mechdesign.instances import FLOAT_UTILITY_TOL, rational_to_json
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "mdbench" / "reference.py"
@@ -607,6 +608,113 @@ class TestVerifyReportBytes:
             for i in range(loaded.type_count)
         ]
         assert out == json.dumps(report, indent=2) + "\n"
+
+
+_PROBABILITIES = st.sampled_from(
+    [0, 1, Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2**64 + 1, 2**65 + 3), True,
+     0.0, 1.0, 0.1, 1e-300]
+)
+
+
+class TestLotteryWriter:
+    """``solve --out`` formats each distinct probability of a lottery once;
+    the bytes are those of ``json.dumps`` on ``mechanism_to_json``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.lists(st.lists(_PROBABILITIES, max_size=4), max_size=4).map(RandomizedMechanism),
+        st.lists(st.integers(0, 2**70), max_size=5).map(DeterministicMechanism),
+    ))
+    @example(RandomizedMechanism([[0, 1], [1, 0]]))
+    @example(RandomizedMechanism([[Fraction(1), 1, 0, Fraction(0)]]))
+    @example(RandomizedMechanism([[0.1, 1e-300, Fraction(1, 3)], [1, 0.0, 0]]))
+    @example(RandomizedMechanism([[1], [1.0]]))
+    @example(DeterministicMechanism([0, 2, 1]))
+    def test_bytes_equal_json_dumps(self, mech):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mech.json"
+            _write_json(path, mech)
+            text = path.read_text()
+        assert text == json.dumps(mechanism_to_json(mech), indent=2) + "\n"
+
+    def test_each_distinct_probability_formatted_once(self, tmp_path, capsys, monkeypatch):
+        instance = random_instance(seed=2, type_count=40, outcome_count=4, edge_density=0.1)
+        path, mech = tmp_path / "inst.json", tmp_path / "mech.json"
+        dump_instance(instance, path)
+        formatted = []
+        original = mechdesign.cli._probability_to_json
+
+        def counting(p):
+            formatted.append(p)
+            return original(p)
+
+        monkeypatch.setattr(mechdesign.cli, "_probability_to_json", counting)
+        code, out, _ = run(capsys, "solve", str(path), "--algo", "rand", "--out", str(mech))
+        assert code == EXIT_OK, out
+        rows = json.loads(mech.read_text())["rows"]
+        assert len(formatted) == len({json.dumps(p) for row in rows for p in row})
+
+
+@st.composite
+def _hostile_instances(draw):
+    """Instance documents at the edges: one type or one outcome, rows of
+    infinite entries only, denominators above 2**63 in costs and utilities,
+    and claims both ways."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    ladder = draw(st.sets(st.builds(Fraction, st.integers(0, 2**70),
+                                    st.sampled_from([1] + _BIG_DENOMINATORS)),
+                          min_size=m, max_size=m))
+    entry = st.one_of(
+        st.integers(0, 20), st.just("inf"),
+        st.builds("{}/{}".format, st.integers(0, 2**70), st.sampled_from(_BIG_DENOMINATORS)),
+    )
+    costs = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        costs[draw(st.integers(0, n - 1))] = ["inf"] * m
+    index = st.integers(0, n - 1)
+    claims = draw(st.lists(st.tuples(index, index), max_size=2 * n))
+    claims += [(b, a) for a, b in claims if draw(st.booleans())]
+    return {
+        "outcomes": [rational_to_json(u) for u in sorted(ladder)],
+        "relation": [[i, i] for i in range(n)] + [list(pair) for pair in claims],
+        "costs": costs,
+    }
+
+
+def _main_report(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, json.loads(out.getvalue())
+
+
+class TestHostileRoundTrip:
+    """``solve --out`` then ``verify`` through ``main`` on hostile instances:
+    solve exits 0 or 3, and a written mechanism verifies as truthful at the
+    solved cost."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_hostile_instances())
+    @example({"outcomes": [5], "relation": [[0, 0]], "costs": [["7/18446744073709551629"]]})
+    @example({"outcomes": [0, "1/9223372036854775833"],
+              "relation": [[0, 0], [1, 1], [2, 2], [0, 1], [1, 0], [1, 2], [2, 1]],
+              "costs": [[3, "2/18446744073709551629"], [4, 1], [0, 9]]})
+    @example({"outcomes": [1, 2], "relation": [[0, 0], [1, 1], [0, 1], [1, 0]],
+              "costs": [["inf", "inf"], [1, 2]]})
+    def test_solve_then_verify(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            inst, mech = Path(tmp) / "inst.json", Path(tmp) / "mech.json"
+            inst.write_text(json.dumps(doc))
+            for algo in ("det", "rand"):
+                mech.unlink(missing_ok=True)
+                code, solved = _main_report("solve", str(inst), "--algo", algo, "--out", str(mech))
+                assert code in (EXIT_OK, EXIT_INFINITE), (algo, solved)
+                if code == EXIT_INFINITE:
+                    assert solved["cost"] == "inf" and not mech.exists()
+                    continue
+                code, verified = _main_report("verify", str(inst), str(mech))
+                assert code == EXIT_OK and verified["truthful"] is True, (algo, verified)
+                assert Fraction(verified["cost_truthful"]) == Fraction(solved["cost"])
 
 
 BASE_INSTANCE = {

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mechdesign import (
@@ -38,6 +38,7 @@ from mechdesign import (
     validate,
 )
 from mechdesign.instances import (
+    FLOAT_UTILITY_TOL,
     ROW_SUM_TOL,
     cost_from_json,
     cost_ratio_from_json,
@@ -437,6 +438,92 @@ def _outcome(parse, value):
         return "error", type(exc)
 
 
+_LADDER_DENOMINATORS = [1, 3, 2**63 + 25, 2**64 + 13]
+
+
+@st.composite
+def _truthfulness_cases(draw):
+    """An instance on a rational utility ladder, with denominators above
+    2**63 and claims both ways, and a deterministic mechanism or exact
+    lotteries: ints, ``Fraction``s equal to ints, and entries over
+    denominators above 2**63.  Rows repeat, so utilities tie."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    ladder = draw(st.sets(st.builds(Fraction, st.integers(0, 2**70),
+                                    st.sampled_from(_LADDER_DENOMINATORS)),
+                          min_size=m, max_size=m))
+    index = st.integers(0, n - 1)
+    claims = draw(st.lists(st.tuples(index, index), max_size=3 * n))
+    instance = Instance(OutcomeSpace(sorted(ladder)),
+                        ReportingRelation(n, [(i, i) for i in range(n)] + claims),
+                        CostMatrix([[0] * m] * n))
+    if draw(st.booleans()):
+        assignment = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        return instance, DeterministicMechanism(assignment)
+    own = draw(st.integers(2**63 + 1, 2**66))  # one denominator shared by many entries
+    entry = st.one_of(
+        st.integers(0, 3),
+        st.builds(Fraction, st.integers(0, 3)),
+        st.builds(Fraction, st.integers(0, own), st.just(own)),
+        st.builds(Fraction, st.integers(0, 2**64), st.integers(2**63 + 1, 2**65)),
+    )
+    pool = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=1, max_size=n))
+    return instance, RandomizedMechanism(draw(st.sampled_from(pool)) for _ in range(n))
+
+
+def _fraction_utilities(mech, instance):
+    ladder = instance.outcomes.utilities
+    if isinstance(mech, DeterministicMechanism):
+        return [ladder[j] for j in mech.assignment]
+    return [sum((Fraction(p) * u for p, u in zip(row, ladder)), Fraction(0)) for row in mech.rows]
+
+
+class TestIntegerTruthfulness:
+    """Exact truthfulness is decided in integers; the pairs found must be
+    those of comparing ``Fraction`` utilities, in the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_truthfulness_cases())
+    @example((small_instance(), DeterministicMechanism([0, 2])))
+    @example((small_instance(), RandomizedMechanism([[Fraction(1), 0, 0], [1, 0, 0]])))
+    @example((small_instance(),
+              RandomizedMechanism([[0, 1, 0], [Fraction(1, 2), 0, Fraction(1, 2)]])))
+    def test_matches_fraction_reference(self, case):
+        instance, mech = case
+        u = _fraction_utilities(mech, instance)
+        expected = [(a, b) for a, b in instance.relation.claims if u[b] > u[a]]
+        utilities = expected_utilities(mech, instance)
+        assert utilities == u
+        assert truthfulness_violations(mech, instance) == expected
+        assert truthfulness_violations(mech, instance, utilities) == expected
+        assert truthfulness_violations(mech, instance, utilities, True) == expected
+        pairs = [v.as_integer_ratio() for v in utilities]  # as ``verify`` passes them
+        assert truthfulness_violations(mech, instance, pairs, True) == expected
+        assert is_truthful(mech, instance) == (not expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_truthfulness_cases(), st.data())
+    def test_float_rows_keep_the_tolerance(self, case, data):
+        instance, mech = case
+        assume(isinstance(mech, RandomizedMechanism))
+        # some rows as floats, nudged by less or more than FLOAT_UTILITY_TOL
+        nudge = st.sampled_from([0.0, 2.0**-50, 2.0**-35])
+        rows = [
+            [float(p) + (data.draw(nudge) if j == 0 else 0) for j, p in enumerate(row)]
+            if data.draw(st.booleans()) else row
+            for row in mech.rows
+        ]
+        mech = RandomizedMechanism(rows)
+        utilities = expected_utilities(mech, instance)
+        exact = is_exact(utilities)
+        expected = [
+            (a, b) for a, b in instance.relation.claims
+            if exceeds(utilities[b], utilities[a], exact, FLOAT_UTILITY_TOL)
+        ]
+        assert truthfulness_violations(mech, instance) == expected
+        assert truthfulness_violations(mech, instance, utilities) == expected
+        assert truthfulness_violations(mech, instance, utilities, exact) == expected
+
+
 def _ratio_via_cost(value):
     cost = cost_from_json(value)
     return None if not cost.is_finite else cost.value.as_integer_ratio()
@@ -552,6 +639,16 @@ class TestOnePassReader:
     @example([[4, 2, "inf"], ["1/3", "5/6", 0], [7, 7, 7]])
     @example([[4, 2, "inf"], [1, "inf", 0]])
     @example([[2**80, "2/4"]])
+    # Entries that hash alike but read apart, unhashable entries, and the
+    # first of two bad entries in row order, which must name the error.
+    @example([[1, True]])
+    @example([[0, False]])
+    @example([[1.0, 1, "1"]])
+    @example([[[1], 2]])
+    @example([[{}, 1]])
+    @example([[3, "1/0", "-1/2"]])
+    @example([[3, "-1/2", "1/0"]])
+    @example(json.loads("[[NaN, 1]]"))
     def test_costs_match_per_entry_reference(self, rows):
         assert _error_or_value(_costs_read, rows) == _error_or_value(_costs_per_entry, rows)
 
