@@ -206,8 +206,13 @@ def cmd_generate(args, argv) -> int:
             meta["commit_cost"] = rational_to_json(params.commit_cost)
     elif kind in ("random", "overhead"):
         density = args.density if args.density is not None else 0.3
-        if not 0.0 <= density <= 1.0:
-            raise CliError("--density must lie in [0, 1]")
+        for option, rate in (("density", density), ("infinity-rate", args.infinity_rate)):
+            if not 0.0 <= rate <= 1.0:
+                raise CliError(f"--{option} must lie in [0, 1]")
+        for option, value, low in (("types", args.types, 1), ("outcomes", args.outcomes, 1),
+                                   ("max-cost", args.max_cost, 0)):
+            if value < low:
+                raise CliError(f"--{option} must be at least {low}")
         instance = random_instance(
             seed=args.seed,
             type_count=args.types,

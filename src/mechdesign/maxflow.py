@@ -1,4 +1,4 @@
-"""Integer max-flow via Dinic's algorithm, seeded and run one component at a time.
+"""Integer max-flow via Dinic's algorithm, seeded with the caller's paths.
 
 Capacities are Python ints (arbitrary precision), so the computation is
 exact and always terminates: every augmentation moves at least one unit.
@@ -9,19 +9,10 @@ source-to-sink chains its least capacity, a feasible flow to augment from;
 ``seed_paths`` then pushes along each path the caller lists, in order, its
 least residual capacity, so the one-hop paths the caller can name need no
 search.  No seed proves the flow maximum, so Dinic still runs, mostly to
-prove that no augmenting path is left, per weakly connected component of
-the graph without source and sink: a simple augmenting path lies in one
-component and changes residual capacities only there, so saturating each
-in turn (phases that leave the source through its edges only) leaves no
-augmenting path at all.  The caller knows the components (the ``det`` cut
-reads them off the relation) and lists in ``source_groups`` those that can
-still carry flow (a seeded chain that meets no other cannot), or none to
-search every source edge in one pass.  Either way every maximum flow leaves
-the same residual-reachable set, the inclusion-minimal minimum-cut source
-side.  Each component's last level search labels exactly its residual
-reach, which later components leave alone; ``max_flow`` keeps the labels,
-adds one search (no flow) from the source edges in no group, and leaves the
-mask in ``source_side``: a component wrongly left out shows the sink in it.
+prove that no augmenting path is left.  Every maximum flow leaves the same
+residual-reachable set, the inclusion-minimal minimum-cut source side; the
+last level search, which finds no path to the sink, labels exactly that
+set, and ``max_flow`` leaves it in ``source_side``.
 """
 
 from __future__ import annotations
@@ -37,9 +28,6 @@ class FlowGraph:
         self.head: list[list[int]] = [[] for _ in range(node_count)]
         self.to: list[int] = []
         self.cap: list[int] = []
-        # The source's edges grouped by component, as Dinic should search
-        # them; ``None`` searches every source edge as one group.
-        self.source_groups: list[list[int]] | None = None
 
     def add_edge(self, u: int, v: int, capacity: int) -> int:
         """Add a directed edge and its zero-capacity reverse; returns the
@@ -86,11 +74,9 @@ class FlowGraph:
                 total += low
         return total
 
-    def _levels(
-        self, source: int, sink: int, group: list[int], level: list[int]
-    ) -> list[int]:
-        """Label BFS levels from the source through ``group``'s edges without
-        expanding the sink; returns the labelled nodes in visiting order."""
+    def _levels(self, source: int, sink: int, level: list[int]) -> list[int]:
+        """Label BFS levels from the source without expanding the sink;
+        returns the labelled nodes in visiting order."""
         head, to, cap = self.head, self.to, self.cap
         level[source] = 0
         queue = [source]
@@ -98,7 +84,7 @@ class FlowGraph:
             if u == sink:
                 continue
             next_level = level[u] + 1
-            for eid in group if u == source else head[u]:
+            for eid in head[u]:
                 v = to[eid]
                 if cap[eid] > 0 and level[v] < 0:
                     level[v] = next_level
@@ -106,15 +92,9 @@ class FlowGraph:
         return queue
 
     def _blocking_flow(
-        self,
-        source: int,
-        sink: int,
-        group: list[int],
-        level: list[int],
-        iter_index: list[int],
+        self, source: int, sink: int, level: list[int], iter_index: list[int]
     ) -> int:
-        """Iterative DFS sending flow along level-increasing edges, leaving
-        the source through ``group`` only.
+        """Iterative DFS sending flow along level-increasing edges.
 
         Dead-end nodes get their level cleared, so parent iterators skip
         them naturally on the next advance; no recursion, arbitrary depth.
@@ -139,7 +119,7 @@ class FlowGraph:
                         break
                 continue
             advanced = False
-            edges = group if u == source else head[u]
+            edges = head[u]
             i, stop = iter_index[u], len(edges)  # no edge is added in a phase
             next_level = level[u] + 1
             while i < stop:
@@ -164,22 +144,18 @@ class FlowGraph:
     def max_flow(self, source: int, sink: int) -> int:
         """Augment the current flow to a maximum one, left in the residual
         capacities, the source side in ``source_side``; returns the value
-        added.  Dinic runs one source group at a time (module docstring)."""
+        added."""
         level = [-1] * self.node_count
         iter_index = [0] * self.node_count
         total = 0
-        edges, groups = self.head[source], self.source_groups
-        for group in [edges] if groups is None else groups:
-            while True:
-                touched = self._levels(source, sink, group, level)
-                if level[sink] < 0:
-                    break  # the labels stay: the component's residual reach
-                total += self._blocking_flow(source, sink, group, level, iter_index)
-                for v in touched:
-                    level[v] = -1
-                    iter_index[v] = 0
-        if groups is not None and sum(map(len, groups)) != len(edges):
-            self._levels(source, sink, list(set(edges).difference(*groups)), level)
+        while True:
+            touched = self._levels(source, sink, level)
+            if level[sink] < 0:
+                break  # the labels stay: the residual reach
+            total += self._blocking_flow(source, sink, level, iter_index)
+            for v in touched:
+                level[v] = -1
+                iter_index[v] = 0
         self.source_side = [label >= 0 for label in level]
         return total
 

@@ -38,16 +38,19 @@ of an all-infinite row), which leaves the levels below that arc reachable.
 Where every claim ``(a, b)`` leaves ``a`` reaching at least as high as ``b``,
 the imitation arcs out of the reach land inside it and the seed is a maximum
 flow, so lone types and such claim components (``claim_groups``) are settled
-at their row minima.  Only the other components enter the ``FlowGraph``, the
-``k``-th kept type in type ``k``'s place of the layout (``2 + len(kept)*m``
-nodes).  There a claim ``(a, b)`` seeds, for each level ``j`` up to ``b``'s
-reach above the last one at ``a``'s row minimum (whose arc the chain seed
-saturated; every level of an all-infinite row), the path up ``b``'s chain to
-``j``, across the imitation arc and up ``a``'s chain to the sink.  Dinic, per
-component, finishes the longer paths and proves that none is left, which no
-seed can; its last search labels the source side, copied back once per kept
-chain.  Every maximum flow leaves the same residual source side, so neither
-the seeds nor the split changes the cut (``maxflow.py``); the checks of
+at their row minima.  The components share only ``s`` and ``t``, so a
+simple augmenting path stays inside one and the cut splits into theirs: each
+other component gets a ``FlowGraph`` of its own, its ``k``-th type (in search
+order) in type ``k``'s place of the layout (``2 + len(group)*m`` nodes).
+There a claim ``(a, b)`` seeds, for each level ``j`` up to ``b``'s reach above
+the last one at ``a``'s row minimum (whose arc the chain seed saturated;
+every level of an all-infinite row), the path up ``b``'s chain to ``j``,
+across the imitation arc and up ``a``'s chain to the sink.  Dinic finishes
+the longer paths and proves that none is left, which no seed can; its last
+search labels the source side, copied back once per chain, and the
+component's cut value joins the total.  Every maximum flow leaves the same
+residual source side, so the seeds do not change the cut (``maxflow.py``);
+each graph's flow is certified on its own, and the checks of
 ``solve_deterministic`` cover every type.
 """
 
@@ -171,7 +174,7 @@ def build_network(instance: Instance) -> FlowNetwork:
 
 def arc_arrays(count: int, claims: list[tuple[int, int]], m: int) -> tuple[list[int], list[int]]:
     """Tails and heads of the chains of types ``0`` to ``count - 1`` (the
-    whole network's, or ``min_cut``'s kept types renumbered in order), then
+    whole network's, or one ``min_cut`` component's, numbered locally), then
     of the imitation arcs of ``claims`` between them, with level ``j`` of
     type ``i`` at node ``grid_node(i, j, m)``; the chain arcs are filled by
     slice, one arc position at a time."""
@@ -207,47 +210,44 @@ def clamp_capacities(network: FlowNetwork) -> ClampedNetwork:
     return ClampedNetwork(network, Fraction(budget, scale), Fraction(budget + scale, scale), scale)
 
 
-def claim_groups(count: int, claims: list[tuple[int, int]]) -> list[list[int]]:
+def claim_groups(count: int, claims: list[tuple[int, int]]) -> list[tuple[list[int], list]]:
     """The weakly connected components of ``range(count)`` that hold one of
-    the ``claims``, found by a search over the pairs, in O(count + claims)."""
+    the ``claims``, each as its types in search order and its claims in the
+    given order, found by a search over the pairs, in O(count + claims)."""
     neighbours: list[list[int]] = [[] for _ in range(count)]
     for a, b in claims:
         neighbours[a].append(b)
         neighbours[b].append(a)
-    seen = [False] * count
+    owner = [-1] * count
     groups = []
     for start in range(count):
-        if neighbours[start] and not seen[start]:
-            seen[start] = True
+        if neighbours[start] and owner[start] < 0:
+            owner[start] = g = len(groups)
             group = [start]
             for x in group:  # the loop also visits the nodes it appends
                 for y in neighbours[x]:
-                    if not seen[y]:
-                        seen[y] = True
+                    if owner[y] < 0:
+                        owner[y] = g
                         group.append(y)
-            groups.append(group)
+            groups.append((group, []))
+    for pair in claims:
+        groups[owner[pair[0]]][1].append(pair)
     return groups
 
 
 def certified_cut(
     node_count: int, tails: list[int], heads: list[int], capacities: list[int],
-    groups: list[list[int]] | None = None, chains: tuple[int, int] = (0, 0),
-    paths=(),
+    chains: tuple[int, int] = (0, 0), paths=(),
 ) -> tuple[list[bool], int]:
     """Exact minimum ``SOURCE``-``SINK`` cut of integer arc arrays: seed the
     first ``count * length`` arcs, ``chains = (count, length)``, as that many
     source-to-sink paths, then the ``paths`` of edge ids (arc ``k`` is edge
-    ``2k``), augment by Dinic from each component's group of source arcs
-    (a component with none has no augmenting path), or from all of them in
-    one pass without ``groups``, and take the residual-reachable
-    (inclusion-minimal) source side that Dinic's last searches label, and a
-    search from arcs in no group (``FlowGraph.max_flow``), as a node mask
-    with the cut value.  Flow and cut, summed in integers, certify each
+    ``2k``), augment by Dinic, and take the residual-reachable
+    (inclusion-minimal) source side that its last search labels, as a node
+    mask with the cut value.  Flow and cut, summed in integers, certify each
     other."""
     graph = FlowGraph(node_count)
     graph.add_edges(tails, heads, capacities)
-    if groups is not None:
-        graph.source_groups = [[2 * k for k in group] for group in groups]
     flow = graph.seed_chains(*chains) + graph.seed_paths(paths)
     flow += graph.max_flow(SOURCE, SINK)
     # Arc k is edge 2k and carries the reverse edge's residual capacity: it
@@ -281,21 +281,23 @@ def certified_cut(
 
 
 def conflicted_groups(count: int, claims: list, tops: list[int]) -> tuple[list[bool], list]:
-    """Which types the seeded chains settle, and the claim components with a
-    claim ``(a, b)`` they violate, ``tops[a] < tops[b]``; a type that a claim
-    touches but no component holds is not settled."""
-    touched = {i for pair in claims for i in pair}
-    violated = {a for a, b in claims if tops[a] < tops[b]}
-    groups = claim_groups(count, claims)
-    free = {i for group in groups if violated.isdisjoint(group) for i in group}
-    settled = [i not in touched or i in free for i in range(count)]
-    return settled, [group for group in groups if not violated.isdisjoint(group)]
+    """Which types the seeded chains settle, and the claim components (as
+    ``claim_groups`` gives them) with a claim ``(a, b)`` they violate,
+    ``tops[a] < tops[b]``."""
+    settled, conflicted = [True] * count, []
+    for group, pairs in claim_groups(count, claims):
+        if any(tops[a] < tops[b] for a, b in pairs):
+            conflicted.append((group, pairs))
+            for i in group:
+                settled[i] = False
+    return settled, conflicted
 
 
 def min_cut(clamped: ClampedNetwork) -> CutResult:
     """The certified minimum cut of the clamped network: the type chains
-    settle every conflict-free claim component, and Dinic searches the rest,
-    numbered compactly, from their entry arcs after the one-hop seeds."""
+    settle every conflict-free claim component, and Dinic cuts each other
+    one in a flow graph of its own, numbered locally, after the one-hop
+    seeds; the components' cut values add up."""
     network, scale = clamped.network, clamped.scale
     n, m, rows = network.type_count, network.outcome_count, network.costs.scaled
     clamp = int(clamped.clamp_value * scale)
@@ -307,26 +309,26 @@ def min_cut(clamped: ClampedNetwork) -> CutResult:
                 top, low, last = top if c == low else j, c, j
         lows.append(low), tops.append(top), lasts.append(last)
     settled, groups = conflicted_groups(n, network.claims, tops)
-    kept = [i for i in range(n) if not settled[i]]
     reachable, value = [True] + [False] * (network.node_count - 1), 0
-    if kept:
-        index = {i: k for k, i in enumerate(kept)}
-        claims = [(index[a], index[b]) for a, b in network.claims if not settled[a]]
-        paths, imitation = [], 2 * len(kept) * (m + 1)
-        for a, b in claims:
-            if lasts[kept[a]] < tops[kept[b]]:
-                ea, eb = 2 * a * (m + 1), 2 * b * (m + 1)
+    for group, pairs in groups:
+        index = {i: k for k, i in enumerate(group)}
+        claims = [(index[a], index[b]) for a, b in pairs]
+        paths, imitation = [], 2 * len(group) * (m + 1)
+        for (a, b), (ka, kb) in zip(pairs, claims):
+            if lasts[a] < tops[b]:
+                ea, eb = 2 * ka * (m + 1), 2 * kb * (m + 1)
                 paths += [(*range(eb, eb + 2 * j + 1, 2), imitation + 2 * j,
                            *range(ea + 2 * j + 2, ea + 2 * m + 1, 2))
-                          for j in range(lasts[kept[a]] + 1, tops[kept[b]] + 1)]
+                          for j in range(lasts[a] + 1, tops[b] + 1)]
             imitation += 2 * m
-        side, value = certified_cut(
-            2 + len(kept) * m, *arc_arrays(len(kept), claims, m),
-            arc_capacities([rows[i] for i in kept], len(claims), m, clamp),
-            [[index[i] * (m + 1) for i in group] for group in groups], (len(kept), m + 1), paths,
+        side, flow = certified_cut(
+            2 + len(group) * m, *arc_arrays(len(group), claims, m),
+            arc_capacities([rows[i] for i in group], len(claims), m, clamp),
+            (len(group), m + 1), paths,
         )
-        for k, i in enumerate(kept):  # node 2 + k*m + j of the flow graph is grid_node(i, j, m)
+        for k, i in enumerate(group):  # node 2 + k*m + j of the flow graph is grid_node(i, j, m)
             reachable[2 + i * m : 2 + (i + 1) * m] = side[2 + k * m : 2 + (k + 1) * m]
+        value += flow
     for i in compress(range(n), settled):
         bottom = grid_node(i, 0, m)
         reachable[bottom : bottom + tops[i] + 1] = [True] * (tops[i] + 1)
@@ -339,8 +341,8 @@ def minimal_closure(weights: list[int], pairs: list[tuple[int, int]]) -> list[bo
     cut): ``s -> i`` carries ``-w_i`` and ``i -> t`` carries ``w_i``, ints,
     and each pair is an arc ``b -> a`` above the empty set's cut
     ``sum(-w_i for w_i < 0)``, which no minimum cut can cross.  The paths
-    ``s -> b -> a -> t`` of the pairs with ``w_b < 0 < w_a`` seed the flow,
-    and Dinic searches every source arc in one pass."""
+    ``s -> b -> a -> t`` of the pairs with ``w_b < 0 < w_a`` seed the flow
+    that Dinic finishes."""
     tails = [SOURCE if w < 0 else node for node, w in enumerate(weights, 2)]
     heads = [node if w < 0 else SINK for node, w in enumerate(weights, 2)]
     capacities = [abs(w) for w in weights]

@@ -158,6 +158,32 @@ class TestGenerate:
         assert code == EXIT_USAGE
         assert "density" in err
 
+    @pytest.mark.parametrize("kind", ["random", "overhead"])
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--types", "0"), ("--types", "-2"), ("--outcomes", "0"), ("--outcomes", "-1"),
+         ("--infinity-rate", "2"), ("--infinity-rate", "-1"), ("--infinity-rate", "nan"),
+         ("--max-cost", "-5")],
+    )
+    def test_out_of_range_options_rejected(self, tmp_path, capsys, kind, option, value):
+        path = tmp_path / "x.json"
+        code, out, err = run(capsys, "generate", kind, "--out", str(path), option, value)
+        assert code == EXIT_USAGE
+        assert option in err
+        assert out == ""
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind", ["random", "overhead"])
+    def test_smallest_options_accepted(self, tmp_path, capsys, kind):
+        path = tmp_path / "x.json"
+        code, out, _ = run(
+            capsys, "generate", kind, "--out", str(path), "--types", "1", "--outcomes", "1",
+            "--max-cost", "0", "--infinity-rate", "1",
+        )
+        assert code == EXIT_OK
+        assert (json.loads(out)["types"], json.loads(out)["outcomes"]) == (1, 1)
+        assert path.exists()
+
 
 class TestSolve:
     def test_det_solves_and_writes_mechanism(self, tmp_path, capsys, instance_file):

@@ -1,4 +1,4 @@
-"""Dinic max-flow, run one component at a time, against networkx."""
+"""Seeded Dinic max-flow against networkx."""
 
 import random
 
@@ -159,36 +159,9 @@ def test_negative_capacity_rejected():
         graph.add_edge(0, 1, -1)
 
 
-def cluster_groups(arcs, nodes, rng):
-    """The source's edges (forward and reverse) by the weakly connected
-    component, without source and sink, of their other end; the direct
-    source-sink edges form a group of their own.  Returns the groups and,
-    per group, its component's nodes."""
-    parent = list(range(nodes))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, _ in arcs:
-        if SOURCE not in (u, v) and SINK not in (u, v):
-            parent[find(u)] = find(v)
-    groups = {}
-    for k, (u, v, _) in enumerate(arcs):
-        if SOURCE in (u, v) and u != v:
-            other = v if u == SOURCE else u
-            key = "direct" if other == SINK else find(other)
-            groups.setdefault(key, []).append(2 * k if u == SOURCE else 2 * k + 1)
-    keys = list(groups)
-    rng.shuffle(keys)
-    return [groups[key] for key in keys]
-
-
 class TestRecordedSourceSide:
     """``max_flow`` leaves in ``source_side`` the residual search's mask,
-    read off Dinic's last level search in each group."""
+    read off Dinic's last level search."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_ungrouped_equals_the_residual_search(self, seed):
@@ -198,40 +171,3 @@ class TestRecordedSourceSide:
         assert flow == networkx_value(arcs)
         assert graph.source_side == graph.residual_source_side(SOURCE)
         assert not graph.source_side[SINK]
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_grouped_by_component(self, seed):
-        rng = random.Random(1000 + seed)
-        nodes, arcs = random_network(rng, rng.randint(1, 6), seed % 2 == 1)
-        graph = FlowGraph(nodes)
-        for u, v, c in arcs:
-            graph.add_edge(u, v, c)
-        graph.source_groups = cluster_groups(arcs, nodes, rng)
-        assert graph.max_flow(SOURCE, SINK) == networkx_value(arcs)
-        assert graph.source_side == graph.residual_source_side(SOURCE)
-
-    @pytest.mark.parametrize("seed", range(60))
-    def test_edges_in_no_group_are_searched_once(self, seed, monkeypatch):
-        rng = random.Random(2000 + seed)
-        nodes, arcs = random_network(rng, rng.randint(2, 6), False)
-        graph = FlowGraph(nodes)
-        for u, v, c in arcs:
-            graph.add_edge(u, v, c)
-        groups = cluster_groups(arcs, nodes, rng)
-        left_out = rng.randrange(len(groups))
-        graph.source_groups = groups[:left_out] + groups[left_out + 1 :]
-        phases = []
-        original = FlowGraph._blocking_flow
-
-        def counted(graph, source, sink, group, *args):
-            phases.append(group)
-            return original(graph, source, sink, group, *args)
-
-        monkeypatch.setattr(FlowGraph, "_blocking_flow", counted)
-        graph.max_flow(SOURCE, SINK)
-        assert groups[left_out] not in phases  # searched, never augmented
-        expected = graph.residual_source_side(SOURCE)
-        # The residual search also expands the sink; the level search does not.
-        assert graph.source_side[SINK] == expected[SINK]
-        if not expected[SINK]:
-            assert graph.source_side == expected

@@ -536,8 +536,7 @@ def _networkx_minimal_side(node_count, tails, heads, capacities):
 
 def _random_chain_network(rng, count, length):
     """``count`` chains ``s -> ... -> t`` of ``length`` arcs, then random
-    arcs between chain nodes of a few chains; the groups are the chains'
-    entry arcs per weakly connected component that holds an extra arc."""
+    arcs between chain nodes of a few chains."""
     inner = length - 1
     tails, heads, capacities = [], [], []
     for c in range(count):
@@ -545,33 +544,24 @@ def _random_chain_network(rng, count, length):
         tails += nodes[:-1]
         heads += nodes[1:]
         capacities += [rng.choice([0, 1, 3, 8, 2**70 + 1]) for _ in range(length)]
-    links = []
     for _ in range(rng.randint(0, 2 * count)):
         a, b = rng.sample(range(count), 2) if count > 1 else (0, 0)
-        links.append((a, b))
         tails.append(2 + a * inner + rng.randrange(inner))
         heads.append(2 + b * inner + rng.randrange(inner))
         capacities.append(rng.choice([0, 2, 5, 2**66]))
-    groups = claim_groups(count, [(a, b) for a, b in links if a != b])
-    # A link inside one chain joins no chains but may still open a path.
-    loops = {a for a, b in links if a == b} - {c for g in groups for c in g}
-    groups += [[c] for c in sorted(loops)]
-    arcs = [[c * length for c in group] for group in groups]
-    return 2 + count * inner, tails, heads, capacities, arcs
+    return 2 + count * inner, tails, heads, capacities
 
 
 class TestSeededCut:
-    """The seeded, component-split cut against networkx: the same value and
-    the same inclusion-minimal source side."""
+    """The seeded cut against networkx: the same value and the same
+    inclusion-minimal source side."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_random_chain_networks(self, seed):
         rng = random.Random(seed)
         count, length = rng.randint(1, 7), rng.randint(2, 5)
-        nodes, tails, heads, capacities, groups = _random_chain_network(rng, count, length)
-        reachable, value = certified_cut(
-            nodes, tails, heads, capacities, groups, (count, length)
-        )
+        nodes, tails, heads, capacities = _random_chain_network(rng, count, length)
+        reachable, value = certified_cut(nodes, tails, heads, capacities, (count, length))
         assert (value, reachable) == _networkx_minimal_side(nodes, tails, heads, capacities)
 
     def test_hostile_instances(self):
@@ -605,8 +595,11 @@ class TestSeededCut:
             assert minimal_closure(scaled, pairs) == side[2:], f"case {k}"
 
     def test_claim_groups(self):
-        groups = claim_groups(6, [(4, 1), (1, 3), (5, 0)])
-        assert sorted(map(sorted, groups)) == [[0, 5], [1, 3, 4]]
+        # Each component's types in search order, with its claims in order.
+        groups = claim_groups(6, [(1, 3), (4, 1), (5, 0)])
+        assert groups == [([0, 5], [(5, 0)]), ([1, 3, 4], [(1, 3), (4, 1)])]
+        groups = claim_groups(5, [(0, 3), (2, 3), (4, 1)])
+        assert groups == [([0, 3, 2], [(0, 3), (2, 3)]), ([1, 4], [(4, 1)])]
         assert claim_groups(3, []) == []
 
     def test_overfull_seed_is_refused(self, monkeypatch):
@@ -643,7 +636,7 @@ class TestSeededCut:
         # Type 1 may claim type 2 and type 0 type 1.  The seeds leave an
         # augmenting path across two imitation arcs, from type 2's chain
         # through type 1's into type 0's, which only Dinic finds.  Types 3
-        # and 4 form a second component with a claim.
+        # and 4 form a second component with a claim the seed keeps.
         instance = Instance(
             outcomes=OutcomeSpace([1, 2, 3]),
             relation=ReportingRelation(
@@ -653,12 +646,15 @@ class TestSeededCut:
         )
         clamped = clamp_capacities(build_network(instance))
         assert min_cut(clamped).value == 11 + 3
-        original = mincut.claim_groups
-        monkeypatch.setattr(
-            mincut, "claim_groups", lambda count, claims: original(count, claims)[1:]
-        )
-        with pytest.raises(SelfCheckError, match="sink is reachable"):
-            min_cut(clamped)
+        original = mincut.conflicted_groups
+
+        def drop_first(count, claims, tops):
+            settled, groups = original(count, claims, tops)
+            return settled, groups[1:]  # its types stay unsettled
+
+        monkeypatch.setattr(mincut, "conflicted_groups", drop_first)
+        with pytest.raises(SelfCheckError, match="type 0 has no chain node"):
+            solve_deterministic(instance)
 
 
 def _block_instance(rng):
@@ -793,7 +789,7 @@ class TestSettledComponents:
             settled, _ = mincut.conflicted_groups(len(rows), claims, _seed_tops(rows))
             touched = {i for pair in claims for i in pair}
             kinds = {}
-            for group in claim_groups(len(rows), claims):
+            for group, _ in claim_groups(len(rows), claims):
                 kind = "free" if settled[group[0]] else "conflicted"
                 seen[kind] += 1
                 kinds.update(dict.fromkeys(group, kind))
@@ -829,7 +825,7 @@ class TestSettledComponents:
 
         def skip_first(count, claims, tops):
             settled, groups = original(count, claims, tops)
-            for i in groups[0]:
+            for i in groups[0][0]:
                 settled[i] = True
             return settled, groups[1:]
 
@@ -851,25 +847,16 @@ def _recording(monkeypatch):
 
 
 class TestRecordedSourceSide:
-    """``certified_cut`` reads its mask off Dinic's last searches; it must be
-    the residual search's mask and networkx's minimal side, however the
-    source arcs are grouped."""
+    """``certified_cut`` reads its mask off Dinic's last search; it must be
+    the residual search's mask and networkx's minimal side."""
 
-    @pytest.mark.parametrize("grouping", ["none", "all", "linked"])
     @pytest.mark.parametrize("seed", range(40))
-    def test_random_chain_networks(self, monkeypatch, seed, grouping):
+    def test_random_chain_networks(self, monkeypatch, seed):
         rng = random.Random(7000 + seed)
         count, length = rng.randint(1, 7), rng.randint(2, 5)
-        nodes, tails, heads, capacities, groups = _random_chain_network(rng, count, length)
-        if grouping == "none":
-            groups = None
-        elif grouping == "all":  # every seeded chain's entry arc in some group
-            grouped = {k for group in groups for k in group}
-            groups += [[c * length] for c in range(count) if c * length not in grouped]
+        nodes, tails, heads, capacities = _random_chain_network(rng, count, length)
         graphs = _recording(monkeypatch)
-        reachable, value = certified_cut(
-            nodes, tails, heads, capacities, groups, (count, length)
-        )
+        reachable, value = certified_cut(nodes, tails, heads, capacities, (count, length))
         (graph,) = graphs
         assert reachable == graph.residual_source_side(mincut.SOURCE)
         assert (value, reachable) == _networkx_minimal_side(nodes, tails, heads, capacities)
@@ -892,11 +879,11 @@ class TestRecordedSourceSide:
                 seed=seed, type_count=200, outcome_count=5, edge_density=0.0025,
                 infinity_rate=0.05,
             )
-            kept = _kept_types(instance.costs.scaled, instance.relation.claims)
+            components = _conflicted_components(instance.costs.scaled, instance.relation.claims)
             del sizes[:]
             solve_deterministic(instance)  # every certificate still checked
-            assert 0 < len(kept) < 200
-            assert sizes == [2 + len(kept) * 5]
+            assert 0 < sum(map(len, components)) < 200
+            assert sorted(sizes) == sorted(2 + 5 * len(component) for component in components)
 
 
 def _seed_lasts(rows):
@@ -909,19 +896,21 @@ def _seed_lasts(rows):
     return lasts
 
 
-def _kept_types(rows, claims):
-    """The types of the claim components that hold a claim ``(a, b)`` the
-    seeded chains violate, ``tops[a] < tops[b]``, found by networkx."""
+def _conflicted_components(rows, claims):
+    """The claim components, as sets of types, that hold a claim ``(a, b)``
+    the seeded chains violate, ``tops[a] < tops[b]``, found by networkx."""
     tops = _seed_tops(rows)
     violated = {a for a, b in claims if tops[a] < tops[b]}
     components = nx.connected_components(nx.Graph(claims))
-    return sorted(i for component in components if violated & component for i in component)
+    return [component for component in components if violated & component]
 
 
 def _minima_instance(rng):
     """``det_sparse``'s shape, small: rows whose least entry sits first, in
     the middle or last, often tied, some all-infinite; claim-free types and
-    two-way claims."""
+    two-way claims.  About one instance in four also gets dense cyclic
+    blocks of 2 to 8 types drawn in random order, every member claiming
+    every other; returns the instance and those blocks."""
     n, m = rng.randint(1, 60), rng.randint(1, 6)
     infinity_rate = rng.choice([0, 0.1, 0.3])
     rows = []
@@ -943,13 +932,23 @@ def _minima_instance(rng):
     for _ in range(round(0.5 * n)):
         a, b = rng.randrange(n), rng.randrange(n)
         pairs |= {(a, b), (b, a)} if rng.random() < 0.3 else {(a, b)}
+    blocks = []
+    if n > 1 and rng.random() < 0.25:
+        order = rng.sample(range(n), n)
+        while len(order) > 1 and rng.random() < 0.8:
+            size = rng.randint(2, min(8, len(order)))
+            block, order = order[:size], order[size:]
+            pairs |= {(a, b) for a in block for b in block}
+            blocks.append(block)
     costs = CostMatrix([[Cost.infinite() if c is None else c for c in row] for row in rows])
-    return Instance(OutcomeSpace(range(m)), ReportingRelation(n, sorted(pairs)), costs)
+    instance = Instance(OutcomeSpace(range(m)), ReportingRelation(n, sorted(pairs)), costs)
+    return instance, blocks
 
 
 class TestRowMinimaAndWriteBack:
     """The one-pass row minima (least entry, first and last place) and the
-    write-back of the compact flow graph's mask onto the global nodes."""
+    write-back of each component's flow graph mask, on local numbers in
+    search order, onto the global nodes."""
 
     def test_against_networkx(self, monkeypatch):
         paths = []
@@ -961,9 +960,10 @@ class TestRowMinimaAndWriteBack:
 
         monkeypatch.setattr(FlowGraph, "seed_paths", counted)
         seen = {"first": 0, "middle": 0, "last": 0, "tied": 0, "dead": 0,
-                "free types": 0, "two-way": 0, "m1": 0, "kept": 0}
+                "free types": 0, "two-way": 0, "m1": 0, "kept": 0, "cyclic": 0,
+                "two or more conflicted": 0, "out of index order": 0}
         for seed in range(150):
-            inst = _minima_instance(random.Random(seed))
+            inst, blocks = _minima_instance(random.Random(seed))
             clamped = clamp_capacities(build_network(inst))
             network = clamped.network
             value, side = _networkx_minimal_side(
@@ -975,7 +975,8 @@ class TestRowMinimaAndWriteBack:
             # One claim path per level above the claimant's last row minimum
             # up to the claimed type's first.
             rows, claims = inst.costs.scaled, inst.relation.claims
-            kept = set(_kept_types(rows, claims))
+            components = _conflicted_components(rows, claims)
+            kept = set().union(*components)
             tops, lasts = _seed_tops(rows), _seed_lasts(rows)
             expected = sum(max(0, tops[b] - lasts[a]) for a, b in claims if a in kept)
             assert sum(paths) == expected, seed
@@ -991,6 +992,10 @@ class TestRowMinimaAndWriteBack:
             seen["two-way"] += len(set(claims) & {(b, a) for a, b in claims})
             seen["m1"] += m == 1
             seen["kept"] += len(kept)
+            seen["cyclic"] += sum(set(block) <= kept for block in blocks)
+            seen["two or more conflicted"] += len(components) >= 2
+            _, groups = mincut.conflicted_groups(len(rows), claims, tops)
+            seen["out of index order"] += sum(group != sorted(group) for group, _ in groups)
         assert min(seen.values()) > 0, seen
 
 
