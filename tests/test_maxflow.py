@@ -159,6 +159,36 @@ def test_negative_capacity_rejected():
         graph.add_edge(0, 1, -1)
 
 
+def split_by_component(nodes, arcs, rng):
+    """The arcs of each weakly connected component without source and sink,
+    and the direct source-sink arcs as one part more.  Each part is on
+    local numbers: source 0, sink 1, then its component's nodes in a random
+    order.  Returns per part the global node of each local one, and its
+    arcs."""
+    parent = list(range(nodes))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v, _ in arcs:
+        if SOURCE not in (u, v) and SINK not in (u, v):
+            parent[find(u)] = find(v)
+    parts = {}
+    for u, v, c in arcs:
+        inner = [x for x in (u, v) if x > SINK]
+        parts.setdefault(find(inner[0]) if inner else "direct", []).append((u, v, c))
+    split = []
+    for part in parts.values():
+        members = sorted({x for u, v, _ in part for x in (u, v) if x > SINK})
+        rng.shuffle(members)
+        local = {SOURCE: SOURCE, SINK: SINK} | {x: 2 + k for k, x in enumerate(members)}
+        split.append(([SOURCE, SINK, *members], [(local[u], local[v], c) for u, v, c in part]))
+    return split
+
+
 class TestRecordedSourceSide:
     """``max_flow`` leaves in ``source_side`` the residual search's mask,
     read off Dinic's last level search."""
@@ -171,3 +201,21 @@ class TestRecordedSourceSide:
         assert flow == networkx_value(arcs)
         assert graph.source_side == graph.residual_source_side(SOURCE)
         assert not graph.source_side[SINK]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_grouped_by_component(self, seed):
+        """One flow graph per weakly connected component on local numbers, as
+        ``min_cut`` builds them: the flows add up to the whole network's, and
+        the masks written back give its residual search's."""
+        rng = random.Random(1000 + seed)
+        nodes, arcs = random_network(rng, rng.randint(1, 6), seed % 2 == 1)
+        whole, _, flow = solve(nodes, arcs)
+        total, side = 0, [False] * nodes
+        for members, part in split_by_component(nodes, arcs, rng):
+            graph, _, part_flow = solve(len(members), part)
+            assert graph.source_side == graph.residual_source_side(SOURCE)
+            total += part_flow
+            for k, x in enumerate(members):
+                side[x] = side[x] or graph.source_side[k]
+        assert total == flow == networkx_value(arcs)
+        assert side == whole.residual_source_side(SOURCE)

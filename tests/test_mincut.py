@@ -846,19 +846,64 @@ def _recording(monkeypatch):
     return graphs
 
 
+def _chain_parts(rng, count, length, tails, heads, split):
+    """The chains of a ``_random_chain_network`` in the parts that get a
+    flow graph each: the whole network in index order (``none``), or, each
+    in a random order, one per weakly connected component of the links
+    (``all``) or one per component that holds a link and one for the
+    unlinked chains (``linked``)."""
+    if split == "none":
+        return [list(range(count))]
+    inner, owner = length - 1, list(range(count))
+    linked = set()
+    for tail, head in zip(tails[count * length :], heads[count * length :]):
+        a, b = (tail - 2) // inner, (head - 2) // inner
+        linked |= {a, b}
+        old, new = owner[a], owner[b]
+        owner = [new if o == old else o for o in owner]
+    if split == "linked":
+        owner = [o if c in linked else -1 for c, o in enumerate(owner)]
+    parts = {}
+    for c, o in enumerate(owner):
+        parts.setdefault(o, []).append(c)
+    return [rng.sample(part, len(part)) for part in parts.values()]
+
+
 class TestRecordedSourceSide:
     """``certified_cut`` reads its mask off Dinic's last search; it must be
-    the residual search's mask and networkx's minimal side."""
+    the residual search's mask and networkx's minimal side, however the
+    chains are split into flow graphs of their own."""
 
+    @pytest.mark.parametrize("split", ["none", "all", "linked"])
     @pytest.mark.parametrize("seed", range(40))
-    def test_random_chain_networks(self, monkeypatch, seed):
+    def test_random_chain_networks(self, monkeypatch, seed, split):
         rng = random.Random(7000 + seed)
         count, length = rng.randint(1, 7), rng.randint(2, 5)
         nodes, tails, heads, capacities = _random_chain_network(rng, count, length)
+        inner, links = length - 1, range(count * length, len(tails))
         graphs = _recording(monkeypatch)
-        reachable, value = certified_cut(nodes, tails, heads, capacities, (count, length))
-        (graph,) = graphs
-        assert reachable == graph.residual_source_side(mincut.SOURCE)
+        reachable, value = [True] + [False] * (nodes - 1), 0
+        for part in _chain_parts(rng, count, length, tails, heads, split):
+            # Chain c's nodes and arcs are the part's k-th on local numbers.
+            local = {0: 0, 1: 1}
+            for k, c in enumerate(part):
+                local |= {2 + c * inner + r: 2 + k * inner + r for r in range(inner)}
+            arcs = [a for c in part for a in range(c * length, (c + 1) * length)]
+            arcs += [a for a in links if tails[a] in local]
+            side, flow = certified_cut(
+                2 + len(part) * inner, [local[tails[a]] for a in arcs],
+                [local[heads[a]] for a in arcs], [capacities[a] for a in arcs],
+                (len(part), length),
+            )
+            for k, c in enumerate(part):
+                chain = side[2 + k * inner : 2 + (k + 1) * inner]
+                reachable[2 + c * inner : 2 + (c + 1) * inner] = chain
+            value += flow
+        for graph in graphs:
+            assert graph.source_side == graph.residual_source_side(mincut.SOURCE)
+        if split == "none":
+            (graph,) = graphs
+            assert reachable == graph.residual_source_side(mincut.SOURCE)
         assert (value, reachable) == _networkx_minimal_side(nodes, tails, heads, capacities)
 
     def test_min_cut_sizes_the_graph_by_the_kept_types(self, monkeypatch):
