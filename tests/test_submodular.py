@@ -464,6 +464,28 @@ class TestDeterminizeBinary:
         with pytest.raises(ValueError):
             determinize_binary(dist, ReportingRelation.identity(2), oracle)
 
+    @pytest.mark.parametrize(
+        "items",
+        [
+            # Type 0's marginal sums to 0.6000000000000001, type 1's to 0.6.
+            [((1, 0), 0.1), ((0, 1), 0.3), ((1, 1), 0.2), ((1, 0), 0.3), ((0, 1), 0.1)],
+            # A solver-sized excess of 4e-10, still inside the snap.
+            [((1, 0), 0.1 + 4e-10), ((0, 1), 0.1), ((1, 1), 0.5), ((0, 0), 0.3 - 4e-10)],
+        ],
+        ids=["summation-order", "solver-round-off"],
+    )
+    @pytest.mark.parametrize("table", [[4, 9, 9, 2], [1, 9, 9, 5], [3, 9, 9, 3]])
+    def test_float_snap_matches_exact_twin(self, items, table):
+        # Type 1 may claim type 0, so it must sit at least as high; its float
+        # marginal falls short of type 0's by less than the snap tolerance.
+        rel = ReportingRelation(2, [(0, 0), (1, 1), (1, 0)])
+        oracle = table_oracle(table, 2, 2)
+        marginals = [sum(p for pt, p in items if pt[i]) for i in range(2)]
+        assert 0 < marginals[0] - marginals[1] <= submodular.BREAKPOINT_CLUSTER_TOL
+        twin = [(pt, Fraction(p).limit_denominator(10)) for pt, p in items]
+        assert sum(p for pt, p in twin if pt[0]) == sum(p for pt, p in twin if pt[1])
+        assert determinize_binary(items, rel, oracle) == determinize_binary(twin, rel, oracle)
+
     def test_rejects_untruthful_marginals(self):
         rows = [[Fraction(3, 4), Fraction(1, 4)], [Fraction(1, 4), Fraction(3, 4)]]
         dist = interpret_marginals(rows)
