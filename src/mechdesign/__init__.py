@@ -6,8 +6,8 @@ type-dependent cost.  This package computes cost-optimal truthful mechanisms:
 
 * deterministic, via an exact min-cut over per-type outcome chains;
 * randomized, via per-type lower convex envelopes plus the same cut;
-* both, for combinatorial (value-query) submodular costs, via a lattice
-  scan and an exact double oracle over the two cuts;
+* both, for combinatorial (value-query) submodular costs, via an exact
+  double oracle over the two cuts;
 
 together with instance generators (including two MinSAT hardness
 reductions), brute-force oracles, and a command-line front end.

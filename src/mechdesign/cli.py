@@ -213,13 +213,15 @@ def cmd_generate(args, argv) -> int:
                                    ("max-cost", args.max_cost, 0)):
             if value < low:
                 raise CliError(f"--{option} must be at least {low}")
+        if kind == "overhead" and args.infinity_rate:
+            raise CliError("--infinity-rate must be 0 for overhead: its oracle needs finite costs")
         instance = random_instance(
             seed=args.seed,
             type_count=args.types,
             outcome_count=args.outcomes,
             edge_density=density,
             max_cost=args.max_cost,
-            infinity_rate=0.0 if kind == "overhead" else args.infinity_rate,
+            infinity_rate=args.infinity_rate,
             close_relation=args.close,
         )
         meta["seed"] = args.seed
@@ -531,7 +533,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--outcomes", type=int, default=3)
     gen.add_argument("--density", type=float)
     gen.add_argument("--max-cost", type=int, default=20)
-    gen.add_argument("--infinity-rate", type=float, default=0.0)
+    gen.add_argument("--infinity-rate", type=float, default=0.0,
+                     help="share of infinite cost entries (random only)")
     gen.add_argument("--close", action="store_true", help="emit the closed relation")
     gen.add_argument("--overhead", default="1", help="activation cost c0")
 

@@ -16,9 +16,9 @@ truthfulness check compares is one integer sum.
 
 Also here: the two operations behind the "convex costs need no randomness"
 argument — consolidating any truthful lottery profile onto two consecutive
-outcomes per type without raising cost, and decomposing such a profile into
-a threshold family of truthful deterministic mechanisms whose expected cost
-matches exactly.
+outcomes per type without raising cost (each row's bracketing lottery), and
+decomposing such a profile by its quantile coupling into truthful
+deterministic mechanisms whose expected cost matches exactly.
 """
 
 from __future__ import annotations
@@ -315,39 +315,31 @@ def solve_randomized(instance: Instance) -> RandomizedSolution:
 def consolidate_two_consecutive(
     mech: RandomizedMechanism, instance: Instance
 ) -> RandomizedMechanism:
-    """Squeeze every row's support onto two consecutive outcomes.
+    """Move every row onto two consecutive outcomes.
 
-    Requires convex costs.  Repeatedly replaces mass at the support edges by
-    mass just above the bottom edge, preserving the row's expected utility
-    exactly; with convex rows this never raises the expected cost.  Each
-    step strictly shrinks the support spread, so at most ``m`` steps per row
-    are needed.
+    Requires convex costs.  Each row becomes the unique lottery with the
+    row's mass and expected utility on the two consecutive outcomes that
+    bracket that utility (one outcome when it hits one exactly); with convex
+    rows this never raises the expected cost.
     """
     overall, _ = is_convex_cost(instance)
     if not overall:
         raise ValueError("consolidation requires convex cost rows")
     utilities = instance.outcomes.utilities
     before_cost = cost_randomized(mech, instance)
-    rows = [[Fraction(p) for p in row] for row in mech.rows]  # exact for floats too
-
-    for i, row in enumerate(rows):
-        while True:
-            support = [j for j, p in enumerate(row) if p > 0]
-            if not support or support[-1] - support[0] <= 1:
-                break
-            j1, j2 = support[0], support[-1]
-            j3 = j1 + 1
-            o1, o2, o3 = utilities[j1], utilities[j2], utilities[j3]
-            alpha = (o2 - o3) / (o2 - o1)  # o3 == alpha*o1 + (1-alpha)*o2
-            p1, p2 = row[j1], row[j2]
-            if p1 / alpha <= p2 / (1 - alpha):
-                row[j1] = Fraction(0)
-                row[j2] = p2 - (1 - alpha) * p1 / alpha
-                row[j3] += p1 / alpha
-            else:
-                row[j2] = Fraction(0)
-                row[j1] = p1 - alpha * p2 / (1 - alpha)
-                row[j3] += p2 / (1 - alpha)
+    rows = []
+    for row in mech.rows:
+        row = [Fraction(p) for p in row]  # exact for floats too
+        mass = sum(row)
+        packed = [Fraction(0)] * len(row)
+        if mass:
+            mean = sum(p * u for p, u in zip(row, utilities)) / mass
+            j = bisect_right(utilities, mean) - 1
+            packed[j] = mass
+            if utilities[j] < mean:
+                upper = mass * (mean - utilities[j]) / (utilities[j + 1] - utilities[j])
+                packed[j], packed[j + 1] = mass - upper, upper
+        rows.append(packed)
 
     result = RandomizedMechanism(rows)
     for i in range(instance.type_count):
@@ -365,47 +357,30 @@ def threshold_round(mech: RandomizedMechanism, instance: Instance) -> list[tuple
     """Decompose a two-consecutive-outcome lottery profile into weighted
     truthful deterministic mechanisms.
 
-    With each type's upper-outcome mass as its threshold, a shared uniform
-    draw rounds every type up or down simultaneously; the distinct outcomes
-    of that draw form the returned ``[(mechanism, weight), ...]``.  The
+    A shared uniform draw rounds every type up or down at once: the
+    profile's quantile coupling (``interpret_marginals``), whose points,
+    highest first, are returned as ``[(mechanism, mass), ...]``.  The
     weighted cost reproduces the lottery profile's expected cost exactly,
     and every member is truthful.
     """
+    from .submodular import interpret_marginals
+
     if not is_truthful(mech, instance):
         raise ValueError("threshold rounding expects a truthful lottery profile")
-    m = instance.outcome_count
     rows = [[Fraction(p) for p in row] for row in mech.rows]  # exact for floats too
-    bottoms = []
-    upper_mass = []
     for i, row in enumerate(rows):
         support = [j for j, p in enumerate(row) if p > 0]
         if not support:
             raise ValueError(f"row {i} has no mass")
         if support[-1] - support[0] > 1:
             raise ValueError(f"row {i} is supported on non-consecutive outcomes {support}")
-        bottoms.append(support[0])
-        alpha = row[support[0] + 1] if support[0] + 1 < m else Fraction(0)
-        upper_mass.append(alpha)
 
-    thresholds = sorted({a for a in upper_mass if a > 0} | {Fraction(1)})
-    members = []
-    previous = Fraction(0)
-    for cutoff in thresholds:
-        assignment = [
-            bottoms[i] + 1 if upper_mass[i] >= cutoff else bottoms[i]
-            for i in range(instance.type_count)
-        ]
-        member = DeterministicMechanism(assignment)
-        if not is_truthful(member, instance):
-            raise SelfCheckError("threshold rounding produced an untruthful member")
-        members.append((member, cutoff - previous))
-        previous = cutoff
-
-    total_weight = sum(weight for _, weight in members)
-    if total_weight != 1:
-        raise SelfCheckError(f"rounding weights sum to {total_weight}, not 1")
+    members = [(DeterministicMechanism(point), p)
+               for point, p in reversed(interpret_marginals(rows).items())]
     expected: Cost = ZERO_COST
     for member, weight in members:
+        if not is_truthful(member, instance):
+            raise SelfCheckError("threshold rounding produced an untruthful member")
         expected = expected + cost_deterministic(member, instance).scaled(weight)
     if expected != cost_randomized(mech, instance):
         raise SelfCheckError("threshold rounding does not reproduce the lottery profile's cost")

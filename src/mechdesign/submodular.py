@@ -54,7 +54,6 @@ from .instances import (
     SelfCheckError,
     _check_indices,
     _probability_to_json,
-    cost_deterministic,
     cost_from_json,
     differs,
     exceeds,
@@ -105,12 +104,21 @@ class CostOracle:
         return value if isinstance(value, Cost) else Cost(value)
 
 
+def _matrix_cost(instance: Instance) -> Callable:
+    """``cost_deterministic`` at an outcome vector, summed straight off the
+    cost matrix's integer rows."""
+    scaled, scale = instance.costs.scaled, instance.costs.scale
+
+    def cost(point: Sequence[int]) -> Cost:
+        entries = [row[x] for row, x in zip(scaled, point, strict=True)]
+        return Cost.infinite() if None in entries else Cost(Fraction(sum(entries), scale))
+
+    return cost
+
+
 def additive_oracle(instance: Instance) -> CostOracle:
     """Sum of per-type entries; the bridge between matrix and query worlds."""
-    return CostOracle(
-        lambda point: cost_deterministic(DeterministicMechanism(point), instance),
-        instance.type_count, instance.outcome_count,
-    )
+    return CostOracle(_matrix_cost(instance), instance.type_count, instance.outcome_count)
 
 
 def overhead_cost_oracle(instance: Instance, activation_cost) -> CostOracle:
@@ -118,11 +126,12 @@ def overhead_cost_oracle(instance: Instance, activation_cost) -> CostOracle:
     outcome — a minimal submodular-but-not-additive example."""
     c0 = Cost(activation_cost)
     n, m = instance.type_count, instance.outcome_count
-    if not all(c.is_finite for row in instance.costs.rows for c in row):
+    if any(None in row for row in instance.costs.scaled):
         raise ValueError("overhead oracle needs finite cost entries")
+    matrix_cost = _matrix_cost(instance)
 
     def evaluate(point: Sequence[int]) -> Cost:
-        total = cost_deterministic(DeterministicMechanism(point), instance)
+        total = matrix_cost(point)
         return total + c0 if any(point) else total
 
     return CostOracle(evaluate, n, m)
@@ -541,12 +550,14 @@ def uncross(dist, oracle: CostOracle | None = None, max_steps: int = 100_000) ->
 def determinize_binary(
     dist, relation: ReportingRelation, oracle: CostOracle
 ) -> tuple[DeterministicMechanism, Cost]:
-    """For two outcomes: threshold the marginals of a truthful distribution.
+    """For two outcomes: round a truthful distribution by its marginals.
 
-    Every threshold level yields a truthful deterministic mechanism; under a
-    shared uniform draw their expected cost reproduces the distribution's
-    cost exactly, so the cheapest one costs no more.  Returns that cheapest
-    mechanism with its exact cost.
+    The marginals' quantile coupling (``interpret_marginals``) rounds every
+    type at once with one shared uniform draw; its points are truthful
+    deterministic mechanisms whose expected cost is the coupled cost, so the
+    cheapest one costs no more.  Returns that cheapest mechanism, the first
+    from the top on ties, with its exact cost; the all-top vector is always
+    a candidate, even when a marginal of 0 leaves it without mass.
     """
     if oracle.outcome_count != 2:
         raise ValueError("binary determinization needs exactly two outcomes")
@@ -576,34 +587,16 @@ def determinize_binary(
             if marginals[cur] - marginals[prev] <= BREAKPOINT_CLUSTER_TOL:
                 marginals[cur] = marginals[prev]
 
-    one = Fraction(1) if exact else 1.0
-    levels = sorted(set(marginals) | {one})
-    best_mech = None
-    best_cost = None
-    expected = Cost(0)
-    previous = Fraction(0) if exact else 0.0
-    for level in levels:
-        point = tuple(1 if marginals[i] >= level else 0 for i in range(n))
+    points = interpret_marginals([[1 - u, u] for u in marginals]).support[::-1]
+    if points[0] != (1,) * n:
+        points = ((1,) * n, *points)
+    best_mech = best_cost = None
+    for point in points:
         if not in_truthful_lattice(point, relation):
-            raise SelfCheckError("threshold mechanism left the truthful lattice")
+            raise SelfCheckError("a coupled point left the truthful lattice")
         cost = oracle(point)
-        weight = level - previous
-        previous = level
-        if weight:
-            expected = expected + cost.scaled(Fraction(weight))
         if best_cost is None or cost < best_cost:
             best_cost, best_mech = cost, DeterministicMechanism(point)
-
-    # The threshold family shares one uniform draw, so its expected cost is
-    # exactly the cost of the quantile coupling of the marginals (the input
-    # itself whenever the input is already a chain).
-    reference = chain_cost(
-        interpret_marginals([[1 - u, u] for u in marginals]), oracle
-    )
-    if differs(expected, reference, exact, FLOAT_CHECK_TOL):
-        raise SelfCheckError(
-            "threshold family cost does not reproduce the coupled cost"
-        )
     return best_mech, best_cost
 
 

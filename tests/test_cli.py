@@ -126,6 +126,39 @@ class TestGenerate:
             assert report["types"] == 3 * 2 + 2
             assert report["outcomes"] == outcomes
 
+    @pytest.mark.parametrize(
+        "costs, message",
+        [
+            (["--block-cost", "9"], "come together"),
+            (["--commit-cost", "3"], "come together"),
+            (["--block-cost", "9", "--commit-cost", "2"], "commit_cost 2 must exceed"),
+            (["--block-cost", "8", "--commit-cost", "3"], "block_cost 8 must exceed"),
+        ],
+    )
+    def test_minsat2_refuses_partial_or_unsound_costs(self, tmp_path, capsys, costs, message):
+        # Two variables and two clauses: sound costs need commit > 2 and
+        # block > 2 * commit + 2.
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 2 2\n1 -2 0\n2 0\n")
+        path = tmp_path / "x.json"
+        code, out, err = run(
+            capsys, "generate", "minsat2", "--cnf", str(cnf), "--out", str(path), *costs
+        )
+        assert code == EXIT_USAGE
+        assert message in err
+        assert out == ""
+        assert not path.exists()
+
+    def test_minsat2_writes_sound_costs_to_meta(self, tmp_path, capsys):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 2 2\n1 -2 0\n2 0\n")
+        path = tmp_path / "x.json"
+        code, _, _ = run(capsys, "generate", "minsat2", "--cnf", str(cnf), "--out", str(path),
+                         "--block-cost", "17/2", "--commit-cost", "5/2")
+        assert code == EXIT_OK
+        meta = json.loads(path.read_text())["meta"]
+        assert (meta["block_cost"], meta["commit_cost"]) == ("17/2", "5/2")
+
     def test_overhead_carries_oracle_meta(self, tmp_path, capsys):
         path = tmp_path / "over.json"
         code, _, _ = run(
@@ -175,14 +208,33 @@ class TestGenerate:
 
     @pytest.mark.parametrize("kind", ["random", "overhead"])
     def test_smallest_options_accepted(self, tmp_path, capsys, kind):
+        # The overhead oracle needs finite costs, so only random takes a rate.
         path = tmp_path / "x.json"
+        rate = ["--infinity-rate", "1"] if kind == "random" else []
         code, out, _ = run(
             capsys, "generate", kind, "--out", str(path), "--types", "1", "--outcomes", "1",
-            "--max-cost", "0", "--infinity-rate", "1",
+            "--max-cost", "0", *rate,
         )
         assert code == EXIT_OK
         assert (json.loads(out)["types"], json.loads(out)["outcomes"]) == (1, 1)
         assert path.exists()
+
+    @pytest.mark.parametrize("rate", ["1", "0.5", "1e-12"])
+    def test_overhead_refuses_infinity_rate(self, tmp_path, capsys, rate):
+        path = tmp_path / "x.json"
+        code, out, err = run(capsys, "generate", "overhead", "--out", str(path),
+                             "--types", "1", "--outcomes", "1", "--infinity-rate", rate)
+        assert code == EXIT_USAGE
+        assert "--infinity-rate" in err
+        assert out == ""
+        assert not path.exists()
+
+    def test_overhead_zero_infinity_rate_is_the_default(self, tmp_path, capsys):
+        paths = [tmp_path / "default.json", tmp_path / "zero.json"]
+        assert run(capsys, "generate", "overhead", "--out", str(paths[0]))[0] == EXIT_OK
+        assert run(capsys, "generate", "overhead", "--out", str(paths[1]),
+                   "--infinity-rate", "0")[0] == EXIT_OK
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestSolve:
@@ -334,6 +386,25 @@ class TestSolve:
             reports[backend] = last_json(out)
         assert reports["lovasz"]["cost"] == reports["brute"]["cost"]
         assert reports["lovasz"]["checks"]["gap"] == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sub_det_out_verifies(self, tmp_path, capsys, seed):
+        # verify costs the matrix; the oracle's cost adds c0 off the bottom.
+        path, mech = tmp_path / "over.json", tmp_path / "mech.json"
+        code, _, _ = run(capsys, "generate", "overhead", "--out", str(path), "--overhead", "5/2",
+                         "--types", "5", "--outcomes", "3", "--seed", str(seed))
+        assert code == EXIT_OK
+        code, out, _ = run(capsys, "solve", str(path), "--algo", "sub-det", "--out", str(mech))
+        assert code == EXIT_OK
+        solved = Fraction(last_json(out)["cost"])
+        written = json.loads(mech.read_text())
+        assert written["kind"] == "deterministic"
+        code, out, _ = run(capsys, "verify", str(path), str(mech))
+        assert code == EXIT_OK
+        report = last_json(out)
+        assert report["truthful"] is True
+        c0 = Fraction(5, 2) if any(written["assignment"]) else 0
+        assert Fraction(report["cost_truthful"]) + c0 == solved
 
     def test_sub_rand_chain_output(self, tmp_path, capsys, instance_file):
         chain_path = tmp_path / "chain.json"
@@ -778,6 +849,22 @@ class TestHostileJson:
             code, _, err = run(capsys, *argv)
             assert code == EXIT_USAGE, argv
             assert "cannot read instance" in err
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"outcomes": [], "relation": [], "costs": []}, "outcome ladder is empty; no types"),
+            ({"outcomes": [-1, 2, 3]}, "outcome 0 has negative utility -1"),
+            ({"relation": [[0, 0], [1, 1], [2, 2], [0, 5]]}, "relation pair (0, 5) out of range"),
+            ({"costs": [[4, 2, 7], [1, 5], [2, "inf", 6]]}, "cost row 1 has 2 entries, expected 3"),
+        ],
+    )
+    def test_invalid_instance_exits_2(self, tmp_path, capsys, changes, message):
+        inst = write_json(tmp_path / "inst.json", {**BASE_INSTANCE, **changes})
+        code, out, err = run(capsys, "solve", inst, "--algo", "det")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: invalid instance {inst}: {message}\n"
 
     @pytest.mark.parametrize(
         "mechanism",

@@ -14,6 +14,7 @@ from mechdesign import (
     ChainDistribution,
     Cost,
     CostMatrix,
+    DeterministicMechanism,
     Instance,
     OutcomeSpace,
     ReportingRelation,
@@ -21,6 +22,7 @@ from mechdesign import (
     additive_oracle,
     brute_force_deterministic_opt,
     chain_cost,
+    cost_deterministic,
     gap_instance,
     in_truthful_lattice,
     interpret_marginals,
@@ -116,6 +118,27 @@ class TestOracles:
         )
         oracle = additive_oracle(inst)
         assert oracle((1, 0)) == Cost(6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matrix_oracles_match_cost_deterministic(self, seed):
+        rng = random.Random(seed)
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        entries = [[Fraction(rng.randint(0, 20), rng.randint(1, 6)) for _ in range(m)]
+                   for _ in range(n)]
+        gappy = [[float("inf") if rng.random() < 0.2 else c for c in row] for row in entries]
+        for rows in (entries, gappy):
+            inst = Instance(OutcomeSpace(range(m)), ReportingRelation.identity(n),
+                            CostMatrix(rows))
+            oracles = [(additive_oracle(inst), 0)]
+            if rows is entries:
+                oracles.append((overhead_cost_oracle(inst, Fraction(5, 3)), Fraction(5, 3)))
+            for oracle, c0 in oracles:
+                for point in lattice_points(n, m):
+                    expect = cost_deterministic(DeterministicMechanism(point), inst)
+                    assert oracle(point) == (expect + c0 if any(point) else expect)
+                for point in ((0,) * (n - 1), (0,) * (n + 1)):
+                    with pytest.raises(ValueError):
+                        oracle(point)
 
     def test_oracle_json_round_trips(self):
         inst = random_instance(
