@@ -327,9 +327,9 @@ def consolidate_two_consecutive(
         raise ValueError("consolidation requires convex cost rows")
     utilities = instance.outcomes.utilities
     before_cost = cost_randomized(mech, instance)
+    exact = RandomizedMechanism([Fraction(p) for p in row] for row in mech.rows)  # floats too
     rows = []
-    for row in mech.rows:
-        row = [Fraction(p) for p in row]  # exact for floats too
+    for row in exact.rows:
         mass = sum(row)
         packed = [Fraction(0)] * len(row)
         if mass:
@@ -344,7 +344,7 @@ def consolidate_two_consecutive(
     result = RandomizedMechanism(rows)
     for i in range(instance.type_count):
         if expected_utility(result, instance.outcomes, i) != expected_utility(
-            mech, instance.outcomes, i
+            exact, instance.outcomes, i
         ):
             raise SelfCheckError(f"consolidation changed type {i}'s expected utility")
     after_cost = cost_randomized(result, instance)

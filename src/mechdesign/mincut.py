@@ -39,25 +39,48 @@ Where every claim ``(a, b)`` leaves ``a`` reaching at least as high as ``b``,
 the imitation arcs out of the reach land inside it and the seed is a maximum
 flow, so lone types and such claim components (``claim_groups``) are settled
 at their row minima.  The components share only ``s`` and ``t``, so a
-simple augmenting path stays inside one and the cut splits into theirs: each
-other component gets a ``FlowGraph`` of its own, its ``k``-th type (in search
-order) in type ``k``'s place of the layout (``2 + len(group)*m`` nodes).
-There a claim ``(a, b)`` seeds, for each level ``j`` up to ``b``'s reach above
-the last one at ``a``'s row minimum (whose arc the chain seed saturated;
-every level of an all-infinite row), the path up ``b``'s chain to ``j``,
-across the imitation arc and up ``a``'s chain to the sink.  Dinic finishes
-the longer paths and proves that none is left, which no seed can; its last
-search labels the source side, copied back once per chain, and the
+simple augmenting path stays inside one and the cut splits into theirs.  A
+tree (below) is cut by messages; every other component, one with a cycle or
+a two-way claim or a tree at the clamp, gets a ``FlowGraph`` of its own, its
+``k``-th type (in search order) in type ``k``'s place of the layout (``2 +
+len(group)*m`` nodes).  There a claim ``(a, b)`` seeds, for each level ``j`` up to ``b``'s
+reach above the last one at ``a``'s row minimum (whose arc the chain seed
+saturated; every level of an all-infinite row), the path up ``b``'s chain to
+``j``, across the imitation arc and up ``a``'s chain to the sink.  Dinic
+finishes the longer paths and proves that none is left, which no seed can;
+its last search labels the source side, copied back once per chain, and the
 component's cut value joins the total.  Every maximum flow leaves the same
 residual source side, so the seeds do not change the cut (``maxflow.py``);
 each graph's flow is certified on its own, and the checks of
 ``solve_deterministic`` cover every type.
+
+Trees.  A component with one claim fewer than types is a tree (no cycle or
+two-way claim), cut by min-plus messages (Hochbaum 2001) over costs ``c``
+that read infinite as the clamp.  In reverse search order each type sends
+its parent, the neighbour found before it, its row's minima ``M`` up to each
+level (the parent claims it) or from it: entry value ``C = M[0]`` and the
+non-decreasing profile ``G = M[0] - M`` or ``M - M[0]``; the parent's row
+gains ``M - M[0]``.  The root takes its first least level, each child the
+first on its side of its parent's ``x_p`` where its row meets ``M[x_p]``:
+the pointwise-lowest optimum ``x``.  The check reads only ``c``, ``G``,
+``C`` and ``x``: ``r_i = c_i - C_i - sum(G of claims by i) + sum(G of claims
+on i) >= 0 = r_i(x_i)``, and ``G(x_a) = G(x_b)`` with ``x_a >= x_b`` per
+claim; then a truthful ``x'`` costs ``sum C + sum r_i(x'_i) + sum (G(x'_a) -
+G(x'_b)) >= sum C``, what ``x`` costs.  That is the LP dual of the cut in
+Ishikawa's network with unbounded reverse chain arcs (its chain flows ``c -
+r`` can be negative: trees only), which has our minimum cut: below the
+clamp a cut crosses no clamped arc, and cutting each chain at its lowest
+crossed arc instead still crosses none (an imitation arc crossed then was
+crossed before), costs no more and reads a truthful ``x'``.  So ``sum C``
+below the clamp is the tree's cut value and ``x`` its inclusion-minimal
+source side; a tree at the clamp goes to Dinic, which keeps infinite
+verdicts and their cuts as they were.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import compress
+from itertools import accumulate, compress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -293,11 +316,58 @@ def conflicted_groups(count: int, claims: list, tops: list[int]) -> tuple[list[b
     return settled, conflicted
 
 
+def tree_messages(costs: list[list[int]], claims: list, clamp: int):
+    """The levels, each claim's profile and each type's entry value of a tree
+    component (module docstring, Trees), from its types' clamped cost rows in
+    search order and its claims on those numbers; ``None`` at ``clamp``."""
+    n = len(costs)
+    rows, edge, minima, entries = list(costs), [0] * n, [None] * n, [0] * n
+    for e, (a, b) in enumerate(claims):
+        edge[max(a, b)] = e  # the claim between a type and its parent
+    profiles = [None] * len(claims)
+    for k in range(n - 1, 0, -1):
+        a, b = claims[edge[k]]
+        down = a < b  # the parent claims k, which stays at or below it
+        low = list(accumulate(rows[k], min)) if down else list(accumulate(rows[k][::-1], min))[::-1]
+        minima[k], entries[k], parent = low, low[0], min(a, b)
+        profiles[edge[k]] = [low[0] - x if down else x - low[0] for x in low]
+        rows[parent] = [f + x - low[0] for f, x in zip(rows[parent], low)]
+    entries[0] = min(rows[0])
+    if sum(entries) >= clamp:
+        return None
+    levels = [rows[0].index(entries[0])] * n
+    for k in range(1, n):
+        a, b = claims[edge[k]]
+        x = levels[min(a, b)]
+        levels[k] = rows[k].index(minima[k][x], 0 if a < b else x)
+    return levels, profiles, entries
+
+
+def check_tree_certificate(costs: list[list[int]], claims: list, levels, profiles, entries) -> int:
+    """Prove a tree's levels a minimum from its clamped costs, profiles and
+    entry values alone (module docstring, Trees); returns the cut value."""
+    residuals = [[c - low for c in row] for row, low in zip(costs, entries)]
+    for (a, b), profile in zip(claims, profiles):
+        if any(map(operator.gt, profile, profile[1:])):
+            raise SelfCheckError(f"claim ({a}, {b})'s profile decreases")
+        if levels[a] < levels[b] or profile[levels[a]] != profile[levels[b]]:
+            raise SelfCheckError(f"claim ({a}, {b}) is not tight at levels {levels[a]}, {levels[b]}")
+        residuals[a] = list(map(operator.sub, residuals[a], profile))
+        residuals[b] = list(map(operator.add, residuals[b], profile))
+    for k, (residual, x) in enumerate(zip(residuals, levels)):
+        if min(residual) < 0:
+            raise SelfCheckError(f"tree type {k}'s residual is negative")
+        if residual[x]:
+            raise SelfCheckError(f"tree type {k}'s residual is {residual[x]} at its level {x}")
+    return sum(entries)
+
+
 def min_cut(clamped: ClampedNetwork) -> CutResult:
     """The certified minimum cut of the clamped network: the type chains
-    settle every conflict-free claim component, and Dinic cuts each other
-    one in a flow graph of its own, numbered locally, after the one-hop
-    seeds; the components' cut values add up."""
+    settle every conflict-free claim component, messages cut each tree below
+    the clamp, and Dinic cuts each other one in a flow graph of its own,
+    numbered locally, after the one-hop seeds; the components' cut values
+    add up."""
     network, scale = clamped.network, clamped.scale
     n, m, rows = network.type_count, network.outcome_count, network.costs.scaled
     clamp = int(clamped.clamp_value * scale)
@@ -313,6 +383,14 @@ def min_cut(clamped: ClampedNetwork) -> CutResult:
     for group, pairs in groups:
         index = {i: k for k, i in enumerate(group)}
         claims = [(index[a], index[b]) for a, b in pairs]
+        if len(claims) == len(group) - 1:
+            costs = [[clamp if c is None else c for c in rows[i]] for i in group]
+            tree = tree_messages(costs, claims, clamp)
+            if tree:
+                value += check_tree_certificate(costs, claims, *tree)
+                for i, x in zip(group, tree[0]):
+                    reachable[2 + i * m : 3 + i * m + x] = [True] * (x + 1)
+                continue
         paths, imitation = [], 2 * len(group) * (m + 1)
         for (a, b), (ka, kb) in zip(pairs, claims):
             if lasts[a] < tops[b]:

@@ -48,12 +48,48 @@ def chain_instance():
 
 def conflicted_instance():
     """Two types, type 0 can claim type 1, and both would rather sit apart:
-    the seeded chains violate the claim, so the cut reaches Dinic."""
+    the seeded chains violate the claim, and messages cut the two-type
+    tree."""
     return Instance(
         outcomes=OutcomeSpace([1, 2, 3]),
         relation=ReportingRelation(2, [(0, 0), (1, 1), (0, 1)]),
         costs=CostMatrix([[1, 9, 9], [9, 9, 1]]),
     )
+
+
+def two_way_instance():
+    """``conflicted_instance``'s costs, each type able to claim the other:
+    the component holds a two-way claim, so it is no tree and the cut
+    reaches Dinic."""
+    return Instance(
+        outcomes=OutcomeSpace([1, 2, 3]),
+        relation=ReportingRelation(2, [(0, 0), (1, 1), (0, 1), (1, 0)]),
+        costs=CostMatrix([[1, 9, 9], [9, 9, 1]]),
+    )
+
+
+def tree_instance():
+    """Type 0 can claim type 1, and the seeded chains put it below type 1:
+    a tree component, whose optimum (o_2, o_1) at cost 3 keeps type 0
+    strictly above type 1."""
+    return Instance(
+        outcomes=OutcomeSpace([1, 2, 3]),
+        relation=ReportingRelation(2, [(0, 0), (1, 1), (0, 1)]),
+        costs=CostMatrix([[5, 1, 9], [2, 9, 0]]),
+    )
+
+
+def _built_graphs(monkeypatch):
+    """Patch ``FlowGraph.__init__`` to keep the node count of every graph
+    built."""
+    sizes, original = [], FlowGraph.__init__
+
+    def sized(graph, node_count):
+        sizes.append(node_count)
+        original(graph, node_count)
+
+    monkeypatch.setattr(FlowGraph, "__init__", sized)
+    return sizes
 
 
 class TestNetworkBuild:
@@ -460,7 +496,8 @@ def _overfill_an_arc(graph, value):
 
 
 class TestFlowCertificate:
-    """``min_cut`` checks the flow Dinic leaves behind, not just its value."""
+    """``min_cut`` checks the flow Dinic leaves behind, not just its value
+    (on a component with a two-way claim, which no message cuts)."""
 
     @pytest.mark.parametrize(
         "tamper, message",
@@ -478,7 +515,7 @@ class TestFlowCertificate:
             return tamper(graph, original(graph, source, sink))
 
         monkeypatch.setattr(FlowGraph, "max_flow", tampered_max_flow)
-        clamped = clamp_capacities(build_network(conflicted_instance()))
+        clamped = clamp_capacities(build_network(two_way_instance()))
         with pytest.raises(SelfCheckError, match=message):
             min_cut(clamped)
 
@@ -511,7 +548,7 @@ class TestFlowCertificate:
             return value
 
         monkeypatch.setattr(FlowGraph, "max_flow", overdrawn)
-        clamped = clamp_capacities(build_network(conflicted_instance()))
+        clamped = clamp_capacities(build_network(two_way_instance()))
         with pytest.raises(SelfCheckError, match="infeasible"):
             min_cut(clamped)
 
@@ -613,7 +650,7 @@ class TestSeededCut:
             return total + count
 
         monkeypatch.setattr(FlowGraph, "seed_chains", overseed)
-        clamped = clamp_capacities(build_network(conflicted_instance()))
+        clamped = clamp_capacities(build_network(two_way_instance()))
         with pytest.raises(SelfCheckError, match="infeasible"):
             min_cut(clamped)
 
@@ -628,7 +665,7 @@ class TestSeededCut:
             return total + 1
 
         monkeypatch.setattr(FlowGraph, "seed_paths", overseed)
-        clamped = clamp_capacities(build_network(conflicted_instance()))
+        clamped = clamp_capacities(build_network(two_way_instance()))
         with pytest.raises(SelfCheckError, match="infeasible"):
             min_cut(clamped)
 
@@ -687,8 +724,14 @@ class TestOneHopSeeds:
 
         monkeypatch.setattr(FlowGraph, "_blocking_flow", refuse)
 
-    def test_two_type_component(self, no_phase):
+    def test_two_type_component(self, monkeypatch, no_phase):
+        # A one-way claim between two types is a tree: messages cut it, and
+        # a flow graph is built only for a conflicted pair with no finite
+        # mechanism.
+        sizes = _built_graphs(monkeypatch)
         assert min_cut(clamp_capacities(build_network(conflicted_instance()))).value == 10
+        assert sizes == []
+        fallbacks = 0
         for seed in range(200):
             rng = random.Random(seed)
             m = rng.randint(1, 6)
@@ -699,7 +742,13 @@ class TestOneHopSeeds:
                 ReportingRelation(2, [(0, 0), (1, 1), (0, 1)]),
                 CostMatrix(rows),
             )
-            solve_deterministic(instance)  # every certificate still checked
+            del sizes[:]
+            finite = solve_deterministic(instance).cost.is_finite  # every check still runs
+            tops = _seed_tops(instance.costs.scaled)
+            fallback = not finite and tops[0] < tops[1]
+            fallbacks += fallback
+            assert sizes == ([2 + 2 * m] if fallback else []), seed
+        assert fallbacks > 0
 
     def test_closure_cuts_of_transitive_blocks(self, no_phase):
         for seed in range(60):
@@ -720,12 +769,8 @@ class TestClaimPathLevels:
             return original(graph, paths)
 
         monkeypatch.setattr(FlowGraph, "seed_paths", checked)
-        for seed in range(12):  # det-sparse's shape at n=200
-            instance = random_instance(
-                seed=seed, type_count=200, outcome_count=5, edge_density=0.0025,
-                infinity_rate=0.05,
-            )
-            solve_deterministic(instance)  # every certificate still checked
+        for seed in range(12):
+            solve_deterministic(_two_way_sparse_instance(seed))  # every certificate still checked
         assert len(built) > 300
 
 
@@ -907,24 +952,14 @@ class TestRecordedSourceSide:
         assert (value, reachable) == _networkx_minimal_side(nodes, tails, heads, capacities)
 
     def test_min_cut_sizes_the_graph_by_the_kept_types(self, monkeypatch):
-        sizes = []
-        original = FlowGraph.__init__
-
-        def sized(graph, node_count):
-            sizes.append(node_count)
-            original(graph, node_count)
-
         def refuse(graph, source):
             raise AssertionError("min_cut ran a second residual search")
 
-        monkeypatch.setattr(FlowGraph, "__init__", sized)
+        sizes = _built_graphs(monkeypatch)
         monkeypatch.setattr(FlowGraph, "residual_source_side", refuse)
-        for seed in range(6):  # det-sparse's shape at n=200
-            instance = random_instance(
-                seed=seed, type_count=200, outcome_count=5, edge_density=0.0025,
-                infinity_rate=0.05,
-            )
-            components = _conflicted_components(instance.costs.scaled, instance.relation.claims)
+        for seed in range(6):
+            instance = _two_way_sparse_instance(seed)
+            components = _dinic_components(instance.costs.scaled, instance.relation.claims)
             del sizes[:]
             solve_deterministic(instance)  # every certificate still checked
             assert 0 < sum(map(len, components)) < 200
@@ -948,6 +983,47 @@ def _conflicted_components(rows, claims):
     violated = {a for a, b in claims if tops[a] < tops[b]}
     components = nx.connected_components(nx.Graph(claims))
     return [component for component in components if violated & component]
+
+
+def _finite_truthful(rows, types, claims):
+    """Whether some levels of ``types`` keep every claim ``(a, b)`` at
+    ``x_a >= x_b`` on finite entries: lift each level to its row's next
+    finite entry and each claimant to its claimed type's level until
+    nothing moves (the least such levels, if any)."""
+    levels = dict.fromkeys(types, 0)
+    while True:
+        for i in types:
+            finite = [j for j in range(levels[i], len(rows[i])) if rows[i][j] is not None]
+            if not finite:
+                return False
+            levels[i] = finite[0]
+        raised = [(a, b) for a, b in claims if levels[a] < levels[b]]
+        if not raised:
+            return True
+        for a, b in raised:
+            levels[a] = max(levels[a], levels[b])
+
+
+def _dinic_components(rows, claims):
+    """The conflicted components that reach Dinic: those with a cycle or a
+    two-way claim (no fewer claims than types), and trees with no finite
+    truthful levels."""
+    components = []
+    for component in _conflicted_components(rows, claims):
+        inside = [(a, b) for a, b in claims if a in component]
+        if len(inside) >= len(component) or not _finite_truthful(rows, component, inside):
+            components.append(component)
+    return components
+
+
+def _two_way_sparse_instance(seed):
+    """det-sparse's shape at n=200, every third claim made two-way, so that
+    many conflicted components reach Dinic."""
+    instance = random_instance(
+        seed=seed, type_count=200, outcome_count=5, edge_density=0.0025, infinity_rate=0.05,
+    )
+    pairs = instance.relation.pairs | {(b, a) for a, b in instance.relation.claims[::3]}
+    return Instance(instance.outcomes, ReportingRelation(200, pairs), instance.costs)
 
 
 def _minima_instance(rng):
@@ -1006,7 +1082,8 @@ class TestRowMinimaAndWriteBack:
         monkeypatch.setattr(FlowGraph, "seed_paths", counted)
         seen = {"first": 0, "middle": 0, "last": 0, "tied": 0, "dead": 0,
                 "free types": 0, "two-way": 0, "m1": 0, "kept": 0, "cyclic": 0,
-                "two or more conflicted": 0, "out of index order": 0}
+                "two or more conflicted": 0, "out of index order": 0,
+                "cut by Dinic": 0, "cut by messages": 0}
         for seed in range(150):
             inst, blocks = _minima_instance(random.Random(seed))
             clamped = clamp_capacities(build_network(inst))
@@ -1022,8 +1099,9 @@ class TestRowMinimaAndWriteBack:
             rows, claims = inst.costs.scaled, inst.relation.claims
             components = _conflicted_components(rows, claims)
             kept = set().union(*components)
+            cut_by_dinic = set().union(*_dinic_components(rows, claims))
             tops, lasts = _seed_tops(rows), _seed_lasts(rows)
-            expected = sum(max(0, tops[b] - lasts[a]) for a, b in claims if a in kept)
+            expected = sum(max(0, tops[b] - lasts[a]) for a, b in claims if a in cut_by_dinic)
             assert sum(paths) == expected, seed
             m = inst.outcome_count
             for row, top, last in zip(rows, tops, lasts):
@@ -1037,11 +1115,175 @@ class TestRowMinimaAndWriteBack:
             seen["two-way"] += len(set(claims) & {(b, a) for a, b in claims})
             seen["m1"] += m == 1
             seen["kept"] += len(kept)
+            seen["cut by Dinic"] += len(cut_by_dinic)
+            seen["cut by messages"] += len(kept - cut_by_dinic)
             seen["cyclic"] += sum(set(block) <= kept for block in blocks)
             seen["two or more conflicted"] += len(components) >= 2
             _, groups = mincut.conflicted_groups(len(rows), claims, tops)
             seen["out of index order"] += sum(group != sorted(group) for group, _ in groups)
         assert min(seen.values()) > 0, seen
+
+
+def _forest_instance(rng):
+    """Claims that form a forest over shuffled types: each type joins an
+    earlier one by a claim either way, or starts a tree of its own.  Costs 0
+    to 2, so optima tie, with 15% infinite entries and some rows all
+    infinite."""
+    n, m = rng.randint(1, 12), rng.randint(1, 4)
+    label = rng.sample(range(n), n)
+    pairs = [(i, i) for i in range(n)]
+    for k in range(1, n):
+        if rng.random() < 0.85:
+            joined = [label[k], label[rng.randrange(k)]]
+            pairs.append(tuple(joined if rng.random() < 0.5 else joined[::-1]))
+    rows = [
+        [Cost.infinite() if dead or rng.random() < 0.15 else rng.randint(0, 2) for _ in range(m)]
+        for dead in (rng.random() < 0.05 for _ in range(n))
+    ]
+    return Instance(OutcomeSpace(range(m)), ReportingRelation(n, pairs), CostMatrix(rows))
+
+
+def _tamper_messages(monkeypatch, change):
+    """Patch ``tree_messages`` to hand its levels, profiles and entry values
+    to ``change`` before the check reads them."""
+    original = mincut.tree_messages
+
+    def tampered(costs, claims, clamp):
+        certificate = original(costs, claims, clamp)
+        change(*certificate)
+        return certificate
+
+    monkeypatch.setattr(mincut, "tree_messages", tampered)
+
+
+def _lift_first_profile_entry(levels, profiles, entries):
+    profiles[0][0] += 1
+
+
+def _lift_top_profile_entry(levels, profiles, entries):
+    profiles[0][-1] += 7
+
+
+def _lower_root_entry(levels, profiles, entries):
+    entries[0] -= 1
+
+
+def _lift_middle_profile_entry(levels, profiles, entries):
+    profiles[0][1] += 1
+
+
+def _swap_levels(levels, profiles, entries):
+    levels.reverse()
+
+
+class TestTreeCut:
+    """Claim components that are trees are cut by min-plus messages, which a
+    dual certificate checks; no flow graph is built for them."""
+
+    def test_tree_instance_by_hand(self):
+        clamped = clamp_capacities(build_network(tree_instance()))
+        costs, clamp = [list(row) for row in clamped.network.costs.scaled], 45
+        assert clamped.clamp_value == clamp
+        # Type 1 sends its prefix minima [2, 2, 0]: entry 2 and profile
+        # [0, 0, 2]; type 0's row becomes [5, 1, 7], least at level 1.
+        certificate = mincut.tree_messages(costs, [(0, 1)], clamp)
+        assert certificate == ([1, 0], [[0, 0, 2]], [1, 2])
+        assert mincut.check_tree_certificate(costs, [(0, 1)], *certificate) == 3
+        assert mincut.tree_messages(costs, [(0, 1)], 3) is None
+        assert solve_deterministic(tree_instance()).mechanism.assignment == (1, 0)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (_lift_first_profile_entry, r"claim \(0, 1\)'s profile decreases"),
+            (_lift_top_profile_entry, "tree type 0's residual is negative"),
+            (_lower_root_entry, "tree type 0's residual is 1 at its level 1"),
+            (_lift_middle_profile_entry, r"claim \(0, 1\) is not tight at levels 1, 0"),
+            (_swap_levels, r"claim \(0, 1\) is not tight at levels 0, 1"),
+        ],
+    )
+    def test_tampered_certificate_is_refused(self, monkeypatch, change, message):
+        _tamper_messages(monkeypatch, change)
+        with pytest.raises(SelfCheckError, match=message):
+            min_cut(clamp_capacities(build_network(tree_instance())))
+
+    def test_only_components_with_a_cycle_or_two_way_claim_build_a_flow_graph(self, monkeypatch):
+        sizes = _built_graphs(monkeypatch)
+        assert min_cut(clamp_capacities(build_network(tree_instance()))).value == 3
+        assert sizes == []
+        assert min_cut(clamp_capacities(build_network(two_way_instance()))).value == 10
+        assert sizes == [2 + 2 * 3]
+        triangle = Instance(  # 0 claims 1 and 2, 1 claims 2: a cycle, not a directed one
+            outcomes=OutcomeSpace([1, 2, 3]),
+            relation=ReportingRelation(3, [(i, i) for i in range(3)] + [(0, 1), (0, 2), (1, 2)]),
+            costs=CostMatrix([[1, 9, 9], [9, 1, 9], [9, 9, 1]]),
+        )
+        assert solve_deterministic(triangle).cost == Cost(19)
+        assert sizes == [2 + 2 * 3, 2 + 3 * 3]
+
+    def test_random_forests_against_networkx(self, monkeypatch):
+        sizes = _built_graphs(monkeypatch)
+        seen = {"parent claims": 0, "child claims": 0, "tied": 0, "infinite": 0, "dead": 0,
+                "m1": 0, "by messages": 0, "fallback": 0}
+        for seed in range(600):
+            inst = _forest_instance(random.Random(seed))
+            clamped = clamp_capacities(build_network(inst))
+            network = clamped.network
+            value, side = _networkx_minimal_side(
+                network.node_count, network.tails, network.heads, clamped.capacities
+            )
+            del sizes[:]
+            cut = min_cut(clamped)
+            assert (cut.value, cut.reachable) == (Fraction(value, clamped.scale), side), seed
+            rows, claims, m = inst.costs.scaled, inst.relation.claims, inst.outcome_count
+            fallbacks = _dinic_components(rows, claims)
+            assert sorted(sizes) == sorted(2 + m * len(c) for c in fallbacks), seed
+            seen["fallback"] += len(fallbacks)
+            seen["m1"] += m == 1 and bool(fallbacks)
+            seen["dead"] += sum(row.count(None) == m for c in fallbacks for row in map(rows.__getitem__, c))
+            trees = [c for c in _conflicted_components(rows, claims) if c not in fallbacks]
+            seen["by messages"] += len(trees)
+            for group, _ in claim_groups(len(rows), claims):
+                if set(group) in trees:
+                    place = {i: k for k, i in enumerate(group)}
+                    inside = [(a, b) for a, b in claims if a in place]
+                    seen["parent claims"] += sum(place[a] < place[b] for a, b in inside)
+                    seen["child claims"] += sum(place[a] > place[b] for a, b in inside)
+                    tree_rows = [rows[i] for i in group]
+                    seen["infinite"] += sum(None in row for row in tree_rows)
+                    seen["tied"] += sum(
+                        row.count(min(c for c in row if c is not None)) > 1 for row in tree_rows
+                    )
+        assert min(seen.values()) > 0, seen
+
+    def test_matches_dinic_at_scale(self, monkeypatch):
+        # det-sparse's shape (mdbench/gen.py) at n=20000: integer costs up to
+        # 20, 5% infinite, n/2 distinct random claims.
+        rng, n, m = random.Random(25), 20000, 5
+        rows = [[Cost.infinite() if rng.random() < 0.05 else rng.randint(0, 20) for _ in range(m)]
+                for _ in range(n)]
+        claims = set()
+        while len(claims) < n // 2:
+            a, b = rng.randrange(n), rng.randrange(n)
+            if a != b:
+                claims.add((a, b))
+        relation = ReportingRelation(n, [(i, i) for i in range(n)] + sorted(claims))
+        clamped = clamp_capacities(build_network(Instance(OutcomeSpace(range(m)), relation,
+                                                          CostMatrix(rows))))
+        original, by_messages = mincut.tree_messages, []
+
+        def counted(costs, claims, clamp):
+            certificate = original(costs, claims, clamp)
+            by_messages.append(certificate is not None)
+            return certificate
+
+        monkeypatch.setattr(mincut, "tree_messages", counted)
+        sizes = _built_graphs(monkeypatch)
+        cut = min_cut(clamped)
+        assert sum(by_messages) > 1000 and sizes
+        monkeypatch.setattr(mincut, "tree_messages", lambda costs, claims, clamp: None)
+        deferred = min_cut(clamped)
+        assert (cut.value, cut.reachable) == (deferred.value, deferred.reachable)
 
 
 class TestCutMaskChecks:

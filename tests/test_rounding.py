@@ -150,6 +150,19 @@ class TestConsolidationBracket:
         packed = consolidate_two_consecutive(mech, inst)
         assert [list(row) for row in packed.rows] == squeezed_rows(mech, inst)
 
+    def test_float_row_whose_float_utility_is_inexact(self):
+        # Summed as floats, this row's expected utility is 1.5999999999999999,
+        # not the exact utility of its binary values; the packed row keeps
+        # the exact one.
+        inst = Instance(OutcomeSpace([0, 1, 2]), ReportingRelation.identity(1),
+                        CostMatrix([[3, 1, 2]]))
+        mech = RandomizedMechanism([[0.1, 0.2, 0.7]])
+        assert sum(p * u for p, u in zip(mech.rows[0], range(3))) != sum(
+            Fraction(p) * u for p, u in zip(mech.rows[0], range(3)))
+        packed = consolidate_two_consecutive(mech, inst)
+        assert [list(row) for row in packed.rows] == squeezed_rows(mech, inst)
+        assert packed.rows[0][0] == 0
+
 
 class TestThresholdCoupling:
     def test_matches_cutoffs_on_acceptance_family(self):
