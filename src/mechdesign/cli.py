@@ -43,7 +43,6 @@ from .instances import (
     SelfCheckError,
     _json_text,
     _lottery_utility,
-    _probability_to_json,
     cost_best_response,
     cost_deterministic,
     cost_from_json,
@@ -51,7 +50,6 @@ from .instances import (
     dump_instance,
     expected_utilities,
     hard_violations,
-    is_exact,
     is_truthful,
     load_instance,
     mechanism_from_json,
@@ -252,11 +250,11 @@ def cmd_generate(args, argv) -> int:
 
 def _write_json(path, payload) -> None:
     """Write ``_json_text(payload)``, a mechanism as its ``mechanism_to_json``
-    object, and a newline.  A lottery of ints and ``Fraction``s (equal ones
-    write alike) formats each distinct probability once, each row joined in C."""
+    object, and a newline.  A lottery, whose probabilities are exact (equal
+    ones write alike), formats each distinct one once, each row joined in C."""
     rows = getattr(payload, "rows", None)
-    if rows and all(rows) and {int, Fraction}.issuperset(map(type, chain.from_iterable(rows))):
-        text = {p: _json_text(_probability_to_json(p)) for p in set(chain.from_iterable(rows))}
+    if rows and all(rows):
+        text = {p: _json_text(rational_to_json(p)) for p in set(chain.from_iterable(rows))}
         rows = "\n    ],\n    [\n      ".join([",\n      ".join(map(text.get, r)) for r in rows])
         text = '{\n  "kind": "randomized",\n  "rows": [\n    [\n      ' + rows + "\n    ]\n  ]\n}"
     else:
@@ -349,28 +347,32 @@ def cmd_solve(args, argv) -> int:
 def cmd_verify(args, argv) -> int:
     instance, _, digest = _load_valid_instance(args.instance)
     try:
-        mechanism = mechanism_from_json(json.loads(Path(args.mechanism).read_text()))
+        data = json.loads(Path(args.mechanism).read_text())
+        mechanism = mechanism_from_json(data)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"cannot read mechanism {args.mechanism}: {exc}")
     problems = mechanism_violations(mechanism, instance)
     if problems:
+        if any("sums to" in p for p in problems) and any(
+            type(p) is float for row in data.get("rows", ()) for p in row
+        ):
+            problems.append('floats are read at their decimal values: write 1/3 as "1/3"')
         raise CliError(f"mechanism does not fit the instance: " + "; ".join(problems))
 
     if isinstance(mechanism, DeterministicMechanism):
         utilities = expected_utilities(mechanism, instance)
         truthful_cost = cost_deterministic(mechanism, instance)
-    else:  # exact utilities as (numerator, denominator) pairs: no Fraction per type
+    else:  # utilities as (numerator, denominator) pairs: no Fraction per type
         utilities = [_lottery_utility(row, instance.outcomes) for row in mechanism.rows]
         truthful_cost = cost_randomized(mechanism, instance)
-    exact = is_exact(utilities) or all(type(u) is tuple for u in utilities)
-    violations = truthfulness_violations(mechanism, instance, utilities, exact)
+    violations = truthfulness_violations(mechanism, instance, utilities)
     texts = _utility_texts(mechanism, instance, utilities)
-    # The relation is reflexive: when no claim beats honesty exactly, every
-    # type's best report is its own, and the types play the mechanism itself.
-    searched = violations or not exact
-    if searched:  # best responses compare Fractions
+    # The relation is reflexive: when no claim beats honesty, every type's
+    # best report is its own, and the types play the mechanism itself.
+    br_cost = truthful_cost
+    if violations:  # best responses compare Fractions
         utilities = [Fraction(*u) if type(u) is tuple else u for u in utilities]
-    br_cost = cost_best_response(mechanism, instance, utilities) if searched else truthful_cost
+        br_cost = cost_best_response(mechanism, instance, utilities)
     report = {
         "command": " ".join(argv),
         "instance_digest": digest,

@@ -40,6 +40,7 @@ from .instances import (
     ZERO_COST,
     cost_deterministic,
     cost_randomized,
+    exact_rational,
     expected_utility,
     hard_violations,
     is_truthful,
@@ -113,9 +114,10 @@ def pl_extension_value(cost_row, outcomes: OutcomeSpace, point) -> Cost:
 
     Between consecutive outcomes the cost interpolates linearly; an infinite
     endpoint makes the whole open segment infinite.  Exactly at an outcome
-    the entry itself is returned, infinite neighbors notwithstanding.
+    the entry itself is returned, infinite neighbors notwithstanding.  A
+    float point is read at its decimal value (``exact_rational``).
     """
-    x = Fraction(point)
+    x = exact_rational(point)
     utilities = outcomes.utilities
     if x < utilities[0] or x > utilities[-1]:
         raise ValueError(f"{x} outside the outcome range")
@@ -327,9 +329,8 @@ def consolidate_two_consecutive(
         raise ValueError("consolidation requires convex cost rows")
     utilities = instance.outcomes.utilities
     before_cost = cost_randomized(mech, instance)
-    exact = RandomizedMechanism([Fraction(p) for p in row] for row in mech.rows)  # floats too
     rows = []
-    for row in exact.rows:
+    for row in mech.rows:
         mass = sum(row)
         packed = [Fraction(0)] * len(row)
         if mass:
@@ -344,7 +345,7 @@ def consolidate_two_consecutive(
     result = RandomizedMechanism(rows)
     for i in range(instance.type_count):
         if expected_utility(result, instance.outcomes, i) != expected_utility(
-            exact, instance.outcomes, i
+            mech, instance.outcomes, i
         ):
             raise SelfCheckError(f"consolidation changed type {i}'s expected utility")
     after_cost = cost_randomized(result, instance)
@@ -367,8 +368,7 @@ def threshold_round(mech: RandomizedMechanism, instance: Instance) -> list[tuple
 
     if not is_truthful(mech, instance):
         raise ValueError("threshold rounding expects a truthful lottery profile")
-    rows = [[Fraction(p) for p in row] for row in mech.rows]  # exact for floats too
-    for i, row in enumerate(rows):
+    for i, row in enumerate(mech.rows):
         support = [j for j, p in enumerate(row) if p > 0]
         if not support:
             raise ValueError(f"row {i} has no mass")
@@ -376,7 +376,7 @@ def threshold_round(mech: RandomizedMechanism, instance: Instance) -> list[tuple
             raise ValueError(f"row {i} is supported on non-consecutive outcomes {support}")
 
     members = [(DeterministicMechanism(point), p)
-               for point, p in reversed(interpret_marginals(rows).items())]
+               for point, p in reversed(interpret_marginals(mech.rows).items())]
     expected: Cost = ZERO_COST
     for member, weight in members:
         if not is_truthful(member, instance):

@@ -12,10 +12,9 @@ denominators), with ``None`` for an infinite entry, so the solvers and the
 cost checks work in ints; ``Cost`` and ``Fraction`` appear at the public API
 and in JSON.  An expected cost is infinite exactly when positive
 probability lands on an infinite entry.
-Values are exact when ``is_exact`` says so; ``differs`` and ``exceeds``
-compare exact values exactly and floats (inputs such as float marginal
-profiles) within a tolerance the caller passes, such as
-``FLOAT_UTILITY_TOL`` for truthfulness.
+Probabilities are exact too: a float probability, from a file or a caller,
+is read at its decimal value by ``exact_rational`` (0.1 is 1/10), once,
+where it enters, so every check after that compares ints and ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -26,17 +25,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Union
-
-# Absolute slack used for truthfulness comparisons when a mechanism's expected
-# utilities are floats; exact (rational) utilities use no slack.
-FLOAT_UTILITY_TOL = 1e-12
-
-# Randomized rows must sum to one within this absolute tolerance (floats);
-# rational rows must sum to one exactly.
-ROW_SUM_TOL = 1e-12
 
 
 class SelfCheckError(RuntimeError):
@@ -50,27 +41,17 @@ def scale_to_integers(values) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
-def is_exact(values: Iterable) -> bool:
-    """Whether every value is an exact rational (an ``int`` or a ``Fraction``)."""
-    return all(isinstance(v, (int, Fraction)) for v in values)
-
-
-def differs(x, y, exact: bool, tol: float) -> bool:
-    """Whether ``x`` and ``y`` differ: exactly when ``exact``, otherwise by
-    more than ``tol`` as floats.  A NaN always differs."""
-    if exact:
-        return x != y
-    x, y = float(x), float(y)
-    return not (x == y or abs(x - y) <= tol)
-
-
-def exceeds(x, y, exact: bool, tol: float) -> bool:
-    """Whether ``x`` lies above ``y``: exactly when ``exact``, otherwise by
-    more than ``tol`` as floats.  A NaN always exceeds."""
-    if exact:
-        return x > y
-    x, y = float(x), float(y)
-    return not (x == y or x - y <= tol)
+def exact_rational(x):
+    """``x`` as an exact rational: an ``int`` or a ``Fraction`` as it is, a
+    float at its decimal value (0.1 is 1/10, as a JSON file spells it),
+    anything else through ``Fraction``.  NaN and ±inf raise ``ValueError``."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"not a finite number: {x!r}")
+        return Fraction(float.__repr__(x))
+    return Fraction(x)
 
 
 class Cost:
@@ -331,12 +312,16 @@ class DeterministicMechanism:
 
 @dataclass(frozen=True)
 class RandomizedMechanism:
-    """Maps each type to a lottery over outcomes (row per type)."""
+    """Maps each type to a lottery over outcomes (row per type); each
+    probability is read by ``exact_rational``."""
 
     rows: tuple
 
     def __init__(self, rows: Iterable[Iterable]):
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in rows))
+        rows = tuple(map(tuple, rows))
+        if not {int, Fraction}.issuperset(map(type, chain.from_iterable(rows))):
+            rows = tuple(tuple(map(exact_rational, row)) for row in rows)
+        object.__setattr__(self, "rows", rows)
 
 
 Mechanism = Union[DeterministicMechanism, RandomizedMechanism]
@@ -412,26 +397,20 @@ def mechanism_violations(mech: Mechanism, instance: Instance) -> list[str]:
         if len(row) != m:
             problems.append(f"row {i} has {len(row)} entries, expected {m}")
             continue
-        # A float anywhere, a zero too, makes the row a float row.
-        exact = all(issubclass(kind, (int, Fraction)) for kind in set(map(type, row)))
-        if exact:  # one integer pass over the nonzero entries, onto the row's lcm
-            num, den, negative = 0, 1, False
-            for p in row:
-                if p:
-                    a, b = p.as_integer_ratio()
-                    negative = negative or a < 0
-                    if b == den:
-                        num += a
-                    else:
-                        lcm = den * b // math.gcd(den, b)
-                        num, den = num * (lcm // den) + a * (lcm // b), lcm
-            total = 1 if num == den else Fraction(num, den)
-        else:
-            negative, total = any(p < 0 for p in row), sum(row)
+        num, den, negative = 0, 1, False  # one integer pass onto the row's lcm
+        for p in row:
+            if p:
+                a, b = p.as_integer_ratio()
+                negative = negative or a < 0
+                if b == den:
+                    num += a
+                else:
+                    lcm = den * b // math.gcd(den, b)
+                    num, den = num * (lcm // den) + a * (lcm // b), lcm
         if negative:
             problems.append(f"row {i} has a negative probability")
-        if differs(total, 1, exact, ROW_SUM_TOL):
-            problems.append(f"row {i} sums to {total}, expected 1")
+        if num != den:
+            problems.append(f"row {i} sums to {Fraction(num, den)}, expected 1")
     return problems
 
 
@@ -488,15 +467,12 @@ def transitive_closure(relation: ReportingRelation) -> ReportingRelation:
 # Utilities, truthfulness, costs
 # ---------------------------------------------------------------------------
 
-def _lottery_utility(row, outcomes: OutcomeSpace):
-    """An exact lottery's expected utility as a lowest-terms int pair
-    ``(numerator, denominator)``, summed in one integer pass over
-    ``outcomes.scaled``; one with a nonzero float, as a float sum."""
+def _lottery_utility(row, outcomes: OutcomeSpace) -> tuple[int, int]:
+    """A lottery's expected utility as a lowest-terms int pair ``(numerator,
+    denominator)``, summed in one integer pass over ``outcomes.scaled``."""
     (xs, scale), num, den = outcomes.scaled, 0, 1
     for p, x in zip(row, xs):
         if p:
-            if not isinstance(p, (int, Fraction)):
-                return sum(p * u for p, u in zip(row, outcomes.utilities) if p)
             a, b = p.as_integer_ratio()
             num, den = (num + a * x, den) if b == den else (num * b + a * x * den, den * b)
     g = math.gcd(num, den * scale)
@@ -507,8 +483,7 @@ def expected_utility(mech: Mechanism, outcomes: OutcomeSpace, type_index: int):
     """Expected common utility the given type receives under the mechanism."""
     if isinstance(mech, DeterministicMechanism):
         return outcomes.utilities[mech.assignment[type_index]]
-    u = _lottery_utility(mech.rows[type_index], outcomes)
-    return Fraction(*u) if type(u) is tuple else u
+    return Fraction(*_lottery_utility(mech.rows[type_index], outcomes))
 
 
 def expected_utilities(mech: Mechanism, instance: Instance) -> list:
@@ -517,16 +492,14 @@ def expected_utilities(mech: Mechanism, instance: Instance) -> list:
 
 
 def truthfulness_violations(
-    mech: Mechanism, instance: Instance, utilities: list | None = None, exact: bool | None = None
+    mech: Mechanism, instance: Instance, utilities: list | None = None
 ) -> list[tuple[int, int]]:
     """Pairs (truth, claim) where claiming strictly beats honesty.
 
-    Exact utilities are compared in integers: a deterministic mechanism's as
+    Utilities are compared in integers: a deterministic mechanism's as
     ``outcomes.scaled`` ints, a lottery's by cross-products of ``(numerator,
-    denominator)`` pairs.  Float utilities must exceed by more than
-    ``FLOAT_UTILITY_TOL`` so solver round-off is not reported as
-    manipulation.  ``utilities``, when given, must be ``expected_utilities(mech,
-    instance)``, exact ones possibly as pairs; ``exact``, whether all are exact.
+    denominator)`` pairs.  ``utilities``, when given, must be
+    ``expected_utilities(mech, instance)``, possibly as such pairs.
     """
     pairs = instance.relation.claims
     if isinstance(mech, DeterministicMechanism):
@@ -534,15 +507,9 @@ def truthfulness_violations(
         return [(a, b) for a, b in pairs if x[b] > x[a]]
     if utilities is None:
         utilities = [_lottery_utility(row, instance.outcomes) for row in mech.rows]
-    if exact is None:
-        exact = is_exact(u for u in utilities if type(u) is not tuple)
-    if exact:
-        ratios = [u if type(u) is tuple else u.as_integer_ratio() for u in utilities]
-        num, den = [u[0] for u in ratios], [u[1] for u in ratios]
-        return [(a, b) for a, b in pairs if num[b] * den[a] > num[a] * den[b]]
-    # exceeds compares as floats, and n / d is float(Fraction(n, d)), both correctly rounded
-    u = [v[0] / v[1] if type(v) is tuple else v for v in utilities]
-    return [(a, b) for a, b in pairs if exceeds(u[b], u[a], False, FLOAT_UTILITY_TOL)]
+    ratios = [u if type(u) is tuple else u.as_integer_ratio() for u in utilities]
+    num, den = [u[0] for u in ratios], [u[1] for u in ratios]
+    return [(a, b) for a, b in pairs if num[b] * den[a] > num[a] * den[b]]
 
 
 def is_truthful(mech: Mechanism, instance: Instance) -> bool:
@@ -589,7 +556,7 @@ def cost_deterministic(mech: DeterministicMechanism, instance: Instance) -> Cost
 
 def cost_randomized(mech: RandomizedMechanism, instance: Instance) -> Cost:
     """Expected total cost under honesty; infinite iff positive mass hits an
-    infinite entry.  Float probabilities count at their exact binary value."""
+    infinite entry."""
     terms = []
     for row, entries in zip(mech.rows, instance.costs.scaled):
         for p, entry in zip(row, entries):
@@ -683,8 +650,7 @@ def rational_from_json(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        # Decimal-faithful: "0.1" in a JSON file means 1/10.
-        return Fraction(repr(value))
+        return exact_rational(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -745,17 +711,25 @@ def cost_ratio_from_json(value) -> tuple[int, int] | None:
 def _costs_from_json(rows) -> CostMatrix:
     """The cost rows read by ``cost_ratio_from_json``, with its errors: once
     per distinct literal if all are ints or strings (no two of which hash
-    alike yet read apart), else entry by entry, then each row mapped in C."""
+    alike yet read apart), else entry by entry in row order.  The flat entry
+    list is mapped once in C, then cut into rows."""
     try:
-        if not {int, str}.issuperset(map(type, chain.from_iterable(rows))):
+        keys = list(chain.from_iterable(rows))
+        if not {int, str}.issuperset(map(type, keys)):
             raise TypeError
-        keys, ratios = rows, {v: cost_ratio_from_json(v) for v in set(chain.from_iterable(rows))}
+        ratios = {v: cost_ratio_from_json(v) for v in set(keys)}
     except (TypeError, ValueError):  # so that the first bad entry names the error
-        keys = [[cost_ratio_from_json(v) for v in row] for row in rows]
-        ratios = {r: r for r in chain.from_iterable(keys)}
+        keys = [cost_ratio_from_json(v) for row in rows for v in row]
+        ratios = {r: r for r in keys}
     scale = math.lcm(*{r[1] for r in ratios.values() if r is not None})
-    scaled = {k: r and r[0] * (scale // r[1]) for k, r in ratios.items()}.__getitem__
-    return CostMatrix.from_scaled(tuple(tuple(map(scaled, row)) for row in keys), scale)
+    by_key = {k: r and r[0] * (scale // r[1]) for k, r in ratios.items()}
+    values, sizes = list(map(by_key.__getitem__, keys)), list(map(len, rows))
+    if sizes and 0 < sizes[0] == min(sizes) == max(sizes):
+        scaled = tuple(zip(*[iter(values)] * sizes[0]))
+    else:  # ragged or empty rows
+        ends = list(accumulate(sizes))
+        scaled = tuple(tuple(values[a:b]) for a, b in zip([0, *ends], ends))
+    return CostMatrix.from_scaled(scaled, scale)
 
 
 def _relation_from_json(type_count: int, pairs) -> ReportingRelation:
@@ -780,16 +754,10 @@ def instance_from_json(data: dict) -> tuple[Instance, dict]:
     return Instance(outcomes, relation, costs), meta
 
 
-def _probability_to_json(p):
-    if type(p) is int:
-        return p
-    return rational_to_json(p) if is_exact((p,)) else float(p)
-
-
 def probability_from_json(value):
-    """A probability read from JSON: floats and ints stay as they are, and
-    ``"a/b"`` strings are exact."""
-    return value if type(value) in (float, int) else rational_from_json(value)
+    """A probability read from JSON, exactly: ints as they are, floats at
+    their decimal value and ``"a/b"`` strings as written."""
+    return value if type(value) is int else rational_from_json(value)
 
 
 def mechanism_to_json(mech: Mechanism) -> dict:
@@ -797,7 +765,7 @@ def mechanism_to_json(mech: Mechanism) -> dict:
         return {"kind": "deterministic", "assignment": list(mech.assignment)}
     return {
         "kind": "randomized",
-        "rows": [[_probability_to_json(p) for p in row] for row in mech.rows],
+        "rows": [[rational_to_json(p) for p in row] for row in mech.rows],
     }
 
 

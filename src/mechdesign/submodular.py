@@ -53,13 +53,11 @@ from .instances import (
     ReportingRelation,
     SelfCheckError,
     _check_indices,
-    _probability_to_json,
     cost_from_json,
-    differs,
-    exceeds,
-    is_exact,
+    exact_rational,
     probability_from_json,
     rational_from_json,
+    rational_to_json,
 )
 from .mincut import solve_deterministic
 from .oracle import (
@@ -67,19 +65,6 @@ from .oracle import (
     DEFAULT_ENUMERATION_BUDGET,
     enumerate_truthful_deterministic,
 )
-
-# Marginal entries at or below this are treated as exhausted in float mode;
-# exact (rational) profiles use strict positivity instead.
-POSITIVITY_TOL = 1e-12
-
-# A returned randomized solution must satisfy marginal truthfulness to here.
-TRUTHFUL_MARGINAL_TOL = 1e-9
-
-# Breakpoints closer than this are merged when thresholding float marginals.
-BREAKPOINT_CLUSTER_TOL = 1e-9
-
-# Float probability sums and float cost self-checks must agree to within this.
-FLOAT_CHECK_TOL = 1e-9
 
 DEFAULT_PAIR_BUDGET = 10**6
 DEFAULT_ITERATION_CAP = 100_000
@@ -268,10 +253,14 @@ def in_truthful_lattice(point: Sequence[int], relation: ReportingRelation) -> bo
 @dataclass(frozen=True)
 class ChainDistribution:
     """A distribution over a totally ordered set of outcome vectors,
-    listed in coordinatewise-ascending order."""
+    listed in coordinatewise-ascending order; each probability is read by
+    ``exact_rational``."""
 
     support: tuple
     probs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "probs", tuple(map(exact_rational, self.probs)))
 
     def items(self):
         return list(zip(self.support, self.probs))
@@ -289,7 +278,7 @@ class ChainDistribution:
 def chain_violations(dist: ChainDistribution) -> list[str]:
     problems = []
     total = sum(dist.probs)
-    if differs(total, 1, is_exact(dist.probs), FLOAT_CHECK_TOL):
+    if total != 1:
         problems.append(f"probabilities sum to {total}, expected 1")
     if any(p < 0 for p in dist.probs):
         problems.append("negative probability")
@@ -299,19 +288,22 @@ def chain_violations(dist: ChainDistribution) -> list[str]:
     return problems
 
 
-def _validate_profile(rows) -> None:
+def _exact_profile(profile) -> list[list]:
+    """The profile's rows read by ``exact_rational``, checked: equally long,
+    nonnegative, each summing to exactly 1."""
+    rows = [list(map(exact_rational, row)) for row in profile]
     if not rows or not rows[0]:
         raise ValueError("empty marginal profile")
     width = len(rows[0])
-    exact = is_exact(p for row in rows for p in row)
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
-        if any(exceeds(0, p, exact, POSITIVITY_TOL) for p in row):
-            raise ValueError(f"row {i} has a negative or NaN marginal")
+        if any(p < 0 for p in row):
+            raise ValueError(f"row {i} has a negative marginal")
         total = sum(row)
-        if differs(total, 1, exact, FLOAT_CHECK_TOL):
+        if total != 1:
             raise ValueError(f"row {i} sums to {total}, expected 1")
+    return rows
 
 
 def _chain(rows):
@@ -352,18 +344,11 @@ def interpret_marginals(profile) -> ChainDistribution:
     Keeps the points of the profile's maximal chain that carry mass, which
     realizes every type's marginal as the quantile coupling under one shared
     uniform draw; the support is a chain of at most ``n * m`` vectors.
-    Exact profiles are kept exactly; float profiles drop masses at or below
-    the positivity threshold and renormalize the rest.
+    Float entries are read at their decimal value, so each row must sum to
+    exactly 1 as written.
     """
-    rows = [list(row) for row in profile]
-    _validate_profile(rows)
-    points, _, masses = _chain(rows)
-    exact = is_exact(p for row in rows for p in row)
-    tol = 0 if exact else POSITIVITY_TOL
-    kept = [(pt, p) for pt, p in zip(points, masses) if p > tol]
-    if not exact:
-        total = sum(p for _, p in kept)
-        kept = [(pt, p / total) for pt, p in kept]
+    points, _, masses = _chain(_exact_profile(profile))
+    kept = [(pt, p) for pt, p in zip(points, masses) if p > 0]
     kept.reverse()
     dist = ChainDistribution(
         tuple(pt for pt, _ in kept), tuple(p for _, p in kept)
@@ -375,36 +360,33 @@ def interpret_marginals(profile) -> ChainDistribution:
 
 
 def _dist_items(dist) -> list:
+    """``(point, probability)`` pairs, each probability read by ``exact_rational``."""
     if isinstance(dist, ChainDistribution):
         return dist.items()
-    return [(tuple(pt), p) for pt, p in dist]
+    return [(tuple(pt), exact_rational(p)) for pt, p in dist]
 
 
 def chain_cost(dist, oracle: CostOracle) -> Cost:
     """Expected oracle cost of a distribution over outcome vectors.
 
-    Exact: float probabilities are converted exactly, and zero-probability
-    entries cannot contribute an infinity.
+    Exact: zero-probability entries cannot contribute an infinity.
     """
     total = Cost(0)
     for point, p in _dist_items(dist):
         if p:
-            total = total + oracle(point).scaled(Fraction(p))
+            total = total + oracle(point).scaled(p)
     return total
 
 
 def objective_subgradient(profile, oracle: CostOracle) -> list[list[Fraction]]:
     """A subgradient of ``p -> chain_cost(interpret_marginals(p), oracle)``.
 
-    The greedy vertex of the full maximal chain through the profile, exact
-    (float entries are converted exactly): the gradient inside a linearity
-    region, a valid subgradient on its boundary and on the boundary of the
-    simplices.  Raises ``ValueError`` when the oracle returns an infinite
-    value along the chain.
+    The greedy vertex of the full maximal chain through the profile, exact:
+    the gradient inside a linearity region, a valid subgradient on its
+    boundary and on the boundary of the simplices.  Raises ``ValueError``
+    when the oracle returns an infinite value along the chain.
     """
-    rows = [list(row) for row in profile]
-    _validate_profile(rows)
-    exact = _integral([[Fraction(p) for p in row] for row in rows])
+    exact = _integral(_exact_profile(profile))
     grad, den = _peel_with_gradient(exact, _memoized(oracle))[1]
     return [[Fraction(x, den) for x in row] for row in grad]
 
@@ -495,7 +477,6 @@ def uncross(dist, oracle: CostOracle | None = None, max_steps: int = 100_000) ->
             masses[point] = masses.get(point, 0) + p
     if not masses:
         raise ValueError("empty distribution")
-    exact = is_exact(masses.values())
     before_cost = chain_cost(list(masses.items()), oracle) if oracle else None
 
     steps = 0
@@ -524,7 +505,7 @@ def uncross(dist, oracle: CostOracle | None = None, max_steps: int = 100_000) ->
             raise SelfCheckError("uncrossing step failed to increase the potential")
         for pt in (a, b):
             masses[pt] -= q
-            if not masses[pt] > (0 if exact else POSITIVITY_TOL):
+            if not masses[pt]:
                 del masses[pt]
         for pt in (lo, hi):
             masses[pt] = masses.get(pt, 0) + q
@@ -538,7 +519,7 @@ def uncross(dist, oracle: CostOracle | None = None, max_steps: int = 100_000) ->
         raise SelfCheckError("uncrossing produced a bad chain: " + "; ".join(problems))
     if oracle is not None:
         after_cost = chain_cost(result, oracle)
-        if exceeds(after_cost, before_cost, exact, FLOAT_CHECK_TOL):
+        if after_cost > before_cost:
             raise SelfCheckError("uncrossing raised the expected cost")
     return result
 
@@ -561,12 +542,9 @@ def determinize_binary(
     """
     if oracle.outcome_count != 2:
         raise ValueError("binary determinization needs exactly two outcomes")
-    items = _dist_items(dist)
     n = oracle.type_count
-    exact = is_exact(p for _, p in items)
-
-    marginals = [Fraction(0) if exact else 0.0 for _ in range(n)]
-    for point, p in items:
+    marginals = [0] * n
+    for point, p in _dist_items(dist):
         for i, x in enumerate(point):
             if x:
                 marginals[i] = marginals[i] + p
@@ -574,18 +552,10 @@ def determinize_binary(
     for a, b in relation.pairs:
         if a == b:
             continue
-        if exceeds(marginals[b], marginals[a], exact, TRUTHFUL_MARGINAL_TOL):
+        if marginals[b] > marginals[a]:
             raise ValueError(
                 f"distribution is not marginally truthful on pair ({a}, {b})"
             )
-
-    if not exact:
-        # Snap nearly equal marginals together so thresholds cannot slip
-        # between two values that are equal up to solver round-off.
-        order = sorted(range(n), key=lambda i: marginals[i])
-        for prev, cur in zip(order, order[1:]):
-            if marginals[cur] - marginals[prev] <= BREAKPOINT_CLUSTER_TOL:
-                marginals[cur] = marginals[prev]
 
     points = interpret_marginals([[1 - u, u] for u in marginals]).support[::-1]
     if points[0] != (1,) * n:
@@ -897,7 +867,7 @@ def oracle_from_json(payload: dict, instance: Instance) -> CostOracle:
 def chain_to_json(dist: ChainDistribution) -> dict:
     return {
         "support": [
-            {"vector": list(pt), "prob": _probability_to_json(p)}
+            {"vector": list(pt), "prob": rational_to_json(p)}
             for pt, p in dist.items()
         ]
     }

@@ -61,11 +61,15 @@ def random_exact_profile(rng: random.Random, n: int, m: int, grain: int = 24):
 
 
 def random_float_profile(rng: random.Random, n: int, m: int):
+    """Random float rows on a ``1e-6`` grid, so that each row's decimal
+    values, which the package reads, sum to exactly 1."""
+    grain = 10**6
     rows = []
     for _ in range(n):
         raw = [rng.random() for _ in range(m)]
         total = sum(raw)
-        rows.append([x / total for x in raw])
+        cuts = [round(grain * x / total) for x in itertools.accumulate(raw)]
+        rows.append([(b - a) / grain for a, b in zip([0, *cuts], cuts)])
     return rows
 
 

@@ -52,6 +52,7 @@ from mechdesign import (
     uncross,
 )
 from mechdesign.cli import main as cli_main
+from mechdesign.instances import exact_rational
 from mechdesign.submodular import chain_violations
 
 from conftest import (
@@ -391,7 +392,9 @@ def test_10_profile_solver_reaches_the_additive_optimum():
     if ok:
         rng = random.Random(1010)
         checked = 0
-        h = 1e-6
+        # The probes move exact rows by an exact step: a float step would
+        # leave rows whose decimal values no longer sum to 1.
+        h = Fraction(1, 10**6)
         while checked < 100 and ok:
             inst = random_instance(
                 seed=41_000 + checked,
@@ -406,7 +409,7 @@ def test_10_profile_solver_reaches_the_additive_optimum():
                 return float(chain_cost(interpret_marginals(rows), oracle))
 
             rows = [
-                [0.9 * x + 0.1 / m for x in row]
+                [Fraction(9, 10) * exact_rational(x) + Fraction(1, 10 * m) for x in row]
                 for row in random_float_profile(rng, n, m)
             ]
             grad = objective_subgradient(rows, oracle)

@@ -38,14 +38,10 @@ from mechdesign import (
     validate,
 )
 from mechdesign.instances import (
-    FLOAT_UTILITY_TOL,
-    ROW_SUM_TOL,
     cost_from_json,
     cost_ratio_from_json,
-    differs,
-    exceeds,
+    exact_rational,
     expected_utilities,
-    is_exact,
     ratio_sum,
 )
 from mechdesign.oracle import _best_response_outcome
@@ -223,59 +219,14 @@ class TestCosting:
         assert cost_randomized(mech, inst) == Cost(Fraction(6))
 
 
-class TestComparisonRule:
-    """One rule for every exact/float check: exact values compare exactly,
-    floats within the caller's tolerance, and a NaN is always a violation."""
-
-    def test_is_exact(self):
-        assert is_exact([0, 1, Fraction(1, 3)])
-        assert is_exact([])
-        assert not is_exact([Fraction(1, 2), 0.5])
-        assert not is_exact([float("nan")])
-
-    def test_exact_values_compare_exactly(self):
-        tiny = Fraction(1, 10**30)
-        assert differs(1 + tiny, 1, True, 1e-9)
-        assert not differs(Fraction(2, 2), 1, True, 1e-9)
-        assert exceeds(1 + tiny, 1, True, 1e-9)
-        assert not exceeds(1, 1 + tiny, True, 1e-9)
-        assert exceeds(Cost.infinite(), Cost(5), True, 1e-9)
-        assert not differs(Cost.infinite(), Cost.infinite(), True, 1e-9)
-
-    def test_floats_within_tolerance(self):
-        assert not differs(1.0 + 1e-10, 1, False, 1e-9)
-        assert not differs(1, 1.0 - 1e-10, False, 1e-9)
-        assert not exceeds(1.0 + 1e-10, 1.0, False, 1e-9)
-        assert not exceeds(0.5, 1.0, False, 1e-9)
-        assert not differs(Cost.infinite(), Cost.infinite(), False, 1e-9)
-        assert not exceeds(Cost.infinite(), Cost.infinite(), False, 1e-9)
-
-    def test_floats_beyond_tolerance(self):
-        assert differs(1.0 + 1e-8, 1, False, 1e-9)
-        assert differs(1, 1.0 + 1e-8, False, 1e-9)
-        assert exceeds(1.0 + 1e-8, 1.0, False, 1e-9)
-        assert exceeds(Cost.infinite(), Cost(5), False, 1e-9)
-
-    def test_nan_is_always_a_violation(self):
-        nan = float("nan")
-        for x, y in ((nan, 1.0), (1.0, nan), (nan, nan)):
-            assert differs(x, y, False, 1e-9)
-            assert exceeds(x, y, False, 1e-9)
-
-    def test_nan_row_violates_mechanism_shape(self):
-        inst = small_instance()
-        mech = RandomizedMechanism([[float("nan"), 1.0, 0.0], [0.0, 0.0, 1.0]])
-        problems = mechanism_violations(mech, inst)
-        assert any("row 0 sums to nan" in p for p in problems)
-
-
 TINY = Fraction(1, 2**64)
 
 
 @st.composite
 def lottery_rows(draw):
     """Rows summing to 1 or missing it by 2**-64, with negative entries,
-    ints among ``Fraction``s, and some rows holding floats."""
+    ints among ``Fraction``s, and some rows holding floats (read at their
+    decimal values)."""
     m = draw(st.integers(1, 6))
     denominators = st.sampled_from([1, 2, 3, 12, 2**61 - 1, 2**64 + 1])
     row = [Fraction(draw(st.integers(0, 4)), draw(denominators)) for _ in range(m - 1)]
@@ -289,8 +240,8 @@ def lottery_rows(draw):
 
 
 class TestIntegerLotteries:
-    """Exact lottery rows are summed in integers; the answers must be those
-    of plain ``Fraction`` sums, and float rows keep their float path."""
+    """Lottery rows are summed in integers; the answers must be those of
+    plain ``Fraction`` sums over the rows read at their decimal values."""
 
     @given(lottery_rows())
     @settings(max_examples=300, deadline=None)
@@ -304,10 +255,11 @@ class TestIntegerLotteries:
         inst = Instance(
             OutcomeSpace(range(m)), ReportingRelation.identity(1), CostMatrix([[0] * m])
         )
-        total, expected = sum(row), []
-        if any(p < 0 for p in row):
+        exact = [Fraction(repr(p)) if isinstance(p, float) else p for p in row]
+        total, expected = sum(exact, Fraction(0)), []
+        if any(p < 0 for p in exact):
             expected.append("row 0 has a negative probability")
-        if differs(total, 1, is_exact(row), ROW_SUM_TOL):
+        if total != 1:
             expected.append(f"row 0 sums to {total}, expected 1")
         assert mechanism_violations(RandomizedMechanism([row]), inst) == expected
 
@@ -335,14 +287,17 @@ class TestIntegerLotteries:
             sum((Fraction(p) * u for p, u in zip(row, utilities)), Fraction(0)) for row in rows
         ]
 
-    def test_float_rows_keep_float_sums(self):
+    def test_float_rows_are_read_exactly(self):
         outcomes = OutcomeSpace([0, Fraction(1, 3), 2])
-        mech = RandomizedMechanism([[0.25, 0, 0.75], [Fraction(1, 2), 0.5, 0], [0.0, 1, 0]])
-        assert expected_utility(mech, outcomes, 0) == 0.75 * 2
-        assert expected_utility(mech, outcomes, 1) == Fraction(1, 2) * 0 + 0.5 * Fraction(1, 3)
-        assert isinstance(expected_utility(mech, outcomes, 1), float)
-        # A float zero carries no mass, as in a plain sum of the nonzero terms.
+        mech = RandomizedMechanism([[0.25, 0, 0.75], [Fraction(1, 2), 0.5, 0], [0.0, 1, 0],
+                                    [0.1, 0.2, 0.7]])
+        assert mech.rows[3] == (Fraction(1, 10), Fraction(1, 5), Fraction(7, 10))
+        assert expected_utility(mech, outcomes, 0) == Fraction(3, 2)
+        assert expected_utility(mech, outcomes, 1) == Fraction(1, 6)
         assert expected_utility(mech, outcomes, 2) == Fraction(1, 3)
+        # Summed as floats, the last row's utility would be 1.4666666666666666.
+        assert expected_utility(mech, outcomes, 3) == Fraction(1, 15) + Fraction(7, 5)
+        assert {type(p) for row in mech.rows for p in row} == {int, Fraction}
 
 
 class TestBestResponseCost:
@@ -495,17 +450,17 @@ class TestIntegerTruthfulness:
         assert utilities == u
         assert truthfulness_violations(mech, instance) == expected
         assert truthfulness_violations(mech, instance, utilities) == expected
-        assert truthfulness_violations(mech, instance, utilities, True) == expected
         pairs = [v.as_integer_ratio() for v in utilities]  # as ``verify`` passes them
-        assert truthfulness_violations(mech, instance, pairs, True) == expected
+        assert truthfulness_violations(mech, instance, pairs) == expected
         assert is_truthful(mech, instance) == (not expected)
 
     @settings(max_examples=150, deadline=None)
     @given(_truthfulness_cases(), st.data())
-    def test_float_rows_keep_the_tolerance(self, case, data):
+    def test_float_rows_are_compared_exactly(self, case, data):
         instance, mech = case
         assume(isinstance(mech, RandomizedMechanism))
-        # some rows as floats, nudged by less or more than FLOAT_UTILITY_TOL
+        # some rows as floats, nudged by 2**-50 or 2**-35: a nudge of either
+        # size that favours a claim is a violation
         nudge = st.sampled_from([0.0, 2.0**-50, 2.0**-35])
         rows = [
             [float(p) + (data.draw(nudge) if j == 0 else 0) for j, p in enumerate(row)]
@@ -513,15 +468,13 @@ class TestIntegerTruthfulness:
             for row in mech.rows
         ]
         mech = RandomizedMechanism(rows)
+        assert mech.rows == tuple(tuple(map(exact_rational, row)) for row in rows)
+        u = _fraction_utilities(mech, instance)
+        expected = [(a, b) for a, b in instance.relation.claims if u[b] > u[a]]
         utilities = expected_utilities(mech, instance)
-        exact = is_exact(utilities)
-        expected = [
-            (a, b) for a, b in instance.relation.claims
-            if exceeds(utilities[b], utilities[a], exact, FLOAT_UTILITY_TOL)
-        ]
+        assert utilities == u
         assert truthfulness_violations(mech, instance) == expected
         assert truthfulness_violations(mech, instance, utilities) == expected
-        assert truthfulness_violations(mech, instance, utilities, exact) == expected
 
 
 def _ratio_via_cost(value):
@@ -649,6 +602,12 @@ class TestOnePassReader:
     @example([[3, "1/0", "-1/2"]])
     @example([[3, "-1/2", "1/0"]])
     @example(json.loads("[[NaN, 1]]"))
+    # Ragged and empty rows are cut by their lengths; a bad entry before a
+    # row that is not a list names the error.
+    @example([[1, 2], [3], [], ["1/2", 4, "inf"]])
+    @example([[], []])
+    @example([["x"], 5])
+    @example([[1], 5])
     def test_costs_match_per_entry_reference(self, rows):
         assert _error_or_value(_costs_read, rows) == _error_or_value(_costs_per_entry, rows)
 
@@ -694,7 +653,7 @@ class TestOnePassReader:
 
 def _mechanism_violations_before(mech, instance):
     """``mechanism_violations`` as it was before its one-pass row check:
-    exactness from every entry, one ``Fraction`` per denominator."""
+    one ``Fraction`` per denominator."""
     problems = []
     n, m = instance.type_count, instance.outcome_count
     if len(mech.rows) != n:
@@ -703,15 +662,11 @@ def _mechanism_violations_before(mech, instance):
         if len(row) != m:
             problems.append(f"row {i} has {len(row)} entries, expected {m}")
             continue
-        exact = is_exact(row)
-        if exact:
-            ratios = [p.as_integer_ratio() for p in row if p]
-            negative, total = any(r[0] < 0 for r in ratios), ratio_sum(ratios)
-        else:
-            negative, total = any(p < 0 for p in row), sum(row)
-        if negative:
+        ratios = [p.as_integer_ratio() for p in row if p]
+        if any(r[0] < 0 for r in ratios):
             problems.append(f"row {i} has a negative probability")
-        if differs(total, 1, exact, ROW_SUM_TOL):
+        total = ratio_sum(ratios)
+        if total != 1:
             problems.append(f"row {i} sums to {total}, expected 1")
     return problems
 
@@ -728,12 +683,12 @@ ROW_TABLE = [
     [Fraction(1, _BIG), Fraction(_BIG - 1, _BIG), Fraction(1, _BIG)],
     [Fraction(0), 0, 0],
     [True, 0, False],
-    # a float 0.0 makes the row a float row
+    # floats, read at their decimal values
     [0.0, Fraction(1, 3), Fraction(2, 3)],
     [0.0, Fraction(1, 3), Fraction(1, 3)],
     [-0.0, 1, 0],
     [0.0, Fraction(1, 2), Fraction(1, 2) + Fraction(1, 2**60)],
-    # sums to 1 within the float tolerance, or just outside it
+    # sums to 1 as decimals, or misses it by 1e-13 or 1e-11
     [0.1, 0.2, 0.7],
     [0.5, 0.5 + 1e-13, 0],
     [0.5, 0.5 + 1e-11, 0],
@@ -744,7 +699,7 @@ ROW_TABLE = [
     [Fraction(-1, 3), Fraction(2, 3), Fraction(2, 3)],
     [1.5, -0.5, 0.0],
     [-1, 0, 0],
-    [float("nan"), 1.0, 0.0],
+    [0.3333333333333333] * 3,
     # wrong length
     [1, 0],
 ]
@@ -763,6 +718,9 @@ class TestRowCheckAgainstBefore:
         assert mechanism_violations(mech, inst) == expected
         for message in ("negative probability", "sums to", "entries, expected"):
             assert any(message in p for p in expected)
+        # A NaN is refused when the mechanism is built, before any row check.
+        with pytest.raises(ValueError, match="not a finite number: nan"):
+            RandomizedMechanism([[float("nan"), 1.0, 0.0]])
 
 
 class TestLotteryReader:
@@ -784,10 +742,11 @@ class TestLotteryReader:
         third, two_thirds = Fraction(1, 3), Fraction(2, 3)
         assert mech.rows == (
             (third, two_thirds, 0), (0, two_thirds, third), (third, third, third),
-            (0.25, Fraction(3, 4), 0),
+            (Fraction(1, 4), Fraction(3, 4), 0),
         )
-        assert [type(p) for p in mech.rows[3]] == [float, Fraction, int]
-        assert sorted(parsed) == ["1/3", "2/3", "3/4"]
+        assert [type(p) for p in mech.rows[3]] == [Fraction, Fraction, int]
+        # a float is read at its decimal value each time it appears
+        assert sorted(parsed, key=str) == [0.25, "1/3", "2/3", "3/4"]
 
     @pytest.mark.parametrize(
         "value, message",

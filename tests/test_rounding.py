@@ -22,7 +22,7 @@ from mechdesign import (
     table_oracle,
     threshold_round,
 )
-from mechdesign.submodular import POSITIVITY_TOL
+from mechdesign.instances import exact_rational
 
 from conftest import product_coupling, random_relation
 
@@ -75,18 +75,11 @@ def cutoff_members(mech, instance):
 def level_loop(items, oracle):
     """Binary determinization by levels: every distinct marginal, and 1,
     thresholds the marginals; the cheapest point wins, the first on ties."""
-    n = oracle.type_count
-    exact = all(isinstance(p, (int, Fraction)) for _, p in items)
-    marginals = [Fraction(0) if exact else 0.0] * n
+    marginals = [Fraction(0)] * oracle.type_count
     for point, p in items:
         for i, x in enumerate(point):
             if x:
                 marginals[i] += p
-    if not exact:
-        order = sorted(range(n), key=marginals.__getitem__)
-        for prev, cur in zip(order, order[1:]):
-            if marginals[cur] - marginals[prev] <= 1e-9:
-                marginals[cur] = marginals[prev]
     best = None
     for level in sorted(set(marginals) | {1}):
         point = tuple(int(u >= level) for u in marginals)
@@ -125,7 +118,7 @@ class TestConsolidationBracket:
             n, m = inst.type_count, inst.outcome_count
             mechs = [solve_randomized(inst).mechanism,
                      RandomizedMechanism(wide_rows(rng, n, m)),
-                     # Eighths, so the float rows' expected utilities are exact.
+                     # Eighths: dyadic floats, read as the same eighths.
                      RandomizedMechanism(wide_rows(rng, n, m, total=8, as_float=True))]
             for mech in mechs:
                 packed = consolidate_two_consecutive(mech, inst)
@@ -151,17 +144,18 @@ class TestConsolidationBracket:
         assert [list(row) for row in packed.rows] == squeezed_rows(mech, inst)
 
     def test_float_row_whose_float_utility_is_inexact(self):
-        # Summed as floats, this row's expected utility is 1.5999999999999999,
-        # not the exact utility of its binary values; the packed row keeps
-        # the exact one.
+        # Summed as floats, this row's expected utility is 1.5999999999999999;
+        # the mechanism reads the row at its decimal values, whose utility is
+        # 8/5, and the packed row keeps it.
         inst = Instance(OutcomeSpace([0, 1, 2]), ReportingRelation.identity(1),
                         CostMatrix([[3, 1, 2]]))
-        mech = RandomizedMechanism([[0.1, 0.2, 0.7]])
-        assert sum(p * u for p, u in zip(mech.rows[0], range(3))) != sum(
-            Fraction(p) * u for p, u in zip(mech.rows[0], range(3)))
+        floats = [0.1, 0.2, 0.7]
+        assert sum(p * u for p, u in zip(floats, range(3))) != Fraction(8, 5)
+        mech = RandomizedMechanism([floats])
+        assert mech.rows == ((Fraction(1, 10), Fraction(1, 5), Fraction(7, 10)),)
         packed = consolidate_two_consecutive(mech, inst)
         assert [list(row) for row in packed.rows] == squeezed_rows(mech, inst)
-        assert packed.rows[0][0] == 0
+        assert packed.rows == ((0, Fraction(2, 5), Fraction(3, 5)),)
 
 
 class TestThresholdCoupling:
@@ -195,15 +189,16 @@ def marginals(items):
     return [sum(p for point, p in items if point[i]) for i in range(len(items[0][0]))]
 
 
-def truthful_binary_cases(count, seed):
+def truthful_binary_cases(count, seed, grid=6):
     """Random tables with marginally truthful distributions: marginals on a
-    1/6 grid (so exact zeros, ones and ties), raised along the claims until
-    every claimant sits at least as high, as a chain or a product."""
+    ``1/grid`` grid (so exact zeros, ones and ties), raised along the claims
+    until every claimant sits at least as high, as a chain or a product."""
     rng = random.Random(seed)
+    levels = [0, 0, 1, 2, 3, 3, 5, 6] if grid == 6 else [0, 0, 1, 2, 3, 3, 4, 5]
     for k in range(count):
         n = 1 + k % 5
         relation = random_relation(rng, n, 0.3)
-        u = [Fraction(rng.choice([0, 0, 1, 2, 3, 3, 5, 6]), 6) for _ in range(n)]
+        u = [Fraction(rng.choice(levels), grid) for _ in range(n)]
         changed = True
         while changed:
             changed = False
@@ -230,12 +225,19 @@ class TestBinaryCoupling:
         assert zero_then_top >= 10 and ties >= 20
 
     def test_floats_match_the_exact_twin(self):
-        # The float twins' marginals carry round-off, which the snap and the
-        # float coupling's positivity threshold absorb.
-        cases = list(truthful_binary_cases(240, seed=77))
+        # On a 1/5 grid every mass has a short decimal, so each float reads
+        # back as its exact twin, although the floats' own sums carry
+        # round-off.  On the 1/6 grid only the cases whose masses are all
+        # dyadic have float twins of the same value.
+        fifths = list(truthful_binary_cases(240, seed=77, grid=5))
+        sixths = [case for case in truthful_binary_cases(240, seed=77)
+                  if all(float(p) == p for _, p in case[0])]
+        assert len(sixths) >= 40
+        cases = fifths + sixths
         twins = [[(point, float(p)) for point, p in items] for items, _, _ in cases]
         assert sum(marginals(f) != marginals(items) for f, (items, _, _) in zip(twins, cases)) >= 20
         for k, (floats, (items, relation, oracle)) in enumerate(zip(twins, cases)):
+            assert [(pt, exact_rational(p)) for pt, p in floats] == items, k
             assert (determinize_binary(floats, relation, oracle)
                     == determinize_binary(items, relation, oracle)), k
 
@@ -248,11 +250,11 @@ class TestBinaryCoupling:
         assert determinize_binary(items, relation, oracle) == level_loop(items, oracle)
         assert determinize_binary(items, relation, oracle)[0].assignment == (1, 1)
 
-    def test_float_mass_below_positivity_is_not_a_candidate(self):
-        # The float coupling drops masses at or below POSITIVITY_TOL, so the
-        # all-bottom vector, carrying 1 - u <= POSITIVITY_TOL, is not tried.
-        u = 1 - POSITIVITY_TOL / 4
+    def test_tiny_float_mass_is_a_candidate(self):
+        # A float mass of about 2.5e-13 is read at its decimal value, so the
+        # all-bottom vector carries positive mass, is tried, and wins.
+        u = 1 - 2.5e-13
         items = [((1, 1), u), ((0, 0), 1 - u)]
         oracle = table_oracle([0, 5, 5, 3], 2, 2)
         mech, cost = determinize_binary(items, ReportingRelation.identity(2), oracle)
-        assert mech.assignment == (1, 1) and cost == 3
+        assert mech.assignment == (0, 0) and cost == 0

@@ -42,6 +42,7 @@ from mechdesign import (
     determinize_binary,
 )
 from mechdesign import submodular
+from mechdesign.instances import exact_rational
 from mechdesign.submodular import (
     _chain,
     _integral,
@@ -229,9 +230,10 @@ class TestChainDistribution:
             chain_from_json(bad)
 
     def test_nan_probability_is_a_violation(self):
-        dist = ChainDistribution(((0, 0), (1, 1)), (float("nan"), 1.0))
-        assert any("sum" in p for p in chain_violations(dist))
-        with pytest.raises(ValueError, match="row 0"):
+        # A NaN is refused where it enters, before any check reads it.
+        with pytest.raises(ValueError, match="not a finite number: nan"):
+            ChainDistribution(((0, 0), (1, 1)), (float("nan"), 1.0))
+        with pytest.raises(ValueError, match="not a finite number: nan"):
             interpret_marginals([[float("nan"), 1.0], [0.0, 1.0]])
 
     def test_json_rejects_crossed_support(self):
@@ -276,6 +278,8 @@ class TestInterpretMarginals:
                     assert math.isclose(
                         float(back[i][j]), rows[i][j], abs_tol=1e-12
                     )
+            # The floats are read at their decimal values, which come back.
+            assert back == [[Fraction(repr(x)) for x in row] for row in rows]
 
     def test_support_size_bound(self):
         rng = random.Random(33)
@@ -351,7 +355,8 @@ class TestSubgradient:
             # interior profiles only: a zero-mass coordinate never enters the
             # traced linear piece, so its entry carries no information
             rows = [
-                [0.9 * float(x) + 0.1 / m for x in row] for row in rows
+                [Fraction(9, 10) * exact_rational(x) + Fraction(1, 10 * m) for x in row]
+                for row in rows
             ]
             grad = objective_subgradient(rows, oracle)
             for i in range(n):
@@ -375,9 +380,11 @@ class TestSubgradient:
                     chain_cost(interpret_marginals(rows), oracle)
                 )
 
-            rows = random_float_profile(rng, n, m)
+            # Exact rows and step: a float step would leave rows whose
+            # decimal values no longer sum to 1.
+            rows = [list(map(exact_rational, row)) for row in random_float_profile(rng, n, m)]
             grad = objective_subgradient(rows, oracle)
-            h = 1e-6
+            h = Fraction(1, 10**6)
             for _ in range(5):
                 i = rng.randrange(n)
                 j, k = rng.sample(range(m), 2)
@@ -402,7 +409,8 @@ class TestSubgradient:
             rows = []
             for row in random_float_profile(rng, n, m):
                 keep = rng.randrange(m)
-                row = [x if j == keep or rng.random() < 0.5 else 0.0
+                # renormalized exactly, so that each row sums to 1
+                row = [exact_rational(x) if j == keep or rng.random() < 0.5 else 0
                        for j, x in enumerate(row)]
                 rows.append([x / sum(row) for x in row])
             return rows
@@ -499,15 +507,25 @@ class TestDeterminizeBinary:
     )
     @pytest.mark.parametrize("table", [[4, 9, 9, 2], [1, 9, 9, 5], [3, 9, 9, 3]])
     def test_float_snap_matches_exact_twin(self, items, table):
-        # Type 1 may claim type 0, so it must sit at least as high; its float
-        # marginal falls short of type 0's by less than the snap tolerance.
+        # Type 1 may claim type 0, so it must sit at least as high; summed as
+        # floats, its marginal falls short of type 0's by at most 4e-10.
+        # There is no snap: the floats are read at their decimal values.
         rel = ReportingRelation(2, [(0, 0), (1, 1), (1, 0)])
         oracle = table_oracle(table, 2, 2)
         marginals = [sum(p for pt, p in items if pt[i]) for i in range(2)]
-        assert 0 < marginals[0] - marginals[1] <= submodular.BREAKPOINT_CLUSTER_TOL
+        assert 0 < marginals[0] - marginals[1] <= 1e-9
+        decimal = [(pt, Fraction(repr(p))) for pt, p in items]
+        u = [sum(p for pt, p in decimal if pt[i]) for i in range(2)]
         twin = [(pt, Fraction(p).limit_denominator(10)) for pt, p in items]
         assert sum(p for pt, p in twin if pt[0]) == sum(p for pt, p in twin if pt[1])
-        assert determinize_binary(items, rel, oracle) == determinize_binary(twin, rel, oracle)
+        if u[0] == u[1]:  # summation order: the decimal values are the tenths
+            assert decimal == twin
+            assert determinize_binary(items, rel, oracle) == determinize_binary(twin, rel, oracle)
+        else:  # solver round-off: type 1 sits about 4e-10 below type 0, breaking its claim
+            assert 0 < u[0] - u[1] <= Fraction(1, 10**9)
+            for dist in (items, decimal):
+                with pytest.raises(ValueError, match=r"not marginally truthful on pair \(1, 0\)"):
+                    determinize_binary(dist, rel, oracle)
 
     def test_rejects_untruthful_marginals(self):
         rows = [[Fraction(3, 4), Fraction(1, 4)], [Fraction(1, 4), Fraction(3, 4)]]
